@@ -1,7 +1,7 @@
 //! Tamper-evident persistent audit log.
 //!
-//! This crate turns the reference monitor's in-memory audit ring into a
-//! durable, verifiable record. Three layers:
+//! This crate holds the reference monitor's audit ring and turns it into
+//! a durable, verifiable record. Three layers:
 //!
 //! 1. **Chained records** ([`record`]): each entry carries a running
 //!    SHA-256 digest over a compact binary encoding of
@@ -13,10 +13,12 @@
 //!    per-segment chain anchors and an atomically-replaced, fsync'd
 //!    manifest; a torn tail is truncated back to the last chain-valid
 //!    entry at startup.
-//! 3. **Pipeline** ([`pipeline`] + [`query`]): the producer-facing
-//!    bounded queue (never blocks the check path; overflow sheds and is
-//!    later declared as a tamper-evident gap entry) and the
-//!    query/verify API the server exposes over the wire protocol.
+//! 3. **Pipeline** ([`ring`] + [`pipeline`] + [`query`]): the
+//!    producer-facing ring of preallocated slots (one slot write per
+//!    decision, never blocked by the drainer; a record overwritten before
+//!    it is read is shed and later declared as a tamper-evident gap
+//!    entry) and the query/verify API the server exposes over the wire
+//!    protocol.
 //!
 //! What the chain proves — and what it does not: an intact chain proves
 //! the persisted log was not tampered with *after* the drainer wrote
@@ -33,11 +35,12 @@
 pub mod pipeline;
 pub mod query;
 pub mod record;
+pub mod ring;
 pub mod segment;
 pub mod sha256;
 pub mod store;
 
-pub use pipeline::{AuditPipeline, AuditSink, PipelineConfig, PipelineStats};
+pub use pipeline::{AuditPipeline, PipelineConfig, PipelineStats};
 pub use query::{
     path_in_subtree, AuditQuery, GapRange, QueryResult, SegmentReport, SegmentStatus, VerifyReport,
 };
@@ -45,6 +48,7 @@ pub use record::{
     chain_next, hash_from_hex, hash_hex, AuditRecord, ChainHash, DecodeError, Entry, Outcome,
     GENESIS, MAX_ENTRY_LEN, MAX_PATH_LEN, TAG_EVENT, TAG_GAP,
 };
+pub use ring::{AuditRing, RingEvent};
 pub use segment::{
     parse_segment_name, scan_segment, segment_name, Damage, Manifest, ScanOutcome, SealedSegment,
     MANIFEST_NAME, SEGMENT_HEADER_LEN, SEGMENT_MAGIC, SEGMENT_VERSION,

@@ -1,43 +1,41 @@
-//! The audit pipeline: bounded queue, background drainer, recovery.
+//! The audit pipeline: the ring, its drainer, recovery.
 //!
-//! Producers (the reference monitor's check path) call
-//! [`AuditSink::offer`], which is one `try_send` on a bounded channel —
-//! it never blocks, never does I/O, and sheds (with a counter) when the
-//! drainer falls behind. The drainer thread reassembles the
-//! multi-producer stream into sequence order, turns *known* losses into
-//! tamper-evident [`Entry::Gap`] markers, and appends chained frames
-//! into segments via a [`Store`].
+//! Producers (the reference monitor's check path) write into the
+//! pipeline's [`AuditRing`]: one slot per decision, no channel, no
+//! wake-up. The drainer thread polls the ring's cursor (about every
+//! millisecond once it has caught up), reads the slots in sequence
+//! order, encodes each record straight into its chained frame, turns
+//! every number it can no longer read into a tamper-evident
+//! [`Entry::Gap`], and appends the frames into segments via a [`Store`].
 //!
-//! # Ordering and gaps
+//! # Losses and gaps
 //!
-//! Sequence numbers are assigned by the ring's atomic counter *before*
-//! the enqueue, so events can reach the drainer slightly out of order.
-//! The drainer holds them in a reorder buffer and only persists the
-//! contiguous prefix. A sequence number that never arrives was either
-//! shed at the queue (the common case, counted by the sink) or belongs
-//! to a producer stalled between counter and enqueue; the drainer
-//! declares it lost — as a chained gap entry — only when forced: when
-//! the reorder buffer outgrows the queue bound (the event can no longer
-//! be in flight), after a sustained stall with buffered successors, or
-//! at an explicit [`AuditPipeline::flush`] barrier. A flush only
-//! declares gaps once it has fully drained the queue, so an event whose
-//! `offer` returned before the flush call can never be mistaken for a
-//! loss. A straggler arriving after its gap was declared is dropped and
-//! counted (`late_dropped`) — the chain's story stays consistent.
+//! A number is lost when its slot was overwritten by a newer record
+//! before the drainer read it (the ring lapped the drainer; counted as
+//! `shed`), when it was skipped by [`AuditRing::advance_to`] (a monitor
+//! that audited on a ring of its own before attaching), or when its
+//! writer stalled between taking the number and filling the slot. The
+//! drainer waits for a stalled writer until a flush barrier, or until
+//! the stall outlasts two idle periods, and then tombstones the slot; the
+//! writer, when it arrives, finds the tombstone and drops its record
+//! (`late_dropped`), so the chain's story stays consistent. A barrier
+//! reads every number handed out before it was requested, so a record
+//! whose `record` call returned before [`AuditPipeline::flush`] was called
+//! is never mistaken for a loss.
 
 use crate::query::{AuditQuery, GapRange, QueryResult, SegmentReport, SegmentStatus, VerifyReport};
-use crate::record::{hash_from_hex, hash_hex, AuditRecord, ChainHash, Entry, GENESIS};
+use crate::record::{encode_event, encode_gap, hash_from_hex, hash_hex, ChainHash, Entry, GENESIS};
+use crate::ring::{AuditRing, RingEvent, Take};
 use crate::segment::{
-    parse_segment_name, push_frame, scan_segment, segment_header, segment_name, Manifest,
+    parse_segment_name, push_payload_frame, scan_segment, segment_header, segment_name, Manifest,
     SealedSegment, MANIFEST_NAME, SEGMENT_HEADER_LEN,
 };
 use crate::store::{DiskStore, MemStore, Store};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -45,19 +43,24 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for one pipeline.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Capacity of the bounded producer queue; a full queue sheds.
+    /// Slots in the pipeline's ring: how far producers may run ahead of
+    /// the drainer before the oldest unread records are overwritten
+    /// (shed).
     pub queue_capacity: usize,
     /// Segments are sealed once they reach this many bytes.
     pub segment_max_bytes: u64,
-    /// How long the drainer idles before persisting stragglers and
-    /// re-checking for stalled holes.
+    /// The stall period: the drainer declares a number lost once its
+    /// writer has left the slot unfilled for two of these (a flush
+    /// barrier declares it at once).
     pub idle_flush: Duration,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            queue_capacity: 8192,
+            // The drainer lags a busy two-core checker by up to ~13k
+            // records; 8 192 slots shed ~0.6 % of them, 32 768 ~10^-5.
+            queue_capacity: 32_768,
             segment_max_bytes: 1 << 20,
             idle_flush: Duration::from_millis(20),
         }
@@ -68,13 +71,14 @@ impl Default for PipelineConfig {
 /// `active_bytes`, `next_seq`, and `running`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Events accepted onto the queue.
+    /// Records written into the ring and not overwritten unread (each is
+    /// eventually persisted or late-dropped).
     pub enqueued: u64,
-    /// Events shed because the queue was full or the drainer gone (each
-    /// eventually becomes part of a declared gap).
+    /// Records overwritten in the ring before the drainer read them
+    /// (each becomes part of a declared gap).
     pub shed: u64,
-    /// Events that arrived after their sequence number was already
-    /// declared lost, and were dropped to keep the chain consistent.
+    /// Records whose writer arrived after their sequence number was
+    /// already declared lost, dropped to keep the chain consistent.
     pub late_dropped: u64,
     /// Event entries persisted into segments.
     pub persisted_events: u64,
@@ -97,7 +101,7 @@ pub struct PipelineStats {
     /// The next sequence number the drainer expects (everything below
     /// is persisted or declared lost).
     pub next_seq: u64,
-    /// Events currently queued or held in the reorder buffer.
+    /// Records written but not yet drained.
     pub queue_depth: u64,
     /// Bytes in the unsealed active segment.
     pub active_bytes: u64,
@@ -107,10 +111,6 @@ pub struct PipelineStats {
 
 #[derive(Default)]
 struct Counters {
-    enqueued: AtomicU64,
-    shed: AtomicU64,
-    dequeued: AtomicU64,
-    late_dropped: AtomicU64,
     persisted_events: AtomicU64,
     gap_records: AtomicU64,
     gap_missing: AtomicU64,
@@ -123,44 +123,13 @@ struct Counters {
     next_seq: AtomicU64,
 }
 
-enum Msg {
-    Event(AuditRecord),
-    Flush(Sender<io::Result<()>>),
+/// The drainer's control messages; records never travel this way.
+enum Ctrl {
+    Flush(mpsc::Sender<io::Result<()>>),
     /// Test hook: exit immediately without flushing or sealing,
     /// simulating a crash mid-segment.
     Crash,
     Shutdown,
-}
-
-/// A cheap clonable producer handle. One `offer` is one `try_send`.
-#[derive(Clone)]
-pub struct AuditSink {
-    tx: Sender<Msg>,
-    counters: Arc<Counters>,
-}
-
-impl AuditSink {
-    /// Offers one record to the drainer; never blocks and never does
-    /// I/O. Returns whether the record was accepted (a refusal is
-    /// counted as shed and will be declared as a gap).
-    pub fn offer(&self, record: AuditRecord) -> bool {
-        match self.tx.try_send(Msg::Event(record)) {
-            Ok(()) => {
-                self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for AuditSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AuditSink").finish_non_exhaustive()
-    }
 }
 
 /// Chain/segment state shared between the drainer and the admin
@@ -182,15 +151,15 @@ struct Inner {
 }
 
 impl Inner {
-    /// Appends `entries` (already in sequence order) to the active
-    /// segment, sealing and rolling it as it fills. State is committed
-    /// only after each append succeeds, so an I/O failure leaves the
-    /// in-memory chain consistent with the bytes that actually landed.
-    fn persist(&mut self, entries: &[Entry], counters: &Counters, durable: bool) -> io::Result<()> {
-        let mut scratch = Vec::new();
+    /// Chains the batch's entries (already in sequence order) onto the
+    /// active segment, sealing and rolling it as it fills. State is
+    /// committed only after each append succeeds, so an I/O failure
+    /// leaves the in-memory chain consistent with the bytes that actually
+    /// landed.
+    fn persist(&mut self, batch: &Batch, counters: &Counters, durable: bool) -> io::Result<()> {
         let mut buf = Vec::new();
-        let mut iter = entries.iter().peekable();
-        while iter.peek().is_some() {
+        let mut i = 0;
+        while i < batch.entries.len() {
             buf.clear();
             let mut chain = self.chain_head;
             let mut first = None;
@@ -199,24 +168,23 @@ impl Inner {
             let mut events = 0u64;
             let mut gap_records = 0u64;
             let mut gap_missing = 0u64;
-            while let Some(entry) = iter.peek() {
+            while let Some(entry) = batch.entries.get(i) {
                 if self.active_entries + count > 0
                     && self.active_len + buf.len() as u64 >= self.segment_max
                 {
                     break;
                 }
-                chain = push_frame(&mut buf, &mut scratch, &chain, entry);
-                first.get_or_insert(entry.first_seq());
-                next = entry.last_seq() + 1;
+                chain = push_payload_frame(&mut buf, &chain, batch.payload(i));
+                first.get_or_insert(entry.first);
+                next = entry.last + 1;
                 count += 1;
-                match entry {
-                    Entry::Event(_) => events += 1,
-                    Entry::Gap { first, last } => {
-                        gap_records += 1;
-                        gap_missing += last - first + 1;
-                    }
+                if entry.gap {
+                    gap_records += 1;
+                    gap_missing += entry.last - entry.first + 1;
+                } else {
+                    events += 1;
                 }
-                iter.next();
+                i += 1;
             }
             if count > 0 {
                 self.store.append(&self.active_name, &buf)?;
@@ -237,7 +205,7 @@ impl Inner {
                     .gap_missing
                     .fetch_add(gap_missing, Ordering::Relaxed);
             }
-            if iter.peek().is_some() {
+            if i < batch.entries.len() {
                 self.roll(counters)?;
             }
         }
@@ -295,11 +263,11 @@ impl Inner {
 /// See the [module docs](self) for the data flow. Dropping the pipeline
 /// shuts the drainer down gracefully (final flush, no seal).
 pub struct AuditPipeline {
-    sink: AuditSink,
+    ring: Arc<AuditRing>,
+    ctrl: mpsc::Sender<Ctrl>,
     inner: Arc<Mutex<Inner>>,
     counters: Arc<Counters>,
     drainer: Mutex<Option<JoinHandle<()>>>,
-    queue_capacity: usize,
 }
 
 impl AuditPipeline {
@@ -318,7 +286,7 @@ impl AuditPipeline {
     /// sealed segments are trusted from the manifest (verified lazily by
     /// [`verify`](AuditPipeline::verify)), the unsealed tail is
     /// re-chained from its anchor, and a torn tail is truncated back to
-    /// the last chain-valid entry.
+    /// the last chain-valid entry. The ring is allocated here, once.
     pub fn open(store: Box<dyn Store>, config: PipelineConfig) -> io::Result<AuditPipeline> {
         let counters = Arc::new(Counters::default());
         let mut inner = Inner {
@@ -426,68 +394,63 @@ impl AuditPipeline {
         inner.write_manifest()?;
         counters.next_seq.store(next_seq, Ordering::Relaxed);
 
-        let queue_capacity = config.queue_capacity.max(1);
-        let (tx, rx) = channel::bounded(queue_capacity);
-        let sink = AuditSink {
-            tx,
-            counters: counters.clone(),
-        };
+        let ring = Arc::new(AuditRing::with_drainer(
+            config.queue_capacity,
+            next_seq,
+            true,
+        ));
+        let (ctrl, ctrl_rx) = mpsc::channel();
         let inner = Arc::new(Mutex::new(inner));
         let drainer = Drainer {
-            rx,
+            ring: Arc::clone(&ring),
+            ctrl: ctrl_rx,
             inner: inner.clone(),
             counters: counters.clone(),
             next: next_seq,
-            buffered: BTreeMap::new(),
-            pending: Vec::new(),
-            pending_acks: Vec::new(),
-            overdue_bound: queue_capacity,
-            stalled_rounds: 0,
+            batch: Batch::default(),
+            acks: Vec::new(),
+            stall: None,
+            stall_limit: config.idle_flush * 2,
         };
-        let idle = config.idle_flush;
         let handle = std::thread::Builder::new()
             .name("audit-drainer".to_owned())
-            .spawn(move || drainer.run(idle))
+            .spawn(move || drainer.run())
             .map_err(|e| io::Error::other(format!("spawning drainer: {e}")))?;
         Ok(AuditPipeline {
-            sink,
+            ring,
+            ctrl,
             inner,
             counters,
             drainer: Mutex::new(Some(handle)),
-            queue_capacity,
         })
     }
 
-    /// The producer handle the reference monitor records into.
-    pub fn sink(&self) -> AuditSink {
-        self.sink.clone()
+    /// The ring producers record into.
+    pub fn ring(&self) -> &Arc<AuditRing> {
+        &self.ring
     }
 
-    /// The configured queue capacity.
+    /// The configured ring capacity.
     pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
+        self.ring.capacity()
     }
 
-    /// The next sequence number the pipeline expects. A monitor
-    /// attaching to a recovered pipeline advances its ring counter here
-    /// so sequence numbers stay globally monotone across restarts.
+    /// The next sequence number the drainer expects (everything below is
+    /// persisted or declared lost). After a recovery this is where the
+    /// log resumes.
     pub fn next_seq(&self) -> u64 {
         self.counters.next_seq.load(Ordering::Relaxed)
     }
 
-    /// Blocks until everything offered *before this call* is persisted,
+    /// Blocks until every record written *before this call* is persisted,
     /// declaring still-missing sequence numbers as gaps, and fsyncs the
     /// active tail. Errors if the drainer has stopped or the store
     /// failed.
     pub fn flush(&self) -> io::Result<()> {
-        let (ack_tx, ack_rx) = channel::bounded(1);
-        self.sink
-            .tx
-            .send(Msg::Flush(ack_tx))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "audit drainer stopped"))?;
-        ack_rx
-            .recv()
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "audit drainer stopped"))?
+        let stopped = || io::Error::new(io::ErrorKind::BrokenPipe, "audit drainer stopped");
+        let (ack_tx, ack_rx) = mpsc::channel();
+        self.ctrl.send(Ctrl::Flush(ack_tx)).map_err(|_| stopped())?;
+        ack_rx.recv().map_err(|_| stopped())?
     }
 
     /// Runs a bounded, filtered query over the persisted log (sealed
@@ -666,13 +629,15 @@ impl AuditPipeline {
     pub fn stats(&self) -> PipelineStats {
         let c = &self.counters;
         let active_bytes = self.inner.lock().active_len;
-        let enqueued = c.enqueued.load(Ordering::Relaxed);
-        let dequeued = c.dequeued.load(Ordering::Relaxed);
+        let shed = self.ring.shed();
+        let late_dropped = self.ring.late_dropped();
+        let enqueued = self.ring.issued().saturating_sub(shed);
+        let persisted_events = c.persisted_events.load(Ordering::Relaxed);
         PipelineStats {
             enqueued,
-            shed: c.shed.load(Ordering::Relaxed),
-            late_dropped: c.late_dropped.load(Ordering::Relaxed),
-            persisted_events: c.persisted_events.load(Ordering::Relaxed),
+            shed,
+            late_dropped,
+            persisted_events,
             gap_records: c.gap_records.load(Ordering::Relaxed),
             gap_missing: c.gap_missing.load(Ordering::Relaxed),
             segments_sealed: c.segments_sealed.load(Ordering::Relaxed),
@@ -682,7 +647,7 @@ impl AuditPipeline {
             verify_calls: c.verify_calls.load(Ordering::Relaxed),
             verify_ns: c.verify_ns.load(Ordering::Relaxed),
             next_seq: c.next_seq.load(Ordering::Relaxed),
-            queue_depth: enqueued.saturating_sub(dequeued),
+            queue_depth: enqueued.saturating_sub(persisted_events + late_dropped),
             active_bytes,
             running: self.is_running(),
         }
@@ -696,23 +661,23 @@ impl AuditPipeline {
             .is_some_and(|h| !h.is_finished())
     }
 
-    /// Gracefully stops the drainer: drains the queue, declares
-    /// remaining holes, persists and fsyncs. Idempotent.
+    /// Gracefully stops the drainer: drains the ring, declares remaining
+    /// holes, persists and fsyncs. Idempotent.
     pub fn shutdown(&self) {
-        let handle = self.drainer.lock().take();
-        if let Some(handle) = handle {
-            let _ = self.sink.tx.send(Msg::Shutdown);
-            let _ = handle.join();
-        }
+        self.stop(Ctrl::Shutdown);
     }
 
     /// Test hook: stops the drainer *without* flushing, sealing, or
     /// syncing — whatever the store already absorbed is what a restart
     /// finds. Simulates the process dying mid-segment.
     pub fn crash_for_test(&self) {
+        self.stop(Ctrl::Crash);
+    }
+
+    fn stop(&self, how: Ctrl) {
         let handle = self.drainer.lock().take();
         if let Some(handle) = handle {
-            let _ = self.sink.tx.send(Msg::Crash);
+            let _ = self.ctrl.send(how);
             let _ = handle.join();
         }
     }
@@ -733,175 +698,243 @@ impl std::fmt::Debug for AuditPipeline {
     }
 }
 
-/// Per-round cap on queued events drained before persisting a batch
-/// (unlimited once a flush barrier or shutdown is pending).
+/// How long the caught-up drainer sleeps between looks at the cursor.
+const POLL: Duration = Duration::from_millis(1);
+
+/// Per-round cap on records read before persisting a batch (none while
+/// a flush barrier or shutdown is pending).
 const DRAIN_CAP: usize = 2048;
 
+/// How often a barrier yields to a writer still filling its slot before
+/// declaring the number lost.
+const BARRIER_PATIENCE: u32 = 64;
+
+/// Entries read this round, encoded and waiting to be chained.
+#[derive(Default)]
+struct Batch {
+    /// Every entry's `tag || body`, back to back.
+    payload: Vec<u8>,
+    entries: Vec<Staged>,
+}
+
+struct Staged {
+    /// Where this entry's payload ends (it starts where the previous
+    /// entry's ends).
+    end: usize,
+    first: u64,
+    last: u64,
+    gap: bool,
+}
+
+impl Batch {
+    fn push_event(&mut self, seq: u64, e: &RingEvent) {
+        encode_event(
+            &mut self.payload,
+            seq,
+            e.principal,
+            e.generation,
+            e.mode,
+            e.outcome,
+            &e.path,
+        );
+        self.entries.push(Staged {
+            end: self.payload.len(),
+            first: seq,
+            last: seq,
+            gap: false,
+        });
+    }
+
+    /// Stages `first..=last` as lost, extending a gap that ends just
+    /// before `first`.
+    fn push_gap(&mut self, mut first: u64, last: u64) {
+        if let Some(prev) = self.entries.last() {
+            if prev.gap && prev.last + 1 == first {
+                first = prev.first;
+                self.entries.pop();
+                self.payload.truncate(self.start(self.entries.len()));
+            }
+        }
+        encode_gap(&mut self.payload, first, last);
+        self.entries.push(Staged {
+            end: self.payload.len(),
+            first,
+            last,
+            gap: true,
+        });
+    }
+
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.entries[prev].end)
+    }
+
+    fn payload(&self, i: usize) -> &[u8] {
+        &self.payload[self.start(i)..self.entries[i].end]
+    }
+
+    fn clear(&mut self) {
+        self.payload.clear();
+        self.entries.clear();
+    }
+}
+
 struct Drainer {
-    rx: Receiver<Msg>,
+    ring: Arc<AuditRing>,
+    ctrl: mpsc::Receiver<Ctrl>,
     inner: Arc<Mutex<Inner>>,
     counters: Arc<Counters>,
-    /// The next sequence number to persist; everything below is
-    /// persisted or declared lost.
+    /// The next sequence number to read; everything below is persisted,
+    /// staged, or declared lost.
     next: u64,
-    /// Out-of-order arrivals waiting for their predecessors.
-    buffered: BTreeMap<u64, AuditRecord>,
-    /// In-order entries staged for the next persist batch.
-    pending: Vec<Entry>,
-    /// Flush barriers waiting for a fully-drained queue.
-    pending_acks: Vec<Sender<io::Result<()>>>,
-    /// Reorder-buffer size beyond which the oldest hole can no longer
-    /// be in flight and is declared lost.
-    overdue_bound: usize,
-    /// Consecutive idle rounds with a stalled hole.
-    stalled_rounds: u32,
+    batch: Batch,
+    /// Flush barriers waiting for this round to finish.
+    acks: Vec<mpsc::Sender<io::Result<()>>>,
+    /// The unfilled slot the drainer is waiting on, and since when.
+    stall: Option<(u64, Instant)>,
+    /// How long a stall lasts before its numbers are declared lost.
+    stall_limit: Duration,
+}
+
+/// What the control channel asked for.
+#[derive(PartialEq)]
+enum Flow {
+    Run,
+    Stop,
+    Crash,
 }
 
 impl Drainer {
-    fn run(mut self, idle: Duration) {
+    fn run(mut self) {
+        let mut flow = Flow::Run;
         loop {
-            let mut stop = false;
-            let mut crash = false;
-            match self.rx.recv_timeout(idle) {
-                Ok(msg) => self.sort(msg, &mut stop, &mut crash),
-                Err(RecvTimeoutError::Disconnected) => stop = true,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.buffered.is_empty() {
-                        self.stalled_rounds = 0;
-                    } else {
-                        // A hole with buffered successors survived two
-                        // full idle periods: the producer is not merely
-                        // preempted mid-offer. Declare the loss.
-                        self.stalled_rounds += 1;
-                        if self.stalled_rounds >= 2 {
-                            self.declare_all_gaps();
-                            self.stalled_rounds = 0;
-                        }
-                    }
-                    // Errors are counted (`io_errors`) inside persist;
-                    // the next flush barrier surfaces them to a caller.
-                    let _ = self.persist(false);
-                    continue;
+            while flow == Flow::Run {
+                match self.ctrl.try_recv() {
+                    Ok(msg) => flow = self.on(msg),
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => flow = Flow::Stop,
                 }
             }
-            // Drain whatever else is queued. A pending barrier (flush or
-            // shutdown) drains to empty — its gap declarations must not
-            // cover events still sitting in the queue.
-            let mut drained_fully = false;
-            let mut taken = 0usize;
-            loop {
-                let barrier = stop || !self.pending_acks.is_empty();
-                if !barrier && taken >= DRAIN_CAP {
-                    break;
-                }
-                match self.rx.try_recv() {
-                    Ok(msg) => {
-                        taken += 1;
-                        self.sort(msg, &mut stop, &mut crash);
-                        if crash {
-                            break;
-                        }
-                    }
-                    Err(TryRecvError::Empty) => {
-                        drained_fully = true;
-                        break;
-                    }
-                    Err(TryRecvError::Disconnected) => {
-                        drained_fully = true;
-                        stop = true;
-                        break;
-                    }
-                }
-            }
-            if crash {
-                let failure = || {
-                    io::Error::new(
+            if flow == Flow::Crash {
+                for ack in self.acks.drain(..) {
+                    let _ = ack.send(Err(io::Error::new(
                         io::ErrorKind::BrokenPipe,
                         "audit drainer crashed (test hook)",
-                    )
-                };
-                for ack in self.pending_acks.drain(..) {
-                    let _ = ack.send(Err(failure()));
+                    )));
                 }
                 return;
             }
-            let barrier = (stop || !self.pending_acks.is_empty()) && drained_fully;
-            if barrier {
-                self.declare_all_gaps();
-            }
+            let stop = flow == Flow::Stop;
+            let barrier = stop || !self.acks.is_empty();
+            let passed = self.drain(barrier);
             let outcome = self.persist(barrier);
-            if barrier && !self.pending_acks.is_empty() {
+            if barrier && !self.acks.is_empty() {
                 self.counters
                     .flushes
-                    .fetch_add(self.pending_acks.len() as u64, Ordering::Relaxed);
-                for ack in self.pending_acks.drain(..) {
+                    .fetch_add(self.acks.len() as u64, Ordering::Relaxed);
+                for ack in self.acks.drain(..) {
                     let _ = ack.send(clone_outcome(&outcome));
                 }
             }
-            if stop && drained_fully {
+            if stop {
                 return;
             }
-        }
-    }
-
-    fn sort(&mut self, msg: Msg, stop: &mut bool, crash: &mut bool) {
-        match msg {
-            Msg::Event(record) => {
-                self.counters.dequeued.fetch_add(1, Ordering::Relaxed);
-                self.stalled_rounds = 0;
-                self.ingest(record);
+            if passed == 0 {
+                // Caught up (or waiting on a stalled writer): sleep until
+                // the next poll or a control message.
+                match self.ctrl.recv_timeout(POLL) {
+                    Ok(msg) => flow = self.on(msg),
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => flow = Flow::Stop,
+                }
             }
-            Msg::Flush(ack) => self.pending_acks.push(ack),
-            Msg::Shutdown => *stop = true,
-            Msg::Crash => *crash = true,
         }
     }
 
-    fn ingest(&mut self, record: AuditRecord) {
-        if record.seq < self.next {
-            self.counters.late_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.buffered.insert(record.seq, record);
-        self.pop_ready();
-        while self.buffered.len() > self.overdue_bound {
-            // More events above the hole than the queue can hold: the
-            // missing ones cannot still be in flight.
-            self.declare_next_gap();
+    fn on(&mut self, msg: Ctrl) -> Flow {
+        match msg {
+            Ctrl::Flush(ack) => {
+                self.acks.push(ack);
+                Flow::Run
+            }
+            Ctrl::Shutdown => Flow::Stop,
+            Ctrl::Crash => Flow::Crash,
         }
     }
 
-    fn pop_ready(&mut self) {
-        while let Some(record) = self.buffered.remove(&self.next) {
-            self.next = record.seq + 1;
-            self.pending.push(Entry::Event(record));
+    /// Reads the ring from `next` towards the cursor and returns how many
+    /// sequence numbers it passed. A barrier reads every number handed
+    /// out so far, declaring the ones whose writers never finish lost.
+    fn drain(&mut self, barrier: bool) -> usize {
+        let end = self.ring.next_seq();
+        let start = self.next;
+        // Numbers a full lap behind the cursor have had their slots
+        // claimed by newer ones: they can no longer be read.
+        let floor = end.saturating_sub(self.ring.capacity() as u64);
+        if self.next < floor {
+            self.batch.push_gap(self.next, floor - 1);
+            self.next = floor;
         }
+        let stalled = self
+            .stall
+            .is_some_and(|(seq, since)| seq == self.next && since.elapsed() >= self.stall_limit);
+        let mut read = 0usize;
+        while self.next < end && (barrier || read < DRAIN_CAP) {
+            let seq = self.next;
+            let mut take = self.read(seq, stalled);
+            let mut patience = if barrier { BARRIER_PATIENCE } else { 0 };
+            while take == Take::Pending && patience > 0 {
+                patience -= 1;
+                std::thread::yield_now();
+                take = self.read(seq, patience == 0);
+            }
+            if take == Take::Pending {
+                if self.stall.map(|(s, _)| s) != Some(seq) {
+                    self.stall = Some((seq, Instant::now()));
+                }
+                break;
+            }
+            read += (take == Take::Ready) as usize;
+            self.next += 1;
+        }
+        if self.stall.is_some_and(|(seq, _)| seq < self.next) {
+            self.stall = None;
+        }
+        (self.next - start) as usize
     }
 
-    fn declare_next_gap(&mut self) {
-        if let Some(&min) = self.buffered.keys().next() {
-            debug_assert!(min > self.next);
-            self.pending.push(Entry::Gap {
-                first: self.next,
-                last: min - 1,
-            });
-            self.next = min;
-            self.pop_ready();
+    /// Reads one slot into the batch: its record, or a gap entry for a
+    /// number that is lost.
+    fn read(&mut self, seq: u64, give_up: bool) -> Take {
+        let batch = &mut self.batch;
+        let mut dropped = false;
+        let take = self.ring.take(seq, give_up, |event| {
+            // Mutant point, scripted-only: a fired
+            // `audit.drain.uncounted_loss` drops a ready record and
+            // declares its number lost without counting it as shed — the
+            // planted silent loss the campaign's audit-gap invariant must
+            // catch. Random fault storms never reach it, and release
+            // builds compile it to nothing.
+            if extsec_faults::fire_mutant("audit.drain.uncounted_loss").is_some() {
+                dropped = true;
+            } else {
+                batch.push_event(seq, event);
+            }
+        });
+        if take == Take::Lost || dropped {
+            self.batch.push_gap(seq, seq);
         }
-    }
-
-    fn declare_all_gaps(&mut self) {
-        while !self.buffered.is_empty() {
-            self.declare_next_gap();
-        }
+        take
     }
 
     fn persist(&mut self, durable: bool) -> io::Result<()> {
-        if self.pending.is_empty() && !durable {
+        if self.batch.entries.is_empty() && !durable {
             return Ok(());
         }
-        let entries = std::mem::take(&mut self.pending);
-        let outcome = self.inner.lock().persist(&entries, &self.counters, durable);
+        let outcome = self
+            .inner
+            .lock()
+            .persist(&self.batch, &self.counters, durable);
+        self.batch.clear();
         if outcome.is_err() {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -920,7 +953,7 @@ fn clone_outcome(outcome: &io::Result<()>) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Outcome;
+    use crate::record::{AuditRecord, Outcome};
 
     fn record(seq: u64) -> AuditRecord {
         AuditRecord {
@@ -937,47 +970,59 @@ mod tests {
         }
     }
 
+    /// Records `record(seq)` and checks the ring handed out `seq`.
+    fn put(pipeline: &AuditPipeline, seq: u64) {
+        assert_eq!(pipeline.ring().append(&record(seq)), seq);
+    }
+
+    fn commit(pipeline: &AuditPipeline, seq: u64) {
+        pipeline.ring().commit(seq, |e| e.set_record(&record(seq)));
+    }
+
     #[test]
     fn records_persist_in_order_and_verify() {
         let pipeline = AuditPipeline::in_memory(PipelineConfig::default());
-        let sink = pipeline.sink();
         for seq in 0..500 {
-            assert!(sink.offer(record(seq)));
+            put(&pipeline, seq);
         }
         pipeline.flush().unwrap();
         let report = pipeline.verify().unwrap();
         assert!(report.ok, "{report:?}");
         assert_eq!(report.next_seq, 500);
         let result = pipeline.query(&AuditQuery::default()).unwrap();
-        assert_eq!(result.records.len(), 500);
-        assert!(result.records.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
+        assert_eq!(result.records, (0..500).map(record).collect::<Vec<_>>());
         assert!(result.gaps.is_empty());
         assert!(!result.truncated);
         assert_eq!(result.next_seq, 500);
     }
 
     #[test]
-    fn out_of_order_arrivals_reassemble() {
+    fn writes_finishing_out_of_order_persist_in_order() {
         let pipeline = AuditPipeline::in_memory(PipelineConfig::default());
-        let sink = pipeline.sink();
-        for seq in [1u64, 0, 4, 2, 3, 5] {
-            sink.offer(record(seq));
-        }
+        let ring = pipeline.ring();
+        let (zero, one) = (ring.reserve(), ring.reserve());
+        put(&pipeline, 2);
+        commit(&pipeline, one);
+        commit(&pipeline, zero);
+        put(&pipeline, 3);
         pipeline.flush().unwrap();
         let result = pipeline.query(&AuditQuery::default()).unwrap();
         let seqs: Vec<u64> = result.records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(seqs, [0, 1, 2, 3]);
         assert!(result.gaps.is_empty());
     }
 
     #[test]
-    fn flush_declares_missing_seqs_as_gaps() {
+    fn flush_declares_unwritten_seqs_as_gaps() {
         let pipeline = AuditPipeline::in_memory(PipelineConfig::default());
-        let sink = pipeline.sink();
-        // 0, 1 present; 2, 3 never offered (simulating shed); 4, 5 present.
-        for seq in [0u64, 1, 4, 5] {
-            sink.offer(record(seq));
-        }
+        // 0, 1 written; 2, 3 taken by writers that never finish; 4, 5
+        // written.
+        put(&pipeline, 0);
+        put(&pipeline, 1);
+        pipeline.ring().reserve();
+        pipeline.ring().reserve();
+        put(&pipeline, 4);
+        put(&pipeline, 5);
         pipeline.flush().unwrap();
         let report = pipeline.verify().unwrap();
         assert!(report.ok, "{report:?}");
@@ -996,15 +1041,16 @@ mod tests {
     #[test]
     fn late_event_after_declared_gap_is_dropped() {
         let pipeline = AuditPipeline::in_memory(PipelineConfig::default());
-        let sink = pipeline.sink();
-        sink.offer(record(0));
-        sink.offer(record(2));
+        put(&pipeline, 0);
+        let straggler = pipeline.ring().reserve();
+        put(&pipeline, 2);
         pipeline.flush().unwrap(); // declares seq 1 lost
-        sink.offer(record(1)); // straggler
+        commit(&pipeline, straggler);
         pipeline.flush().unwrap();
         let stats = pipeline.stats();
         assert_eq!(stats.late_dropped, 1);
         assert_eq!(stats.persisted_events, 2);
+        assert_eq!(stats.enqueued, stats.persisted_events + stats.late_dropped);
         assert!(pipeline.verify().unwrap().ok);
     }
 
@@ -1014,14 +1060,50 @@ mod tests {
             queue_capacity: 4,
             ..PipelineConfig::default()
         });
-        // Kill the drainer: its receiver drops, so every offer is
-        // refused (Disconnected) and counted as shed, never blocking.
+        // Kill the drainer: records keep landing in the ring without
+        // blocking, and each one that overwrites an unread record counts
+        // the overwritten one as shed.
         pipeline.crash_for_test();
-        let sink = pipeline.sink();
-        let accepted = (0..10).filter(|&seq| sink.offer(record(seq))).count();
-        assert_eq!(accepted, 0);
-        assert_eq!(pipeline.stats().shed, 10);
+        for seq in 0..10 {
+            put(&pipeline, seq);
+        }
+        let stats = pipeline.stats();
+        assert_eq!(stats.shed, 6);
+        assert_eq!(stats.enqueued, 4);
+        assert_eq!(stats.queue_depth, 4);
         assert!(pipeline.flush().is_err(), "flush must fail after crash");
+    }
+
+    /// Producers outrun a drainer held up by the store: the overwritten
+    /// records are counted as shed, and exactly they become gaps.
+    #[test]
+    fn burst_larger_than_the_ring_is_shed_and_declared() {
+        const BURST: u64 = 5_000;
+        let pipeline = AuditPipeline::in_memory(PipelineConfig {
+            queue_capacity: 64,
+            ..PipelineConfig::default()
+        });
+        {
+            let _held = pipeline.inner.lock();
+            for seq in 0..BURST {
+                put(&pipeline, seq);
+            }
+        }
+        pipeline.flush().unwrap();
+        let stats = pipeline.stats();
+        assert!(stats.shed >= BURST - 64 - DRAIN_CAP as u64, "{stats:?}");
+        assert_eq!(stats.shed, stats.gap_missing, "{stats:?}");
+        assert_eq!(stats.persisted_events + stats.gap_missing, stats.next_seq);
+        assert_eq!(stats.next_seq, BURST);
+        assert_eq!(stats.enqueued, stats.persisted_events + stats.late_dropped);
+        assert_eq!(stats.queue_depth, 0);
+        let report = pipeline.verify().unwrap();
+        assert!(report.ok, "{report:?}");
+        assert_eq!(report.next_seq, BURST);
+        // The survivors are the newest records, intact.
+        let result = pipeline.query(&AuditQuery::default()).unwrap();
+        assert!(result.records.iter().all(|r| *r == record(r.seq)));
+        assert_eq!(result.records.last().map(|r| r.seq), Some(BURST - 1));
     }
 
     #[test]
@@ -1030,9 +1112,8 @@ mod tests {
             segment_max_bytes: 1024,
             ..PipelineConfig::default()
         });
-        let sink = pipeline.sink();
         for seq in 0..200 {
-            sink.offer(record(seq));
+            put(&pipeline, seq);
         }
         pipeline.flush().unwrap();
         let stats = pipeline.stats();
@@ -1063,9 +1144,8 @@ mod tests {
     #[test]
     fn filtered_queries() {
         let pipeline = AuditPipeline::in_memory(PipelineConfig::default());
-        let sink = pipeline.sink();
         for seq in 0..100 {
-            sink.offer(record(seq));
+            put(&pipeline, seq);
         }
         pipeline.flush().unwrap();
         let denials = pipeline
@@ -1108,15 +1188,12 @@ mod tests {
     #[test]
     fn concurrent_producers_and_flushes() {
         let pipeline = Arc::new(AuditPipeline::in_memory(PipelineConfig::default()));
-        let seq = Arc::new(AtomicU64::new(0));
         let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let sink = pipeline.sink();
-                let seq = seq.clone();
+            .map(|t| {
+                let ring = Arc::clone(pipeline.ring());
                 std::thread::spawn(move || {
-                    for _ in 0..500 {
-                        let s = seq.fetch_add(1, Ordering::Relaxed);
-                        sink.offer(record(s));
+                    for i in 0..500 {
+                        ring.append(&record(t * 500 + i));
                     }
                 })
             })
@@ -1134,18 +1211,19 @@ mod tests {
         assert_eq!(report.next_seq, 2000);
         let stats = pipeline.stats();
         assert_eq!(stats.persisted_events + stats.gap_missing, 2000);
+        assert_eq!(stats.enqueued, stats.persisted_events + stats.late_dropped);
     }
 
     #[test]
     fn stats_and_shutdown_idempotent() {
         let pipeline = AuditPipeline::in_memory(PipelineConfig::default());
-        let sink = pipeline.sink();
-        sink.offer(record(0));
+        put(&pipeline, 0);
         pipeline.flush().unwrap();
         let stats = pipeline.stats();
         assert_eq!(stats.enqueued, 1);
         assert_eq!(stats.persisted_events, 1);
         assert_eq!(stats.next_seq, 1);
+        assert_eq!(stats.queue_depth, 0);
         assert!(stats.running);
         pipeline.shutdown();
         pipeline.shutdown();

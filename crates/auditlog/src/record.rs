@@ -20,7 +20,8 @@
 //! ~100 bytes: ULEB128 `seq`, `principal`, `generation`, one byte each of
 //! `mode` and `outcome`, and the length-prefixed object path. A **gap**
 //! records a range of sequence numbers the drainer *knows* it never
-//! received (shed at the bounded queue, or an enqueue that never landed):
+//! received (overwritten in the ring before it was read, or a write that
+//! never landed):
 //! rather than silently skipping them, the gap makes the loss itself
 //! tamper-evident — a verifier can distinguish "the pipeline shed load
 //! and said so" from "someone deleted records".
@@ -53,10 +54,11 @@ pub const MAX_PATH_LEN: usize = 4096;
 /// This is the audit pipeline's own stable one-byte encoding of the
 /// reference monitor's `Decision`/`DenyReason` (which carry paths and
 /// indices too rich for the ~100-byte fast-path record).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum Outcome {
     /// Both halves of the model granted the access.
+    #[default]
     Allow = 0,
     /// Default deny: no ACL entry grants the mode.
     DacNoEntry = 1,
@@ -141,8 +143,8 @@ pub enum Entry {
     /// An audited decision.
     Event(AuditRecord),
     /// Sequence numbers `first..=last` were never received by the
-    /// drainer (shed at the bounded queue); the loss is declared so the
-    /// chain stays gap-free by construction.
+    /// drainer (shed from the ring); the loss is declared so the chain
+    /// stays gap-free by construction.
     Gap {
         /// First missing sequence number.
         first: u64,
@@ -168,28 +170,21 @@ impl Entry {
         }
     }
 
-    /// Encodes `tag || body` into `out` (cleared first) and returns the
-    /// tag. The chain hash is computed over exactly these bytes.
+    /// Encodes `tag || body` into `out` (cleared first). The chain hash
+    /// is computed over exactly these bytes.
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.clear();
         match self {
-            Entry::Event(r) => {
-                out.push(TAG_EVENT);
-                put_uleb(out, r.seq);
-                put_uleb(out, r.principal as u64);
-                put_uleb(out, r.generation);
-                out.push(r.mode);
-                out.push(r.outcome as u8);
-                let path = r.path.as_bytes();
-                debug_assert!(path.len() <= MAX_PATH_LEN);
-                put_uleb(out, path.len() as u64);
-                out.extend_from_slice(path);
-            }
-            Entry::Gap { first, last } => {
-                out.push(TAG_GAP);
-                put_uleb(out, *first);
-                put_uleb(out, *last);
-            }
+            Entry::Event(r) => encode_event(
+                out,
+                r.seq,
+                r.principal,
+                r.generation,
+                r.mode,
+                r.outcome,
+                &r.path,
+            ),
+            Entry::Gap { first, last } => encode_gap(out, *first, *last),
         }
     }
 
@@ -297,6 +292,37 @@ pub fn hash_from_hex(hex: &str) -> Option<ChainHash> {
         out[i] = (nibble(pair[0])? << 4) | nibble(pair[1])?;
     }
     Some(out)
+}
+
+/// Appends an event entry's `tag || body` to `out`: the one encoding of
+/// an event, shared by [`Entry::encode`] and the drainer, which encodes
+/// straight from a ring slot.
+pub(crate) fn encode_event(
+    out: &mut Vec<u8>,
+    seq: u64,
+    principal: u32,
+    generation: u64,
+    mode: u8,
+    outcome: Outcome,
+    path: &str,
+) {
+    out.push(TAG_EVENT);
+    put_uleb(out, seq);
+    put_uleb(out, principal as u64);
+    put_uleb(out, generation);
+    out.push(mode);
+    out.push(outcome as u8);
+    let path = path.as_bytes();
+    debug_assert!(path.len() <= MAX_PATH_LEN);
+    put_uleb(out, path.len() as u64);
+    out.extend_from_slice(path);
+}
+
+/// Appends a gap entry's `tag || body` to `out`.
+pub(crate) fn encode_gap(out: &mut Vec<u8>, first: u64, last: u64) {
+    out.push(TAG_GAP);
+    put_uleb(out, first);
+    put_uleb(out, last);
 }
 
 fn put_uleb(out: &mut Vec<u8>, mut value: u64) {

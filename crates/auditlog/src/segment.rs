@@ -258,10 +258,16 @@ pub fn push_frame(
     entry: &Entry,
 ) -> ChainHash {
     entry.encode(scratch);
-    let hash = chain_next(prev, scratch);
-    let len = (scratch.len() + crate::sha256::DIGEST_LEN) as u32;
+    push_payload_frame(out, prev, scratch)
+}
+
+/// Appends one frame around an already encoded `tag || body` payload and
+/// returns the advanced chain hash.
+pub(crate) fn push_payload_frame(out: &mut Vec<u8>, prev: &ChainHash, payload: &[u8]) -> ChainHash {
+    let hash = chain_next(prev, payload);
+    let len = (payload.len() + crate::sha256::DIGEST_LEN) as u32;
     out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(scratch);
+    out.extend_from_slice(payload);
     out.extend_from_slice(&hash);
     hash
 }

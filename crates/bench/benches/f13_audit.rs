@@ -1,19 +1,18 @@
 //! F13 — what tamper-evident auditing costs.
 //!
 //! The audit pipeline's claim is that persistence rides behind the hot
-//! path, not on it: the 78 ns check path pays one ring append plus one
-//! non-blocking `try_send`, while the SHA-256 chaining, segment encode,
-//! and fsync discipline all happen on the drainer thread. This bench
-//! prices each layer:
+//! path, not on it: the check path pays one slot write into the audit
+//! ring, while the SHA-256 chaining, segment encode, and fsync
+//! discipline all happen on the drainer thread, which reads the same
+//! ring. This bench prices each layer:
 //!
-//! * the ring append alone, the chained append (compact encode +
-//!   SHA-256 chain step, the drainer's per-entry work), and the ring
-//!   append with a live pipeline sink attached — the acceptance
-//!   criterion is chained append within 2× of the ring append;
-//! * the cached-warm check path with audit off, audit on (ring only),
+//! * the ring append on a monitor-owned ring, the chained append
+//!   (compact encode + SHA-256 chain step, the drainer's per-entry
+//!   work), and the ring append into a live pipeline's ring;
+//! * the cached-warm check path with audit off, audit on (own ring),
 //!   and audit on with the persistent pipeline attached — attaching
 //!   the pipeline must stay within baseline noise;
-//! * drainer throughput, events/sec from first offer to flush barrier,
+//! * drainer throughput, events/sec from first record to flush barrier,
 //!   over the in-memory store and over a real directory.
 //!
 //! Set `EXTSEC_BENCH_SMOKE=1` for a fast correctness pass (CI) instead
@@ -94,11 +93,12 @@ fn check_world(audit: bool) -> (Arc<ReferenceMonitor>, Subject) {
     (monitor, subject)
 }
 
-/// Mean ns per ring append on a bare [`AuditLog`].
+/// Mean ns per ring append on a bare [`AuditLog`], into its own ring or
+/// into a pipeline's.
 fn time_ring_append(iters: u64, with_pipeline: Option<&AuditPipeline>) -> f64 {
     let log = AuditLog::new();
     if let Some(pipeline) = with_pipeline {
-        log.set_pipeline(pipeline.sink());
+        log.attach_ring(Arc::clone(pipeline.ring()));
     }
     let subject = Subject::new(
         extsec_core::PrincipalId::from_raw(7),
@@ -149,16 +149,20 @@ fn time_checks(monitor: &ReferenceMonitor, subject: &Subject, iters: u64) -> f64
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Events/sec through the drainer: producer-paced offers (spinning out
-/// shed refusals) from first offer to completed flush barrier.
+/// Events/sec through the drainer: records written no further than
+/// half a ring ahead of the drainer (so none is shed), from first record
+/// to completed flush barrier.
 fn drainer_throughput(pipeline: &AuditPipeline, events: u64) -> f64 {
-    let sink = pipeline.sink();
+    let ring = pipeline.ring();
+    let lead = ring.capacity() as u64 / 2;
     let base = pipeline.next_seq();
+    let record = sample_record(base);
     let start = Instant::now();
-    for seq in base..base + events {
-        while !sink.offer(sample_record(seq)) {
+    for _ in 0..events {
+        while ring.next_seq() - pipeline.next_seq() >= lead {
             std::hint::spin_loop();
         }
+        ring.append(&record);
     }
     pipeline.flush().unwrap();
     let rate = events as f64 / start.elapsed().as_secs_f64();
@@ -181,20 +185,20 @@ fn report_table(append_iters: u64, check_iters: u64, drain_events: u64) {
         queue_capacity: 1 << 16,
         ..PipelineConfig::default()
     });
-    let ring_offer = time_ring_append(append_iters, Some(&attached_pipeline));
+    let piped_append = time_ring_append(append_iters, Some(&attached_pipeline));
     attached_pipeline.flush().unwrap();
     println!("{:<34} {:>10.0} ns", "ring append", ring);
     println!(
-        "{:<34} {:>10.0} ns  ({:.2}x ring; criterion <= 2x)",
+        "{:<34} {:>10.0} ns  ({:.2}x ring append)",
         "chained append (encode+sha256)",
         chained,
         chained / ring
     );
     println!(
-        "{:<34} {:>10.0} ns  ({:+.1}% vs bare ring)",
-        "ring append + pipeline offer",
-        ring_offer,
-        (ring_offer - ring) / ring * 100.0
+        "{:<34} {:>10.0} ns  ({:+.1}% vs own ring)",
+        "ring append, pipeline ring",
+        piped_append,
+        (piped_append - ring) / ring * 100.0
     );
 
     // Check-path rows.
@@ -214,13 +218,13 @@ fn report_table(append_iters: u64, check_iters: u64, drain_events: u64) {
     );
     println!(
         "{:<34} {:>10.1} ns  ({:+.1}% vs off)",
-        "check path, ring audit",
+        "check path, own ring audit",
         ns_ring,
         (ns_ring - ns_off) / ns_off * 100.0
     );
     println!(
-        "{:<34} {:>10.1} ns  ({:+.1}% vs ring-only)",
-        "check path, ring + pipeline",
+        "{:<34} {:>10.1} ns  ({:+.1}% vs own ring)",
+        "check path, pipeline ring",
         ns_piped,
         (ns_piped - ns_ring) / ns_ring * 100.0
     );
@@ -307,7 +311,7 @@ fn bench(c: &mut Criterion) {
             black_box(head)
         })
     });
-    group.bench_function("check-ring-plus-pipeline", |b| {
+    group.bench_function("check-pipeline-ring", |b| {
         let (monitor, subject) = check_world(true);
         monitor.attach_audit_pipeline(Arc::new(AuditPipeline::in_memory(PipelineConfig {
             queue_capacity: 1 << 16,

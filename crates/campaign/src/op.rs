@@ -332,6 +332,7 @@ fn intern_tag(tag: &str) -> &'static str {
         "refmon.set_acl.apply",
         "ext.admit.bypass",
         "vm.mem.limit_skip",
+        "audit.drain.uncounted_loss",
     ];
     if let Some(known) = KNOWN.iter().find(|k| **k == tag) {
         return known;

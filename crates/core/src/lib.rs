@@ -70,7 +70,7 @@ pub use extsec_mac::{
 };
 pub use extsec_namespace::{NameSpace, NodeKind, NsPath, Protection};
 pub use extsec_refmon::{
-    AuditAccessError, AuditEvent, AuditLog, AuditPipeline, AuditQuery, AuditRecord, AuditSink,
+    AuditAccessError, AuditEvent, AuditLog, AuditPipeline, AuditQuery, AuditRecord, AuditRing,
     AuditSnapshot, AuditStats, CacheStats, Decision, DenyReason, DispatchOutcome, FloatingSubject,
     GapRange, HistogramSnapshot, JsonSink, JsonSnapshot, JsonStage, LastSnapshotSink,
     MacInteraction, MonitorBuilder, MonitorConfig, MonitorError, MonitorView, Outcome,

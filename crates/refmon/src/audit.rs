@@ -2,36 +2,32 @@
 //!
 //! The paper lists "the auditing of security relevant system events" among
 //! the aspects a complete security model must eventually cover. The
-//! [`AuditLog`] is a bounded in-memory ring of [`AuditEvent`]s; an optional
-//! crossbeam channel sink lets a deployment stream events to an external
-//! consumer without the monitor ever blocking on it, and an optional
-//! [`AuditSink`](extsec_auditlog::AuditSink) feeds the tamper-evident
-//! persistent pipeline (`extsec-auditlog`) — one non-blocking `try_send`
-//! per recorded decision, shed (and counted, and later declared as a
-//! chained gap) when the drainer falls behind.
+//! [`AuditLog`] records every decision into one
+//! [`AuditRing`](extsec_auditlog::AuditRing): preallocated slots indexed
+//! by sequence number. A record takes the next global sequence number,
+//! locks only that number's slot and overwrites its fields and reused
+//! path buffer in place, so the checking thread allocates nothing, takes
+//! no shared lock and wakes no other thread.
 //!
-//! The ring is *sharded*: events land in one of a fixed set of per-shard
-//! rings (each behind its own small mutex), picked per recording thread,
-//! so concurrent checks on different cores do not serialize on one audit
-//! lock. Every event is stamped with a globally monotone sequence number
-//! at record time, and [`AuditLog::events`] merges the shards back into
-//! sequence order, so observers see the same ordered log a single ring
-//! would have produced. The total retained count is bounded by the
-//! configured capacity with a shared counter: a recording thread that
-//! pushes the log over capacity evicts the oldest events of its own shard,
-//! which keeps eviction lock-local while still bounding the whole log.
+//! Until a persistent pipeline is attached the ring is the log's own;
+//! [`AuditLog::attach_ring`] switches recording into the pipeline's ring,
+//! whose drainer reads the same slots into the tamper-evident chain
+//! (`extsec-auditlog`). Either way the in-memory view
+//! ([`AuditLog::events`] and friends) reads the current ring and rebuilds
+//! each [`AuditEvent`] exactly, so a monitor has one audit outlet whether
+//! or not a pipeline is attached.
 
 use crate::decision::{Decision, DenyReason};
 use crate::subject::{Subject, ThreadId};
-use crossbeam::channel::{Sender, TrySendError};
 use extsec_acl::{AccessMode, PrincipalId};
-use extsec_auditlog::{AuditRecord, AuditSink, Outcome};
+use extsec_auditlog::{AuditRing, Outcome, RingEvent};
 use extsec_namespace::NsPath;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One audited access decision.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -68,59 +64,30 @@ impl fmt::Display for AuditEvent {
     }
 }
 
-/// Saturation counters for one audit shard.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AuditShardStats {
-    /// Events currently retained in this shard.
-    pub retained: usize,
-    /// Events this shard has evicted to stay under the log's capacity.
-    pub dropped: u64,
-}
-
-/// Observability counters for the whole audit log, reported next to the
+/// Observability counters for the in-memory view, reported next to the
 /// decision-cache stats so saturation is visible rather than silent.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AuditStats {
-    /// The configured total capacity.
+    /// The current ring's capacity.
     pub capacity: usize,
-    /// Events currently retained across all shards.
+    /// Events the in-memory view currently covers.
     pub retained: usize,
-    /// Events evicted from the ring to stay under capacity.
+    /// Events pushed out of the in-memory view by newer ones (or by a
+    /// switch to a pipeline's ring).
     pub ring_dropped: u64,
-    /// Events the optional channel sink refused because it was at
-    /// capacity (backpressure — the consumer exists but lags).
-    pub sink_full: u64,
-    /// Events the optional channel sink refused because every receiver
-    /// was gone (a dead consumer — very different operationally).
-    pub sink_disconnected: u64,
-    /// Per-shard retained/dropped breakdown.
-    pub shards: Vec<AuditShardStats>,
 }
 
-impl AuditStats {
-    /// Total events the channel sink refused, either way.
-    pub fn sink_dropped(&self) -> u64 {
-        self.sink_full + self.sink_disconnected
-    }
+/// This thread's pinned ring of one log, revalidated against the log's
+/// version on every record.
+struct PinnedRing {
+    log: u64,
+    version: u64,
+    ring: Arc<AuditRing>,
 }
 
-/// One shard: its own ring behind its own lock, plus its eviction count.
-/// Cache-line aligned so two shards' locks never share a line.
-#[derive(Debug)]
-#[repr(align(64))]
-struct Shard {
-    ring: Mutex<VecDeque<AuditEvent>>,
-    dropped: AtomicU64,
-}
-
-/// Hands every recording thread a stable shard preference, spreading
-/// threads round-robin over the shard array.
-fn shard_hint() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static HINT: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    HINT.with(|h| *h)
+thread_local! {
+    /// The ring this thread last recorded into.
+    static PINNED: RefCell<Option<PinnedRing>> = const { RefCell::new(None) };
 }
 
 /// A bounded, thread-safe audit log.
@@ -135,101 +102,83 @@ fn shard_hint() -> usize {
 /// ```
 #[derive(Debug)]
 pub struct AuditLog {
-    shards: Box<[Shard]>,
-    /// `shards.len() - 1`; the shard count is a power of two.
-    shard_mask: usize,
-    capacity: usize,
-    seq: AtomicU64,
-    /// Events retained across all shards; the capacity bound.
-    retained: AtomicUsize,
-    sink_full: AtomicU64,
-    sink_disconnected: AtomicU64,
-    /// Fast-path flag so `record` never touches the sink mutex while no
-    /// sink is attached.
-    sink_attached: AtomicBool,
-    sink: Mutex<Option<Sender<AuditEvent>>>,
-    /// Fast-path flag for the persistent pipeline, same discipline as
-    /// `sink_attached`.
-    pipeline_attached: AtomicBool,
-    pipeline: Mutex<Option<AuditSink>>,
+    /// Process-unique identity for the thread-local pins.
+    id: u64,
+    /// The ring recording goes into. Recorders pin it thread-locally and
+    /// only take this lock when `version` has moved.
+    ring: Mutex<Arc<AuditRing>>,
+    /// Bumped on every ring switch.
+    version: AtomicU64,
+    /// Events that left the in-memory view with a ring switched away from.
+    retired: AtomicU64,
 }
 
 impl AuditLog {
     /// Default ring capacity.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
-    /// Aim for at least this many events per shard, so small logs stay
-    /// single-sharded (and exactly ring-ordered) while the default-sized
-    /// log spreads over [`MAX_SHARDS`](Self::MAX_SHARDS) shards.
-    const MIN_EVENTS_PER_SHARD: usize = 256;
-
-    /// Upper bound on the shard count (one per core is plenty).
-    pub const MAX_SHARDS: usize = 16;
-
-    /// Cap on the total preallocated ring slots, so a huge configured
-    /// capacity reserves lazily instead of eagerly committing memory.
-    const MAX_PREALLOC: usize = 65_536;
-
     /// Creates a log with the default capacity.
     pub fn new() -> Self {
         AuditLog::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// Creates a log holding at most `capacity` events in total (older
-    /// events are dropped first).
+    /// Creates a log holding at most `capacity` events (older events are
+    /// dropped first). The ring's slots are allocated here, once.
     pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shard_count = (capacity / Self::MIN_EVENTS_PER_SHARD)
-            .clamp(1, Self::MAX_SHARDS)
-            .next_power_of_two()
-            .min(Self::MAX_SHARDS);
-        // Reserve the real capacity (bounded), split across the shards —
-        // not a silent 1024-entry floor that under-reserves large rings.
-        let prealloc_per_shard = capacity.min(Self::MAX_PREALLOC).div_ceil(shard_count);
-        let shards = (0..shard_count)
-            .map(|_| Shard {
-                ring: Mutex::new(VecDeque::with_capacity(prealloc_per_shard)),
-                dropped: AtomicU64::new(0),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         AuditLog {
-            shard_mask: shards.len() - 1,
-            shards,
-            capacity,
-            seq: AtomicU64::new(0),
-            retained: AtomicUsize::new(0),
-            sink_full: AtomicU64::new(0),
-            sink_disconnected: AtomicU64::new(0),
-            sink_attached: AtomicBool::new(false),
-            sink: Mutex::new(None),
-            pipeline_attached: AtomicBool::new(false),
-            pipeline: Mutex::new(None),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            ring: Mutex::new(Arc::new(AuditRing::new(capacity, 0))),
+            version: AtomicU64::new(0),
+            retired: AtomicU64::new(0),
         }
     }
 
-    /// Attaches a channel sink; every subsequent event is also sent there.
-    /// A full/disconnected sink never blocks the monitor — the send is
-    /// best-effort and failures are counted in [`AuditLog::dropped`].
-    pub fn set_sink(&self, sink: Sender<AuditEvent>) {
-        *self.sink.lock() = Some(sink);
-        self.sink_attached.store(true, Ordering::Release);
+    /// Switches recording into `ring` (a persistent pipeline's). Its
+    /// cursor first moves past every sequence number this log has handed
+    /// out, so numbers stay globally monotone and the ones recorded
+    /// before the switch become one declared gap in the pipeline. A
+    /// decision racing the switch may still land in the previous ring.
+    pub fn attach_ring(&self, ring: Arc<AuditRing>) {
+        let mut current = self.ring.lock();
+        ring.advance_to(current.next_seq());
+        self.retired.fetch_add(
+            current.evicted() + current.retained() as u64,
+            Ordering::Relaxed,
+        );
+        *current = ring;
+        self.version.fetch_add(1, Ordering::Release);
     }
 
-    /// Attaches the persistent pipeline's producer handle; every
-    /// subsequent event is also offered there (one non-blocking
-    /// `try_send`; overflow sheds, is counted by the pipeline, and later
-    /// becomes a tamper-evident gap entry in the chained log).
-    pub fn set_pipeline(&self, sink: AuditSink) {
-        *self.pipeline.lock() = Some(sink);
-        self.pipeline_attached.store(true, Ordering::Release);
+    /// The ring recording currently goes into.
+    fn current(&self) -> Arc<AuditRing> {
+        Arc::clone(&self.ring.lock())
     }
 
-    /// Advances the sequence counter to at least `seq`. Called when
-    /// attaching a recovered pipeline so sequence numbers stay globally
-    /// monotone across restarts instead of replaying persisted ones.
-    pub fn advance_seq_to(&self, seq: u64) {
-        self.seq.fetch_max(seq, Ordering::Relaxed);
+    /// Runs `f` on the current ring. Fast path: one `Acquire` load of the
+    /// version plus a thread-local compare; the lock is taken only to
+    /// re-pin after a switch.
+    fn with_ring<R>(&self, f: impl FnOnce(&AuditRing) -> R) -> R {
+        let version = self.version.load(Ordering::Acquire);
+        PINNED.with(|cell| {
+            let mut pin = cell.borrow_mut();
+            if let Some(p) = pin.as_ref() {
+                if p.log == self.id && p.version == version {
+                    return f(&p.ring);
+                }
+            }
+            let (ring, version) = {
+                let slot = self.ring.lock();
+                (Arc::clone(&slot), self.version.load(Ordering::Acquire))
+            };
+            let out = f(&ring);
+            *pin = Some(PinnedRing {
+                log: self.id,
+                version,
+                ring,
+            });
+            out
+        })
     }
 
     /// Records a decision; returns the event's sequence number.
@@ -241,61 +190,43 @@ impl AuditLog {
         decision: &Decision,
         generation: u64,
     ) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let event = AuditEvent {
-            seq,
-            principal: subject.principal,
-            thread: subject.thread,
-            path: path.clone(),
-            mode,
-            decision: decision.clone(),
-            generation,
-        };
-        if self.pipeline_attached.load(Ordering::Acquire) {
-            if let Some(sink) = self.pipeline.lock().as_ref() {
-                sink.offer(AuditRecord {
-                    seq,
-                    principal: subject.principal.raw(),
-                    generation,
-                    mode: mode as u8,
-                    outcome: outcome_of(decision),
-                    path: path.to_string(),
-                });
-            }
-        }
-        if self.sink_attached.load(Ordering::Acquire) {
-            if let Some(sink) = self.sink.lock().as_ref() {
-                match sink.try_send(event.clone()) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        self.sink_full.fetch_add(1, Ordering::Relaxed);
+        self.with_ring(|ring| {
+            ring.record(|e| {
+                e.principal = subject.principal.raw();
+                e.thread = subject.thread.raw();
+                e.generation = generation;
+                e.mode = mode as u8;
+                e.outcome = outcome_of(decision);
+                e.detail_index = 0;
+                render(path, &mut e.path);
+                e.detail.clear();
+                match decision {
+                    Decision::Deny(DenyReason::DacNegativeEntry(index)) => {
+                        e.detail_index = *index as u64;
                     }
-                    Err(TrySendError::Disconnected(_)) => {
-                        self.sink_disconnected.fetch_add(1, Ordering::Relaxed);
+                    // A refusing prefix is nearly always a prefix of the
+                    // path itself: keep its depth, not a second string.
+                    Decision::Deny(
+                        DenyReason::NotVisibleDac(prefix)
+                        | DenyReason::NotVisibleMac(prefix)
+                        | DenyReason::NotFound(prefix),
+                    ) => {
+                        if path.components().starts_with(prefix.components()) {
+                            e.detail_index = prefix.depth() as u64;
+                        } else {
+                            render(prefix, &mut e.detail);
+                        }
                     }
+                    Decision::Deny(DenyReason::Structure(text)) => e.detail.push_str(text),
+                    _ => {}
                 }
-            }
-        }
-        let shard = &self.shards[shard_hint() & self.shard_mask];
-        let mut ring = shard.ring.lock();
-        ring.push_back(event);
-        self.retained.fetch_add(1, Ordering::Relaxed);
-        // Over capacity: evict the oldest events of *this* shard (the lock
-        // we already hold). Each record adds one and removes at least one
-        // while over, so the total stays bounded by the capacity.
-        while self.retained.load(Ordering::Relaxed) > self.capacity {
-            if ring.pop_front().is_none() {
-                break;
-            }
-            self.retained.fetch_sub(1, Ordering::Relaxed);
-            shard.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        seq
+            })
+        })
     }
 
     /// Returns the number of retained events.
     pub fn len(&self) -> usize {
-        self.retained.load(Ordering::Relaxed)
+        self.current().retained()
     }
 
     /// Returns whether the log holds no events.
@@ -303,27 +234,16 @@ impl AuditLog {
         self.len() == 0
     }
 
-    /// Returns the number of events dropped (from the ring or the sink).
+    /// Returns the number of events dropped from the in-memory view.
     pub fn dropped(&self) -> u64 {
-        let ring: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.dropped.load(Ordering::Relaxed))
-            .sum();
-        ring + self.sink_full.load(Ordering::Relaxed)
-            + self.sink_disconnected.load(Ordering::Relaxed)
+        self.stats().ring_dropped
     }
 
-    /// Returns the retained events merged across shards into sequence
-    /// order (oldest first) — the same ordered log one unsharded ring
-    /// would have produced.
+    /// Returns the retained events in sequence order (oldest first).
     pub fn events(&self) -> Vec<AuditEvent> {
-        let mut events: Vec<AuditEvent> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.ring.lock().iter().cloned().collect::<Vec<_>>())
-            .collect();
-        events.sort_unstable_by_key(|e| e.seq);
+        let ring = self.current();
+        let mut events = Vec::with_capacity(ring.retained());
+        ring.visit(|seq, e| events.extend(rebuild(seq, e)));
         events
     }
 
@@ -339,34 +259,68 @@ impl AuditLog {
         events
     }
 
-    /// Clears the ring (sequence numbers keep increasing).
+    /// Clears the in-memory view (sequence numbers keep increasing, and
+    /// an attached pipeline still persists every event).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut ring = shard.ring.lock();
-            self.retained.fetch_sub(ring.len(), Ordering::Relaxed);
-            ring.clear();
-        }
+        self.current().clear();
     }
 
-    /// Snapshots the per-shard saturation counters.
+    /// Snapshots the saturation counters.
     pub fn stats(&self) -> AuditStats {
-        let shards: Vec<AuditShardStats> = self
-            .shards
-            .iter()
-            .map(|s| AuditShardStats {
-                retained: s.ring.lock().len(),
-                dropped: s.dropped.load(Ordering::Relaxed),
-            })
-            .collect();
+        let ring = self.current();
         AuditStats {
-            capacity: self.capacity,
-            retained: shards.iter().map(|s| s.retained).sum(),
-            ring_dropped: shards.iter().map(|s| s.dropped).sum(),
-            sink_full: self.sink_full.load(Ordering::Relaxed),
-            sink_disconnected: self.sink_disconnected.load(Ordering::Relaxed),
-            shards,
+            capacity: ring.capacity(),
+            retained: ring.retained(),
+            ring_dropped: self.retired.load(Ordering::Relaxed) + ring.evicted(),
         }
     }
+}
+
+/// Writes `path`'s display form into `out`, reusing its capacity (and
+/// growing it to the exact length when it is too small).
+fn render(path: &NsPath, out: &mut String) {
+    out.clear();
+    out.reserve_exact(path.components().iter().map(|c| 1 + c.len()).sum());
+    if path.components().is_empty() {
+        out.push('/');
+    }
+    for component in path.components() {
+        out.push('/');
+        out.push_str(component);
+    }
+}
+
+/// Rebuilds the event a slot holds (`None` for bytes no monitor writes).
+fn rebuild(seq: u64, e: &RingEvent) -> Option<AuditEvent> {
+    let parse = |text: &str| text.parse::<NsPath>().ok();
+    let path = parse(&e.path)?;
+    // The refusing prefix: spelled out in `detail`, or the path's first
+    // `detail_index` components.
+    let prefix = || match e.detail.is_empty() {
+        true => NsPath::from_components(path.components().get(..e.detail_index as usize)?).ok(),
+        false => parse(&e.detail),
+    };
+    let decision = match e.outcome {
+        Outcome::Allow => Decision::Allow,
+        Outcome::DacNoEntry => Decision::Deny(DenyReason::DacNoEntry),
+        Outcome::DacNegative => {
+            Decision::Deny(DenyReason::DacNegativeEntry(e.detail_index as usize))
+        }
+        Outcome::MacFlow => Decision::Deny(DenyReason::MacFlow),
+        Outcome::NotVisibleDac => Decision::Deny(DenyReason::NotVisibleDac(prefix()?)),
+        Outcome::NotVisibleMac => Decision::Deny(DenyReason::NotVisibleMac(prefix()?)),
+        Outcome::NotFound => Decision::Deny(DenyReason::NotFound(prefix()?)),
+        Outcome::Structure => Decision::Deny(DenyReason::Structure(e.detail.clone())),
+    };
+    Some(AuditEvent {
+        seq,
+        principal: PrincipalId::from_raw(e.principal),
+        thread: ThreadId::from_raw(e.thread),
+        path,
+        mode: *AccessMode::ALL.get(usize::from(e.mode))?,
+        decision,
+        generation: e.generation,
+    })
 }
 
 /// Maps a monitor [`Decision`] onto the compact persisted [`Outcome`].
@@ -391,10 +345,24 @@ impl Default for AuditLog {
     }
 }
 
+impl Drop for AuditLog {
+    /// Releases the dropping thread's pin on this log's ring, so a thread
+    /// that builds and drops monitors one after another never keeps two
+    /// rings alive.
+    fn drop(&mut self) {
+        let _ = PINNED.try_with(|cell| {
+            if let Ok(mut pin) = cell.try_borrow_mut() {
+                if pin.as_ref().is_some_and(|p| p.log == self.id) {
+                    *pin = None;
+                }
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decision::DenyReason;
     use extsec_mac::SecurityClass;
 
     fn subject() -> Subject {
@@ -438,8 +406,7 @@ mod tests {
         assert_eq!(events[1].seq, 4);
     }
 
-    /// The wraparound regression for the preallocation fix: at a capacity
-    /// beyond the old silent 1024-slot floor, the ring still retains
+    /// At a capacity beyond any small default, the ring still retains
     /// exactly `capacity` events and evicts exactly the overflow.
     #[test]
     fn wraparound_at_configured_capacity() {
@@ -461,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_expose_shard_saturation() {
+    fn stats_expose_ring_saturation() {
         let log = AuditLog::with_capacity(2);
         let s = subject();
         for _ in 0..5 {
@@ -471,21 +438,14 @@ mod tests {
         assert_eq!(stats.capacity, 2);
         assert_eq!(stats.retained, 2);
         assert_eq!(stats.ring_dropped, 3);
-        assert_eq!(stats.sink_dropped(), 0);
-        assert_eq!(stats.shards.len(), 1, "tiny logs stay single-sharded");
-        // Per-shard counters add up to the totals.
-        assert_eq!(
-            stats.shards.iter().map(|s| s.dropped).sum::<u64>(),
-            stats.ring_dropped
-        );
     }
 
     #[test]
-    fn merged_events_from_many_threads_stay_sequenced() {
-        let log = std::sync::Arc::new(AuditLog::new());
+    fn events_from_many_threads_stay_sequenced() {
+        let log = Arc::new(AuditLog::new());
         let threads: Vec<_> = (0..4)
             .map(|_| {
-                let log = std::sync::Arc::clone(&log);
+                let log = Arc::clone(&log);
                 std::thread::spawn(move || {
                     let s = subject();
                     for _ in 0..100 {
@@ -519,30 +479,43 @@ mod tests {
         assert_eq!(denials[0].mode, AccessMode::Write);
     }
 
+    /// Every field of every decision kind survives the slot: the view
+    /// rebuilds the exact event, deny-reason payloads and thread included.
     #[test]
-    fn sink_receives_events() {
+    fn events_rebuild_every_decision_exactly() {
         let log = AuditLog::new();
-        let (tx, rx) = crossbeam::channel::unbounded();
-        log.set_sink(tx);
-        log.record(&subject(), &path(), AccessMode::Read, &Decision::Allow, 0);
-        let event = rx.try_recv().unwrap();
-        assert_eq!(event.mode, AccessMode::Read);
-    }
-
-    #[test]
-    fn full_sink_never_blocks() {
-        let log = AuditLog::new();
-        let (tx, _rx) = crossbeam::channel::bounded(1);
-        log.set_sink(tx);
         let s = subject();
-        log.record(&s, &path(), AccessMode::Read, &Decision::Allow, 0);
-        // Second send fails (bounded channel full, receiver not draining)
-        // but record still succeeds.
-        log.record(&s, &path(), AccessMode::Read, &Decision::Allow, 0);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 1);
-        assert_eq!(log.stats().sink_full, 1);
-        assert_eq!(log.stats().sink_disconnected, 0);
+        let prefix: NsPath = "/svc".parse().unwrap();
+        let decisions = [
+            Decision::Allow,
+            Decision::Deny(DenyReason::DacNoEntry),
+            Decision::Deny(DenyReason::DacNegativeEntry(3)),
+            Decision::Deny(DenyReason::MacFlow),
+            Decision::Deny(DenyReason::NotVisibleDac(prefix.clone())),
+            Decision::Deny(DenyReason::NotVisibleMac(NsPath::root())),
+            Decision::Deny(DenyReason::NotFound(prefix)),
+            Decision::Deny(DenyReason::NotFound("/elsewhere".parse().unwrap())),
+            Decision::Deny(DenyReason::Structure("injected fault: x".into())),
+        ];
+        let mut want = Vec::new();
+        for (i, decision) in decisions.iter().enumerate() {
+            let mode = AccessMode::ALL[i % AccessMode::ALL.len()];
+            let seq = log.record(&s, &path(), mode, decision, 40 + i as u64);
+            want.push(AuditEvent {
+                seq,
+                principal: s.principal,
+                thread: s.thread,
+                path: path(),
+                mode,
+                decision: decision.clone(),
+                generation: 40 + i as u64,
+            });
+        }
+        // The root renders as `/` and parses back to itself.
+        let root = log.record(&s, &NsPath::root(), AccessMode::List, &Decision::Allow, 0);
+        assert_eq!(log.events()[..decisions.len()], want[..]);
+        assert_eq!(log.events()[decisions.len()].seq, root);
+        assert_eq!(log.events()[decisions.len()].path, NsPath::root());
     }
 
     #[test]

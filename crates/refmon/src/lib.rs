@@ -81,7 +81,7 @@ pub mod policy;
 pub mod snapshot;
 pub mod subject;
 
-pub use audit::{outcome_of, AuditEvent, AuditLog, AuditShardStats, AuditStats};
+pub use audit::{outcome_of, AuditEvent, AuditLog, AuditStats};
 pub use bundle::{
     BundleError, BundleId, BundleStatusReport, FlipRecord, Generation, ShadowReport, StagedBundle,
 };
@@ -91,8 +91,8 @@ pub use decision::{Decision, DenyReason};
 pub use error::{Error, MonitorError};
 pub use explain::{ExplainStep, Explanation};
 pub use extsec_auditlog::{
-    AuditPipeline, AuditQuery, AuditRecord, AuditSink, GapRange, Outcome, PipelineConfig,
-    PipelineStats, QueryResult, SegmentReport, SegmentStatus, VerifyReport,
+    AuditPipeline, AuditQuery, AuditRecord, AuditRing, GapRange, Outcome, PipelineConfig,
+    PipelineStats, QueryResult, RingEvent, SegmentReport, SegmentStatus, VerifyReport,
 };
 pub use extsec_telemetry::{
     AuditSnapshot, DispatchOutcome, ExtFault, HistogramSnapshot, JsonSink, JsonSnapshot, JsonStage,

@@ -172,8 +172,6 @@ impl MonitorBuilder {
                     ring_capacity: ring.capacity as u64,
                     ring_retained: ring.retained as u64,
                     ring_dropped: ring.ring_dropped,
-                    sink_full: ring.sink_full,
-                    sink_disconnected: ring.sink_disconnected,
                     ..AuditSnapshot::default()
                 };
                 let pipeline = pipeline.lock().clone();
@@ -237,8 +235,8 @@ pub struct ReferenceMonitor {
     /// The attached persistent audit pipeline, if any. Behind an `Arc`'d
     /// mutex so the telemetry audit source (a `'static` closure) can
     /// share the slot. Admin and snapshot paths only; the check path
-    /// reaches the pipeline through the `AuditSink` handle the ring
-    /// holds, never through this lock.
+    /// reaches the pipeline through the ring the audit log records into,
+    /// never through this lock.
     audit_pipeline: Arc<Mutex<Option<Arc<AuditPipeline>>>>,
     /// Memoized decisions, stamped with the policy generation. Mutators
     /// advance the generation inside the publish critical section and the
@@ -1285,8 +1283,8 @@ impl ReferenceMonitor {
         self.cache.stats()
     }
 
-    /// Returns the audit ring's saturation counters (per-shard retained
-    /// and dropped events, sink drops), the observability companion to
+    /// Returns the audit ring's saturation counters (capacity, retained
+    /// and dropped events), the observability companion to
     /// [`ReferenceMonitor::cache_stats`].
     pub fn audit_stats(&self) -> AuditStats {
         self.audit.stats()
@@ -1299,16 +1297,16 @@ impl ReferenceMonitor {
         self.with_snapshot(|state| state.generation.raw())
     }
 
-    /// Attaches a persistent audit pipeline: every subsequent recorded
-    /// decision is also offered (one non-blocking `try_send`) to the
-    /// pipeline's drainer, which compacts it into hash-chained on-disk
-    /// segments. The ring's sequence counter is advanced to the
-    /// pipeline's recovered `next_seq` so sequence numbers stay globally
-    /// monotone across restarts; any events recorded *before* attachment
-    /// were never offered and simply become a declared gap.
+    /// Attaches a persistent audit pipeline: every subsequent decision is
+    /// recorded into the pipeline's ring (one slot write), whose drainer
+    /// compacts it into hash-chained on-disk segments; the in-memory view
+    /// reads the same ring. The ring resumes after the pipeline's
+    /// recovered `next_seq` and after every number this monitor already
+    /// handed out, so sequence numbers stay globally monotone across
+    /// restarts; events recorded *before* attachment never reach the
+    /// pipeline and become a declared gap.
     pub fn attach_audit_pipeline(&self, pipeline: Arc<AuditPipeline>) {
-        self.audit.advance_seq_to(pipeline.next_seq());
-        self.audit.set_pipeline(pipeline.sink());
+        self.audit.attach_ring(Arc::clone(pipeline.ring()));
         *self.audit_pipeline.lock() = Some(pipeline);
     }
 
@@ -1317,7 +1315,7 @@ impl ReferenceMonitor {
         self.audit_pipeline.lock().clone()
     }
 
-    /// Flushes the attached pipeline: blocks until everything offered so
+    /// Flushes the attached pipeline: blocks until everything recorded so
     /// far is persisted (with still-missing sequence numbers declared as
     /// gaps) and the active tail is fsync'd.
     pub fn audit_flush(&self) -> Result<(), AuditAccessError> {

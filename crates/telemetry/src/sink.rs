@@ -98,7 +98,7 @@ pub struct JsonSnapshot {
     pub shadow_allow_to_deny: u64,
     /// Shadow-mode would-be flips from deny to allow.
     pub shadow_deny_to_allow: u64,
-    /// Audit-chain health (ring, sink, persistent pipeline), when the
+    /// Audit-chain health (ring, persistent pipeline), when the
     /// hub has an audit source registered.
     pub audit: Option<AuditSnapshot>,
 }

@@ -6,8 +6,8 @@ use extsec_acl::AccessMode;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Audit-chain health at snapshot time: the in-memory ring, the optional
-/// channel sink, and the persistent pipeline (when attached). Produced by
+/// Audit-chain health at snapshot time: the audit ring's in-memory view
+/// and the persistent pipeline (when attached). Produced by
 /// the audit source a monitor registers with
 /// [`Telemetry::set_audit_source`](crate::Telemetry::set_audit_source);
 /// the telemetry crate itself stays decoupled from the audit types.
@@ -19,15 +19,12 @@ pub struct AuditSnapshot {
     pub ring_retained: u64,
     /// Events evicted from the ring to stay under capacity.
     pub ring_dropped: u64,
-    /// Channel-sink refusals due to backpressure (consumer lagging).
-    pub sink_full: u64,
-    /// Channel-sink refusals due to a dead consumer.
-    pub sink_disconnected: u64,
     /// Whether a persistent audit pipeline is attached.
     pub pipeline_attached: bool,
-    /// Events accepted onto the pipeline queue.
+    /// Events written into the pipeline's ring and not shed.
     pub pipeline_enqueued: u64,
-    /// Events shed at the pipeline queue (later declared as gaps).
+    /// Events overwritten in the ring before the drainer read them
+    /// (later declared as gaps).
     pub pipeline_shed: u64,
     /// Stragglers dropped after their loss was already declared.
     pub pipeline_late_dropped: u64,
@@ -41,7 +38,7 @@ pub struct AuditSnapshot {
     pub pipeline_segments_sealed: u64,
     /// Store I/O failures observed by the drainer.
     pub pipeline_io_errors: u64,
-    /// Events currently queued or reorder-buffered.
+    /// Events written into the ring but not yet drained.
     pub pipeline_queue_depth: u64,
     /// The next sequence number the pipeline expects.
     pub pipeline_next_seq: u64,
@@ -224,12 +221,8 @@ impl fmt::Display for TelemetrySnapshot {
         if let Some(audit) = &self.audit {
             writeln!(
                 f,
-                "  audit ring: {}/{} retained, {} evicted, sink {} full / {} disconnected",
-                audit.ring_retained,
-                audit.ring_capacity,
-                audit.ring_dropped,
-                audit.sink_full,
-                audit.sink_disconnected,
+                "  audit ring: {}/{} retained, {} evicted",
+                audit.ring_retained, audit.ring_capacity, audit.ring_dropped,
             )?;
             if audit.pipeline_attached {
                 writeln!(

@@ -63,9 +63,8 @@ fn crashed_drainer_recovers_a_prefix_and_the_chain_continues() {
     };
 
     let pipeline = AuditPipeline::open_dir(&dir, config.clone()).unwrap();
-    let sink = pipeline.sink();
     for seq in 0..BEFORE {
-        assert!(sink.offer(record(seq)));
+        assert_eq!(pipeline.ring().append(&record(seq)), seq);
     }
     pipeline.crash_for_test(); // no flush, no seal, no fsync
 
@@ -82,9 +81,8 @@ fn crashed_drainer_recovers_a_prefix_and_the_chain_continues() {
     assert_eq!(seqs, (0..resume).collect::<Vec<_>>());
 
     // New records splice onto the recovered chain head.
-    let sink = recovered.sink();
     for seq in resume..resume + AFTER {
-        assert!(sink.offer(record(seq)));
+        assert_eq!(recovered.ring().append(&record(seq)), seq);
     }
     recovered.flush().unwrap();
     let report = recovered.verify().unwrap();
@@ -110,9 +108,8 @@ fn build_chain(dir: &Path) -> Vec<String> {
         },
     )
     .unwrap();
-    let sink = pipeline.sink();
     for seq in 0..150 {
-        assert!(sink.offer(record(seq)));
+        assert_eq!(pipeline.ring().append(&record(seq)), seq);
     }
     pipeline.flush().unwrap();
     let report = pipeline.verify().unwrap();
@@ -189,9 +186,8 @@ fn sealed_segment_damage_is_reported_and_recording_continues() {
         // The chain keeps growing past the damage, and verify keeps
         // reporting it.
         let resume = reopened.next_seq();
-        let sink = reopened.sink();
         for seq in resume..resume + 20 {
-            assert!(sink.offer(record(seq)));
+            assert_eq!(reopened.ring().append(&record(seq)), seq);
         }
         reopened.flush().unwrap();
         assert_eq!(reopened.next_seq(), resume + 20);
@@ -216,9 +212,8 @@ proptest! {
         // tail segment, the recovery path under test.
         let config = PipelineConfig::default();
         let pipeline = AuditPipeline::open_dir(&dir, config.clone()).unwrap();
-        let sink = pipeline.sink();
         for seq in 0..FED {
-            prop_assert!(sink.offer(record(seq)));
+            prop_assert_eq!(pipeline.ring().append(&record(seq)), seq);
         }
         pipeline.shutdown();
 
@@ -243,9 +238,8 @@ proptest! {
         prop_assert!(report.ok, "recovered tail failed verify: {report:?}");
         prop_assert_eq!(all_seqs(&recovered), (0..resume).collect::<Vec<_>>());
 
-        let sink = recovered.sink();
         for seq in resume..resume + 8 {
-            prop_assert!(sink.offer(record(seq)));
+            prop_assert_eq!(recovered.ring().append(&record(seq)), seq);
         }
         recovered.flush().unwrap();
         prop_assert!(recovered.verify().unwrap().ok);

@@ -12,7 +12,8 @@
 //!    `EXTSEC_CAMPAIGN_SEED`) so CI's release leg runs the same test at
 //!    100k+ steps and logs the seed for replay.
 //! 3. **Self-test via planted mutants** — arming a scripted fail-open
-//!    bug (a silently skipped revocation; a quarantine bypass) must
+//!    bug (a silently skipped revocation; a quarantine bypass; a skipped
+//!    memory limit; an audit record dropped without being counted) must
 //!    make the explorer find the violation within a bounded budget and
 //!    shrink it to a short replayable campaign.
 //! 4. **Corpus replay** — every minimized campaign under
@@ -279,6 +280,41 @@ fn planted_memory_limit_skip_is_found_and_minimized() {
     assert_eq!(replayed.invariant, Invariant::ResourceBounds);
 }
 
+#[test]
+fn planted_uncounted_audit_loss_is_found_and_minimized() {
+    let _guard = exclusive();
+    if !armed() {
+        eprintln!("fault machinery compiled out; skipping mutant self-test");
+        return;
+    }
+    // The mutant makes the audit drainer drop records it read and
+    // declare their numbers lost without counting them as shed: the
+    // chain still verifies and still tiles every number, so only the
+    // audit-gap invariant's loss accounting can tell.
+    let spec = WorldSpec::campus(17);
+    let mut cfg = ExploreConfig::clean(4, 600);
+    cfg.mutants = vec![Mutant {
+        tag: "audit.drain.uncounted_loss".into(),
+        nth: None,
+    }];
+    let out = explore(&spec, &cfg);
+    let violation = out
+        .violation
+        .expect("the explorer must find the planted uncounted audit loss within 600 steps");
+    assert_eq!(violation.invariant, Invariant::AuditGap, "{violation}");
+
+    let report = minimize(&out.campaign, 400);
+    assert!(
+        report.campaign.ops.len() <= 4,
+        "minimization left {} ops (spent {} replays):\n{}",
+        report.campaign.ops.len(),
+        report.replays,
+        report.campaign.to_text()
+    );
+    let replayed = replay(&report.campaign).expect("minimized campaign must still reproduce");
+    assert_eq!(replayed.invariant, Invariant::AuditGap);
+}
+
 // ---------------------------------------------------------------------
 // 4. Corpus replay: checked-in minimized campaigns stay reproducible.
 // ---------------------------------------------------------------------
@@ -356,6 +392,13 @@ fn regenerate_corpus() {
             3,
             2_000,
             "vm.mem.limit_skip",
+        ),
+        (
+            "uncounted_audit_loss.campaign",
+            WorldSpec::campus(17),
+            4,
+            600,
+            "audit.drain.uncounted_loss",
         ),
     ] {
         let mut cfg = ExploreConfig::clean(seed, steps);
