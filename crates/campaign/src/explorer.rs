@@ -138,8 +138,9 @@ fn focus(rng: &mut Rng, session: &Session) -> (usize, usize) {
 fn next_op(rng: &mut Rng, session: &Session) -> Op {
     let world = &session.world;
     // (cumulative-weight, op-kind) table; one draw picks the kind.
-    const WEIGHTS: [(u32, u8); 16] = [
-        (30, 0), // Check
+    const WEIGHTS: [(u32, u8); 17] = [
+        (29, 0), // Check
+        (1, 16), // Hide
         (12, 1), // Grant
         (12, 2), // Revoke
         (5, 3),  // Forbid
@@ -226,6 +227,10 @@ fn next_op(rng: &mut Rng, session: &Session) -> Op {
         9 => Op::Install {
             owner: rng.below(world.principals.len()),
             hostile: rng.chance(1, 2),
+        },
+        16 => Op::Hide {
+            domain: rng.below(world.domains.len()),
+            principal: rng.below(world.principals.len()),
         },
         15 => Op::InstallHog {
             owner: rng.below(world.principals.len()),

@@ -6,7 +6,7 @@
 //! runs, instead of maintaining parallel ad-hoc assertions.
 
 use extsec_core::{
-    AccessMode, Acl, AuditQuery, Decision, ExtError, HealthReport, HealthState, NsPath,
+    AccessMode, Acl, AuditQuery, Decision, ExtError, FlowCheck, HealthReport, HealthState, NsPath,
     PrincipalId, ReferenceMonitor, Subject, Value,
 };
 use std::collections::BTreeMap;
@@ -24,6 +24,9 @@ pub enum Invariant {
     /// An allowed check whose mandatory lattice flow re-derivation
     /// fails: information flowed against the lattice.
     MacFlow,
+    /// An allowed check through an interior node the subject may not
+    /// see: traversal visibility was not enforced at every level.
+    Visibility,
     /// A quarantined extension (with its cooldown still running) was
     /// dispatched anyway.
     QuarantineBypass,
@@ -46,6 +49,7 @@ impl fmt::Display for Invariant {
         let name = match self {
             Invariant::StaleGrant => "stale-grant",
             Invariant::MacFlow => "mac-flow",
+            Invariant::Visibility => "visibility",
             Invariant::QuarantineBypass => "quarantine-bypass",
             Invariant::CacheCoherence => "cache-coherence",
             Invariant::FailClosed => "fail-closed",
@@ -62,6 +66,7 @@ impl FromStr for Invariant {
         match s {
             "stale-grant" => Ok(Invariant::StaleGrant),
             "mac-flow" => Ok(Invariant::MacFlow),
+            "visibility" => Ok(Invariant::Visibility),
             "quarantine-bypass" => Ok(Invariant::QuarantineBypass),
             "cache-coherence" => Ok(Invariant::CacheCoherence),
             "fail-closed" => Ok(Invariant::FailClosed),
@@ -185,6 +190,48 @@ pub fn mac_flow(
             ),
         ))
     }
+}
+
+/// Traversal visibility: with visibility checking on, an allowed
+/// decision is re-derived level by level — every interior node of the
+/// path must grant the subject `list` and be observable by its class.
+/// A denial trivially satisfies the invariant; an unresolvable prefix
+/// (an injected resolve fault on the TCB inspection path) is skipped.
+pub fn visibility(
+    monitor: &ReferenceMonitor,
+    subject: &Subject,
+    path: &NsPath,
+    mode: AccessMode,
+    decision: &Decision,
+) -> Result<(), Violation> {
+    let config = monitor.config();
+    if !decision.allowed() || !config.check_visibility {
+        return Ok(());
+    }
+    for prefix in path.ancestors_from_root().take(path.depth()) {
+        let Ok(prot) = monitor.protection_of(&prefix) else {
+            continue;
+        };
+        let listed = monitor.directory(|d| {
+            prot.acl
+                .check(d, subject.principal, AccessMode::List)
+                .granted()
+        });
+        let observed = config
+            .flow
+            .permits(&subject.class, &prot.label, FlowCheck::Observe);
+        if !(listed && observed) {
+            return Err(Violation::new(
+                Invariant::Visibility,
+                format!(
+                    "{path} {mode:?} allowed, but interior {prefix} is hidden from {} \
+                     (list {listed}, observe {observed})",
+                    subject.principal
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Fail-closed: an observed decision may only be a grant if the

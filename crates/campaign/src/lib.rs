@@ -11,13 +11,15 @@
 //!   explorer's starting state and the F15 scale harness.
 //! * [`op`] — the campaign vocabulary: principal/group churn, node
 //!   creation and removal, grants, negative entries, guarded
-//!   revocations, relabels, extension install/run/quarantine churn,
+//!   revocations, relabels, interior nodes hidden from a principal,
+//!   extension install/run/quarantine churn,
 //!   logical clock advances, and (concurrent) checks. A [`Campaign`] is
 //!   a spec + seed + step list with a text codec, so every failure is a
 //!   replayable artifact (`tests/corpus/`).
 //! * [`invariant`] — the machine-checked invariants: no stale grant
 //!   after revoke, no MAC lattice-flow violation on an allowed check,
-//!   no quarantine bypass, decision-cache coherence against the
+//!   no allowed check through an interior node the subject may not
+//!   see, no quarantine bypass, decision-cache coherence against the
 //!   uncached oracle, fail-closed under injected faults, and audit
 //!   gap-freedom (the session's hash-chained audit log verifies with
 //!   every sequence number persisted or gap-declared).
@@ -48,7 +50,7 @@ pub mod world;
 pub use explorer::{explore, ExploreConfig, Outcome};
 pub use invariant::{
     audit_gap_free, coherent, fail_closed, is_injected_denial, mac_flow, quarantine_honoured,
-    resource_bounded, Invariant, RevocationLedger, Violation,
+    resource_bounded, visibility, Invariant, RevocationLedger, Violation,
 };
 pub use op::{Campaign, Mutant, Op, Storm};
 pub use session::{Session, SessionStats};

@@ -78,6 +78,15 @@ pub enum Op {
         /// Principal index whose direct entries are removed.
         principal: usize,
     },
+    /// Hide a domain from a principal: append a negative `list` entry
+    /// for the principal to the domain's ACL (TCB), so every leaf under
+    /// it is out of the principal's sight.
+    Hide {
+        /// Domain index.
+        domain: usize,
+        /// Principal index.
+        principal: usize,
+    },
     /// Relabel a leaf to a palette class (TCB).
     Relabel {
         /// Leaf index.
@@ -170,6 +179,9 @@ impl fmt::Display for Op {
             ),
             Op::Revoke { leaf, principal } => {
                 write!(f, "revoke leaf={leaf} principal={principal}")
+            }
+            Op::Hide { domain, principal } => {
+                write!(f, "hide domain={domain} principal={principal}")
             }
             Op::Relabel { leaf, class } => write!(f, "relabel leaf={leaf} class={class}"),
             Op::Install { owner, hostile } => {
@@ -269,6 +281,10 @@ impl FromStr for Op {
                 leaf: want_usize(&map, "leaf")?,
                 principal: want_usize(&map, "principal")?,
             }),
+            "hide" => Ok(Op::Hide {
+                domain: want_usize(&map, "domain")?,
+                principal: want_usize(&map, "principal")?,
+            }),
             "relabel" => Ok(Op::Relabel {
                 leaf: want_usize(&map, "leaf")?,
                 class: want_usize(&map, "class")?,
@@ -333,6 +349,7 @@ fn intern_tag(tag: &str) -> &'static str {
         "ext.admit.bypass",
         "vm.mem.limit_skip",
         "audit.drain.uncounted_loss",
+        "refmon.visibility.skip",
     ];
     if let Some(known) = KNOWN.iter().find(|k| **k == tag) {
         return known;
@@ -492,6 +509,10 @@ mod tests {
             },
             Op::Revoke {
                 leaf: 2,
+                principal: 4,
+            },
+            Op::Hide {
+                domain: 1,
                 principal: 4,
             },
             Op::Check {

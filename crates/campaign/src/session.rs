@@ -5,7 +5,7 @@
 
 use crate::invariant::{
     audit_gap_free, coherent, is_injected_denial, mac_flow, quarantine_honoured, resource_bounded,
-    Invariant, RevocationLedger, Violation,
+    visibility, Invariant, RevocationLedger, Violation,
 };
 use crate::op::Op;
 use crate::world::{ExtKind, World, WorldSpec};
@@ -187,6 +187,18 @@ impl Session {
                 self.revoke(*leaf, *principal);
                 true
             }
+            Op::Hide { domain, principal } => {
+                let path = self.world.domains[*domain % self.world.domains.len()].clone();
+                let p = self.world.principals[*principal % self.world.principals.len()];
+                let entry = extsec_core::AclEntry::deny_principal(p, AccessMode::List);
+                let _ = self.world.monitor.bootstrap(|ns| {
+                    let id = ns.resolve(&path)?;
+                    ns.update_protection(id, |prot| prot.acl.push(entry))?;
+                    Ok(())
+                });
+                // Leaf ACLs are untouched: revocation expectations stand.
+                true
+            }
             Op::Relabel { leaf, class } => {
                 let li = *leaf % self.world.leaves.len();
                 let path = self.world.leaves[li].clone();
@@ -350,9 +362,9 @@ impl Session {
         Ok(())
     }
 
-    /// One invariant-checked probe: cache coherence, MAC flow
-    /// re-derivation, and the revocation ledger, plus flip tracking for
-    /// the explorer's guidance.
+    /// One invariant-checked probe: cache coherence, MAC flow and
+    /// traversal visibility re-derivation, and the revocation ledger,
+    /// plus flip tracking for the explorer's guidance.
     pub fn probe(
         &mut self,
         principal: usize,
@@ -367,6 +379,8 @@ impl Session {
         let decision = coherent(&self.world.monitor, &subject, &path, mode, self.storm)
             .map_err(|v| v.at_step(self.step))?;
         mac_flow(&self.world.monitor, &subject, &path, mode, &decision)
+            .map_err(|v| v.at_step(self.step))?;
+        visibility(&self.world.monitor, &subject, &path, mode, &decision)
             .map_err(|v| v.at_step(self.step))?;
         if decision.allowed() {
             self.stats.grants += 1;

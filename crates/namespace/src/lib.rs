@@ -14,8 +14,8 @@
 //! objects, an optional *static* security class (§2.2: extensions may be
 //! statically bound to a class). The name space itself performs **no**
 //! access checks; the reference monitor resolves paths through
-//! [`NameSpace::resolve_with`], supplying a per-level visitor so that
-//! visibility (`list`) is enforced at each step of the traversal.
+//! [`NameSpace::resolve_chain`], which records the node at every level,
+//! and enforces visibility (`list`) on each interior node of that chain.
 //!
 //! # Examples
 //!

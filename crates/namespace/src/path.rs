@@ -125,6 +125,14 @@ impl NsPath {
         NsPath { components }
     }
 
+    /// Returns the ancestor-or-self made of the first `len` components
+    /// (the root for 0, the whole path for `len >= depth`).
+    pub fn prefix(&self, len: usize) -> NsPath {
+        NsPath {
+            components: self.components[..len.min(self.components.len())].to_vec(),
+        }
+    }
+
     /// Returns whether `prefix` is an ancestor-or-self of this path.
     pub fn starts_with(&self, prefix: &NsPath) -> bool {
         prefix.components.len() <= self.components.len()
@@ -134,9 +142,7 @@ impl NsPath {
     /// Iterates over every prefix of the path from the root down to the
     /// path itself (inclusive), e.g. `/a/b` yields `/`, `/a`, `/a/b`.
     pub fn ancestors_from_root(&self) -> impl Iterator<Item = NsPath> + '_ {
-        (0..=self.components.len()).map(move |i| NsPath {
-            components: self.components[..i].to_vec(),
-        })
+        (0..=self.components.len()).map(move |i| self.prefix(i))
     }
 }
 
@@ -244,5 +250,7 @@ mod tests {
         let p: NsPath = "/a/b".parse().unwrap();
         let all: Vec<String> = p.ancestors_from_root().map(|a| a.to_string()).collect();
         assert_eq!(all, vec!["/", "/a", "/a/b"]);
+        assert_eq!(p.prefix(1).to_string(), "/a");
+        assert_eq!(p.prefix(9), p);
     }
 }

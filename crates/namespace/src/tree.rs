@@ -20,8 +20,6 @@ pub enum NsError {
     RootImmutable,
     /// A stale or foreign node id was used.
     BadNodeId(NodeId),
-    /// A per-level visitor aborted resolution at the given prefix.
-    VisitDenied(NsPath),
     /// An internal fault (in practice, an injected one) interrupted the
     /// operation. The reference monitor maps this to a structural denial,
     /// so a faulting traversal fails closed.
@@ -37,7 +35,6 @@ impl fmt::Display for NsError {
             NsError::NotEmpty(p) => write!(f, "{p}: container not empty"),
             NsError::RootImmutable => write!(f, "the root node is immutable"),
             NsError::BadNodeId(id) => write!(f, "bad node id {id}"),
-            NsError::VisitDenied(p) => write!(f, "{p}: traversal denied"),
             NsError::Fault(msg) => write!(f, "name-space fault: {msg}"),
         }
     }
@@ -49,8 +46,9 @@ impl std::error::Error for NsError {}
 ///
 /// Stored as an arena with a free list; node ids stay stable across
 /// unrelated inserts and removals. The tree performs no access checks of
-/// its own — the reference monitor drives [`NameSpace::resolve_with`] with
-/// a per-level visitor to enforce visibility on every traversal step.
+/// its own — the reference monitor walks paths with
+/// [`NameSpace::resolve_chain`] and enforces visibility on every node the
+/// walk records.
 ///
 /// # Examples
 ///
@@ -120,49 +118,63 @@ impl NameSpace {
             .ok_or(NsError::BadNodeId(id))
     }
 
-    /// Resolves `path` to a node id without any per-level checks.
+    /// Resolves `path` to a node id, performing no checks of its own.
     pub fn resolve(&self, path: &NsPath) -> Result<NodeId, NsError> {
-        self.resolve_with(path, |_, _, _| true)
+        self.descend(path, 0, NodeId::ROOT, |_| {})
     }
 
-    /// Resolves `path`, invoking `visit` on every node along the way —
-    /// including the root and the final node. `visit` receives the id, the
-    /// node, and whether this is the final component; returning `false`
-    /// aborts resolution with [`NsError::VisitDenied`] naming the prefix
-    /// that was refused.
-    pub fn resolve_with<F>(&self, path: &NsPath, mut visit: F) -> Result<NodeId, NsError>
-    where
-        F: FnMut(NodeId, &Node, bool) -> bool,
-    {
+    /// Resolves `path` like [`NameSpace::resolve`], recording the node
+    /// every prefix names: afterwards `chain[k]` is the node of the first
+    /// `k` components, through the final node — or, when resolution
+    /// fails, through the last node reached (empty after a fault).
+    ///
+    /// The walk resumes from an earlier one: the first `shared`
+    /// components are taken as `chain` already records them, which the
+    /// caller guarantees by passing the length of the prefix this path
+    /// shares with the one last walked into `chain` on this same name
+    /// space (0 walks afresh). Only the remaining components are looked
+    /// up.
+    pub fn resolve_chain(
+        &self,
+        path: &NsPath,
+        shared: usize,
+        chain: &mut Vec<NodeId>,
+    ) -> Result<NodeId, NsError> {
+        let keep = shared.min(path.depth()).min(chain.len().saturating_sub(1));
+        chain.truncate(keep + 1);
+        if chain.is_empty() {
+            chain.push(NodeId::ROOT);
+        }
+        let walked = self.descend(path, keep, chain[keep], |id| chain.push(id));
+        if matches!(walked, Err(NsError::Fault(_))) {
+            chain.clear();
+        }
+        walked
+    }
+
+    /// The one resolution loop: descends from `start` (the node of the
+    /// first `from` components) through the rest of `path`, handing each
+    /// node reached to `record`. Hosts the `ns.resolve` fault point.
+    fn descend(
+        &self,
+        path: &NsPath,
+        from: usize,
+        start: NodeId,
+        mut record: impl FnMut(NodeId),
+    ) -> Result<NodeId, NsError> {
         if let Some(fault) = extsec_faults::fire("ns.resolve") {
             return Err(NsError::Fault(fault.to_string()));
         }
-        let mut current = NodeId::ROOT;
-        let components = path.components();
-        // Visit the root first.
-        let root = self.node(current)?;
-        if !visit(current, root, components.is_empty()) {
-            return Err(NsError::VisitDenied(NsPath::root()));
-        }
-        for (i, name) in components.iter().enumerate() {
+        let mut current = start;
+        for (i, name) in path.components().iter().enumerate().skip(from) {
             let node = self.node(current)?;
             if !node.kind.is_container() {
-                let prefix = NsPath::from_components(components[..i].iter().cloned())
-                    .expect("already-validated components");
-                return Err(NsError::NotAContainer(prefix));
+                return Err(NsError::NotAContainer(path.prefix(i)));
             }
             let Some(&child) = node.children.get(name) else {
-                let prefix = NsPath::from_components(components[..=i].iter().cloned())
-                    .expect("already-validated components");
-                return Err(NsError::NotFound(prefix));
+                return Err(NsError::NotFound(path.prefix(i + 1)));
             };
-            let child_node = self.node(child)?;
-            let last = i + 1 == components.len();
-            if !visit(child, child_node, last) {
-                let prefix = NsPath::from_components(components[..=i].iter().cloned())
-                    .expect("already-validated components");
-                return Err(NsError::VisitDenied(prefix));
-            }
+            record(child);
             current = child;
         }
         Ok(current)
@@ -517,26 +529,43 @@ mod tests {
     }
 
     #[test]
-    fn visitor_sees_every_level_and_can_deny() {
-        let ns = build();
-        let mut seen = Vec::new();
-        ns.resolve_with(&p("/svc/fs/read"), |_, node, last| {
-            seen.push((node.name().to_string(), last));
-            true
-        })
+    fn chain_records_every_level_and_resumes() {
+        let mut ns = build();
+        ns.insert(
+            &p("/svc"),
+            "net",
+            NodeKind::Interface,
+            Protection::default(),
+        )
         .unwrap();
+        let names = |ns: &NameSpace, chain: &[NodeId]| -> Vec<String> {
+            chain
+                .iter()
+                .map(|id| ns.node(*id).unwrap().name().to_string())
+                .collect()
+        };
+        let mut chain = Vec::new();
+        let read = ns.resolve_chain(&p("/svc/fs/read"), 0, &mut chain).unwrap();
+        assert_eq!(read, ns.resolve(&p("/svc/fs/read")).unwrap());
+        assert_eq!(names(&ns, &chain), ["", "svc", "fs", "read"]);
+        // Resuming after the shared `/svc` re-walks only the suffix.
+        let net = ns.resolve_chain(&p("/svc/net"), 1, &mut chain).unwrap();
+        assert_eq!(chain, [NodeId::ROOT, chain[1], net]);
+        assert_eq!(names(&ns, &chain), ["", "svc", "net"]);
+        // Failures keep the nodes reached and name the failing prefix.
         assert_eq!(
-            seen,
-            vec![
-                ("".to_string(), false),
-                ("svc".to_string(), false),
-                ("fs".to_string(), false),
-                ("read".to_string(), true)
-            ]
+            ns.resolve_chain(&p("/svc/fs/gone/x"), 1, &mut chain),
+            Err(NsError::NotFound(p("/svc/fs/gone")))
         );
-        // Deny at the second level.
-        let err = ns.resolve_with(&p("/svc/fs/read"), |_, node, _| node.name() != "fs");
-        assert_eq!(err, Err(NsError::VisitDenied(p("/svc/fs"))));
+        assert_eq!(names(&ns, &chain), ["", "svc", "fs"]);
+        assert_eq!(
+            ns.resolve_chain(&p("/svc/fs/read/x/y"), 3, &mut chain),
+            Err(NsError::NotAContainer(p("/svc/fs/read")))
+        );
+        assert_eq!(names(&ns, &chain), ["", "svc", "fs", "read"]);
+        // The root alone.
+        assert_eq!(ns.resolve_chain(&p("/"), 0, &mut chain), Ok(NodeId::ROOT));
+        assert_eq!(chain, [NodeId::ROOT]);
     }
 
     #[test]

@@ -7,16 +7,18 @@
 //! the mandatory flow comparison — so administrators can answer "why was
 //! this denied?" without reverse-engineering the model.
 //!
-//! `explain` is diagnostics, not enforcement: it recomputes the decision
-//! with the same rules (a property test pins `explain().decision ==
-//! check()`) but is never on the hot path and is not audited.
+//! `explain` is diagnostics, not enforcement, but it does not re-derive
+//! the decision: it runs the monitor's one access rule — the same
+//! function every check, batch and guard calls — with a step recorder
+//! attached, so `explain().decision == check()` holds by construction
+//! (and is property-tested). It is never on the hot path, never cached
+//! and never audited.
 
-use crate::config::MonitorConfig;
-use crate::decision::{Decision, DenyReason};
-use crate::monitor::{MonitorView, ReferenceMonitor};
+use crate::decision::Decision;
+use crate::monitor::{MonitorView, ReferenceMonitor, Steps};
 use crate::subject::Subject;
-use extsec_acl::{AccessMode, AclDecision};
-use extsec_mac::FlowCheck;
+use extsec_acl::{AccessMode, Acl, AclDecision};
+use extsec_mac::{FlowCheck, Lattice, SecurityClass};
 use extsec_namespace::{NsError, NsPath};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -142,161 +144,99 @@ impl ReferenceMonitor {
 impl MonitorView<'_> {
     /// Explains the decision for `(subject, path, mode)` step by step.
     ///
-    /// The whole trace — every traversal prefix, the ACL evaluation, the
-    /// flow comparison — reads this view's one pinned snapshot, so a
-    /// concurrent republish can never make the narrated steps disagree
-    /// with the decision they justify (the race the old monitor-level
-    /// walk, which re-read the published state per prefix, allowed).
+    /// The trace is the monitor's own rule run against this view's one
+    /// pinned snapshot with a narrator attached, so the narrated steps
+    /// and the decision they justify can never disagree with each other
+    /// or with [`MonitorView::check`] on the same snapshot.
     pub fn explain(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Explanation {
-        let config: MonitorConfig = self.config();
-        let mut steps = Vec::new();
-
-        // Walk the interior prefixes in order, mirroring `evaluate`.
-        let prefixes: Vec<NsPath> = path.ancestors_from_root().collect();
-        let (interior, _last) = prefixes.split_at(prefixes.len().saturating_sub(1));
-        for prefix in interior {
-            let Ok(protection) = self.protection_of(prefix) else {
-                steps.push(ExplainStep::NotFound {
-                    path: prefix.clone(),
-                });
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::NotFound(prefix.clone())),
-                };
+        self.lattice(|lattice| {
+            let mut narration = Narration {
+                path,
+                lattice,
+                steps: Vec::new(),
             };
-            let dac_visible = self.directory(|d| {
-                protection
-                    .acl
-                    .check(d, subject.principal, AccessMode::List)
-                    .granted()
-            });
-            let mac_visible =
-                config
-                    .flow
-                    .permits(&subject.class, &protection.label, FlowCheck::Observe);
-            steps.push(ExplainStep::Traverse {
-                path: prefix.clone(),
-                dac_visible,
-                mac_visible,
-                checked: config.check_visibility,
-            });
-            if config.check_visibility && !dac_visible {
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::NotVisibleDac(prefix.clone())),
-                };
+            let decision = self.decide_with(subject, path, mode, &mut narration);
+            Explanation {
+                mode,
+                path: path.clone(),
+                steps: narration.steps,
+                decision,
             }
-            if config.check_visibility && !mac_visible {
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::NotVisibleMac(prefix.clone())),
-                };
-            }
-        }
+        })
+    }
+}
 
-        // The final node.
-        let protection = match self.protection_of(path) {
-            Ok(p) => p,
-            Err(crate::error::MonitorError::Ns(NsError::NotFound(missing))) => {
-                steps.push(ExplainStep::NotFound {
-                    path: missing.clone(),
-                });
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::NotFound(missing)),
-                };
-            }
-            Err(e) => {
-                // Structural errors (e.g. traversal through a leaf)
-                // mirror the checker's wording exactly.
-                let reason = match e {
-                    crate::error::MonitorError::Ns(ns) => DenyReason::Structure(ns.to_string()),
-                    other => DenyReason::Structure(other.to_string()),
-                };
-                steps.push(ExplainStep::NotFound { path: path.clone() });
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(reason),
-                };
-            }
+/// Records the rule's steps as [`ExplainStep`]s.
+struct Narration<'a> {
+    path: &'a NsPath,
+    lattice: &'a Lattice,
+    steps: Vec<ExplainStep>,
+}
+
+impl Steps for Narration<'_> {
+    const NARRATE: bool = true;
+
+    fn traverse(&mut self, depth: usize, dac_visible: bool, mac_visible: bool, checked: bool) {
+        self.steps.push(ExplainStep::Traverse {
+            path: self.path.prefix(depth),
+            dac_visible,
+            mac_visible,
+            checked,
+        });
+    }
+
+    fn unresolved(&mut self, error: &NsError) {
+        // A missing prefix is named; any other failure (a leaf in the
+        // way, a fault) leaves the path as a whole unresolved.
+        let path = match error {
+            NsError::NotFound(missing) => missing.clone(),
+            _ => self.path.clone(),
         };
-        let dac = self.directory(|d| protection.acl.check(d, subject.principal, mode));
-        let entry = match dac {
-            AclDecision::DeniedByEntry(i) => protection.acl.entries().get(i).map(|e| e.to_string()),
+        self.steps.push(ExplainStep::NotFound { path });
+    }
+
+    fn dac(&mut self, decision: AclDecision, acl: &Acl) {
+        let entry = match decision {
+            AclDecision::DeniedByEntry(i) => acl.entries().get(i).map(ToString::to_string),
             _ => None,
         };
-        steps.push(ExplainStep::Dac {
-            decision: dac,
-            entry,
-        });
-        match dac {
-            AclDecision::Granted => {}
-            AclDecision::DeniedByEntry(i) => {
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::DacNegativeEntry(i)),
-                };
-            }
-            AclDecision::NoMatchingEntry => {
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::DacNoEntry),
-                };
-            }
-        }
-        let check = config.flow_check(mode);
-        let permitted = config
-            .flow
-            .permits(&subject.class, &protection.label, check);
-        let (subject_class, object_label) = self.lattice(|l| {
-            (
-                l.format_class(&subject.class),
-                l.format_class(&protection.label),
-            )
-        });
-        steps.push(ExplainStep::Mac {
+        self.steps.push(ExplainStep::Dac { decision, entry });
+    }
+
+    fn mac(
+        &mut self,
+        check: FlowCheck,
+        subject: &SecurityClass,
+        label: &SecurityClass,
+        permitted: bool,
+    ) {
+        self.steps.push(ExplainStep::Mac {
             check,
-            subject_class,
-            object_label,
+            subject_class: self.lattice.format_class(subject),
+            object_label: self.lattice.format_class(label),
             permitted,
         });
-        let decision = if permitted {
-            Decision::Allow
-        } else {
-            Decision::Deny(DenyReason::MacFlow)
-        };
-        Explanation {
-            mode,
-            path: path.clone(),
-            steps,
-            decision,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::DenyReason;
     use crate::monitor::MonitorBuilder;
     use extsec_acl::{Acl, AclEntry, ModeSet};
     use extsec_mac::{Lattice, SecurityClass};
     use extsec_namespace::{NodeKind, Protection};
     use std::sync::Arc;
 
+    fn p(s: &str) -> NsPath {
+        s.parse().unwrap()
+    }
+
+    /// `/svc/fs/read` (high, alice `x`, alice `-e`) under listable
+    /// domains, the listable leaf `/svc/fs/open`, and two interior nodes
+    /// hidden from a bottom subject: `/dac` by its empty ACL, `/mac` by
+    /// its high label. Both hold a leaf `x` alice may read.
     fn world() -> (Arc<ReferenceMonitor>, Subject) {
         let lattice = Lattice::build(["low", "high"], ["k"]).unwrap();
         let mut builder = MonitorBuilder::new(lattice.clone());
@@ -305,13 +245,11 @@ mod tests {
         let high = lattice.parse_class("high").unwrap();
         monitor
             .bootstrap(|ns| {
-                let visible = Protection::new(
-                    Acl::public(ModeSet::only(AccessMode::List)),
-                    SecurityClass::bottom(),
-                );
-                ns.ensure_path(&"/svc/fs".parse().unwrap(), NodeKind::Domain, &visible)?;
+                let listable = Acl::public(ModeSet::only(AccessMode::List));
+                let visible = Protection::new(listable.clone(), SecurityClass::bottom());
+                ns.ensure_path(&p("/svc/fs"), NodeKind::Domain, &visible)?;
                 ns.insert(
-                    &"/svc/fs".parse().unwrap(),
+                    &p("/svc/fs"),
                     "read",
                     NodeKind::Procedure,
                     Protection::new(
@@ -319,9 +257,26 @@ mod tests {
                             AclEntry::allow_principal(alice, AccessMode::Execute),
                             AclEntry::deny_principal(alice, AccessMode::Extend),
                         ]),
-                        high,
+                        high.clone(),
                     ),
                 )?;
+                ns.insert(&p("/svc/fs"), "open", NodeKind::Procedure, visible)?;
+                let readable = Protection::new(
+                    Acl::from_entries([AclEntry::allow_principal(alice, AccessMode::Read)]),
+                    SecurityClass::bottom(),
+                );
+                for (domain, protection) in [
+                    ("dac", Protection::new(Acl::new(), SecurityClass::bottom())),
+                    ("mac", Protection::new(listable.clone(), high.clone())),
+                ] {
+                    ns.insert(&NsPath::root(), domain, NodeKind::Domain, protection)?;
+                    ns.insert(
+                        &p(&format!("/{domain}")),
+                        "x",
+                        NodeKind::Object,
+                        readable.clone(),
+                    )?;
+                }
                 Ok(())
             })
             .unwrap();
@@ -333,11 +288,15 @@ mod tests {
         let (monitor, low_subject) = world();
         let high = monitor.lattice(|l| l.parse_class("high").unwrap());
         let subjects = [low_subject.clone(), low_subject.with_class(high)];
-        let paths: [NsPath; 4] = [
-            "/svc/fs/read".parse().unwrap(),
-            "/svc/fs/missing".parse().unwrap(),
-            "/nope/deeper".parse().unwrap(),
-            "/svc/fs/read/through-a-leaf".parse().unwrap(),
+        let paths: [NsPath; 8] = [
+            p("/svc/fs/read"),
+            p("/svc/fs/missing"),
+            p("/nope/deeper"),
+            p("/svc/fs/read/through-a-leaf"),
+            p("/svc/fs/open/x"),
+            p("/svc/fs/open/x/y"),
+            p("/dac/x"),
+            p("/mac/x"),
         ];
         for subject in &subjects {
             for path in &paths {
@@ -348,6 +307,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The full step list for each kind of traversal outcome. Steps are
+    /// wire-visible (Explain JSON), so this pins their exact shape.
+    #[test]
+    fn steps_are_pinned_per_outcome() {
+        let (monitor, alice) = world();
+        let traverse = |path: &str, dac_visible, mac_visible, checked| ExplainStep::Traverse {
+            path: p(path),
+            dac_visible,
+            mac_visible,
+            checked,
+        };
+        let seen = |path: &str| traverse(path, true, true, true);
+        let granted = ExplainStep::Dac {
+            decision: AclDecision::Granted,
+            entry: None,
+        };
+        let observe = ExplainStep::Mac {
+            check: FlowCheck::Observe,
+            subject_class: "low".into(),
+            object_label: "low".into(),
+            permitted: true,
+        };
+        let cases = [
+            (
+                "/dac/x",
+                vec![seen("/"), traverse("/dac", false, true, true)],
+                Decision::Deny(DenyReason::NotVisibleDac(p("/dac"))),
+            ),
+            (
+                "/mac/x",
+                vec![seen("/"), traverse("/mac", true, false, true)],
+                Decision::Deny(DenyReason::NotVisibleMac(p("/mac"))),
+            ),
+            (
+                "/ghost/leaf",
+                vec![seen("/"), ExplainStep::NotFound { path: p("/ghost") }],
+                Decision::Deny(DenyReason::NotFound(p("/ghost"))),
+            ),
+            (
+                "/svc/fs/missing",
+                vec![
+                    seen("/"),
+                    seen("/svc"),
+                    seen("/svc/fs"),
+                    ExplainStep::NotFound {
+                        path: p("/svc/fs/missing"),
+                    },
+                ],
+                Decision::Deny(DenyReason::NotFound(p("/svc/fs/missing"))),
+            ),
+            ("/", vec![granted.clone(), observe.clone()], Decision::Allow),
+        ];
+        for (path, steps, decision) in cases {
+            // The root only grants `list`; the other paths fail before
+            // the mode matters.
+            let explained = monitor.explain(&alice, &p(path), AccessMode::List);
+            assert_eq!(explained.steps, steps, "{path}");
+            assert_eq!(explained.decision, decision, "{path}");
+        }
+
+        // Visibility checking off: every interior node is still narrated,
+        // unchecked, and the hidden domain no longer stops the walk.
+        let mut config = monitor.config();
+        config.check_visibility = false;
+        monitor.set_config(config);
+        let explained = monitor.explain(&alice, &p("/dac/x"), AccessMode::Read);
+        assert_eq!(
+            explained.steps,
+            vec![
+                traverse("/", true, true, false),
+                traverse("/dac", false, true, false),
+                granted,
+                observe,
+            ]
+        );
+        assert_eq!(explained.decision, Decision::Allow);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use extsec_mac::{FlowCheck, Lattice, SecurityClass};
 use extsec_namespace::{NameSpace, NodeId, NodeKind, NsError, NsPath, Protection};
 use extsec_telemetry::{AuditSnapshot, Stage, Telemetry, TelemetrySnapshot};
 use parking_lot::Mutex;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,6 +64,213 @@ struct ShadowPolicy {
     state: State,
 }
 
+/// One walk of a path, as [`NameSpace::resolve_chain`] left it: the node
+/// of every prefix reached, and where resolution ended.
+struct Walk<'a> {
+    path: &'a NsPath,
+    chain: &'a [NodeId],
+    end: &'a Result<NodeId, NsError>,
+}
+
+/// Observes the access rule as [`State::decide`] applies it. Checks pass
+/// `()`, which observes nothing and compiles away; `explain` narrates
+/// every step.
+pub(crate) trait Steps {
+    /// Whether every interior node is judged on both halves even when
+    /// the decision does not need it (a DAC refusal already decided, or
+    /// visibility checking off), so that it can be narrated.
+    const NARRATE: bool = false;
+
+    /// The interior node at `depth` and its two visibility verdicts;
+    /// `checked` is whether they counted.
+    fn traverse(&mut self, _depth: usize, _dac: bool, _mac: bool, _checked: bool) {}
+
+    /// The walk ended before a final node.
+    fn unresolved(&mut self, _error: &NsError) {}
+
+    /// The final node's discretionary verdict.
+    fn dac(&mut self, _decision: AclDecision, _acl: &Acl) {}
+
+    /// The final node's mandatory verdict.
+    fn mac(
+        &mut self,
+        _check: FlowCheck,
+        _subject: &SecurityClass,
+        _label: &SecurityClass,
+        _permitted: bool,
+    ) {
+    }
+}
+
+impl Steps for () {}
+
+impl State {
+    /// Walks `path` into this thread's chain buffer (no allocation once
+    /// warm), timed under [`Stage::Resolve`], and hands the walk to `f`.
+    /// Returns `f`'s result and where the walk ended.
+    fn walk<R>(
+        &self,
+        path: &NsPath,
+        tele: &Telemetry,
+        f: impl FnOnce(&Walk<'_>) -> R,
+    ) -> (R, Result<NodeId, NsError>) {
+        let mut chain = CHAIN.with(Cell::take);
+        let resolve_t = tele.start();
+        let end = self.namespace.resolve_chain(path, 0, &mut chain);
+        tele.finish(Stage::Resolve, resolve_t);
+        let result = f(&Walk {
+            path,
+            chain: &chain,
+            end: &end,
+        });
+        CHAIN.with(|cell| cell.set(chain));
+        (result, end)
+    }
+
+    /// Walks and decides `path` with nothing recorded — uncached,
+    /// unaudited, untimed — reporting each step to `steps`. Shadow
+    /// evaluation and `explain` run the rule this way.
+    fn decide_unrecorded(
+        &self,
+        subject: &Subject,
+        path: &NsPath,
+        mode: AccessMode,
+        steps: &mut impl Steps,
+    ) -> Decision {
+        let off = Telemetry::disabled();
+        self.walk(path, off, |walk| {
+            self.decide(subject, walk, mode, None, off, steps)
+        })
+        .0
+    }
+
+    /// The access rule, written down once: every interior node the walk
+    /// reached must be visible, top-down; then the path must have
+    /// resolved, and its final node must grant `mode` under its ACL and
+    /// permit the flow the mode induces. Every decision the monitor makes
+    /// or explains comes from here. The final node's halves are timed
+    /// under [`Stage::Acl`] and [`Stage::Mac`]. `visible` is a batch's
+    /// memo of interior nodes already proven visible.
+    fn decide(
+        &self,
+        subject: &Subject,
+        walk: &Walk<'_>,
+        mode: AccessMode,
+        visible: Option<&mut HashSet<NodeId>>,
+        tele: &Telemetry,
+        steps: &mut impl Steps,
+    ) -> Decision {
+        if let Err(hidden) = self.interior_visibility(subject, walk, visible, tele, steps) {
+            return Decision::Deny(hidden);
+        }
+        let node = match walk.end {
+            Ok(node) => *node,
+            Err(error) => {
+                steps.unresolved(error);
+                return Decision::Deny(match error {
+                    NsError::NotFound(missing) => DenyReason::NotFound(missing.clone()),
+                    other => DenyReason::Structure(other.to_string()),
+                });
+            }
+        };
+        let Ok(node) = self.namespace.node(node) else {
+            return Decision::Deny(DenyReason::Structure("stale node id".to_string()));
+        };
+        let protection = node.protection();
+        let acl_t = tele.start();
+        let dac = protection
+            .acl
+            .check(&self.directory, subject.principal, mode);
+        tele.finish(Stage::Acl, acl_t);
+        steps.dac(dac, &protection.acl);
+        match dac {
+            AclDecision::Granted => {}
+            AclDecision::DeniedByEntry(i) => {
+                return Decision::Deny(DenyReason::DacNegativeEntry(i));
+            }
+            AclDecision::NoMatchingEntry => return Decision::Deny(DenyReason::DacNoEntry),
+        }
+        let check = self.config.flow_check(mode);
+        let mac_t = tele.start();
+        let permitted = self
+            .config
+            .flow
+            .permits(&subject.class, &protection.label, check);
+        tele.finish(Stage::Mac, mac_t);
+        steps.mac(check, &subject.class, &protection.label, permitted);
+        if !permitted {
+            return Decision::Deny(DenyReason::MacFlow);
+        }
+        Decision::Allow
+    }
+
+    /// "Access to each level of the hierarchy is protected" (§2.3): each
+    /// interior node the walk reached, top-down, must grant `list` to the
+    /// subject (discretionary) and be observable by its class
+    /// (mandatory). Names the first prefix refused. The monitor's only
+    /// visibility check; it is the protected half of resolution, so its
+    /// time is recorded under [`Stage::Resolve`].
+    fn interior_visibility<S: Steps>(
+        &self,
+        subject: &Subject,
+        walk: &Walk<'_>,
+        mut visible: Option<&mut HashSet<NodeId>>,
+        tele: &Telemetry,
+        steps: &mut S,
+    ) -> Result<(), DenyReason> {
+        let checked = self.config.check_visibility;
+        if !checked && !S::NARRATE {
+            return Ok(());
+        }
+        // Every node the walk reached is interior, except a resolved
+        // path's final node, which gets the mode check instead.
+        let interior = match walk.end {
+            Ok(_) => &walk.chain[..walk.chain.len().saturating_sub(1)],
+            Err(_) => walk.chain,
+        };
+        let climb_t = tele.start();
+        for (depth, id) in interior.iter().enumerate() {
+            if visible.as_ref().is_some_and(|memo| memo.contains(id)) {
+                continue;
+            }
+            let Ok(node) = self.namespace.node(*id) else {
+                return Err(DenyReason::Structure("stale node id".to_string()));
+            };
+            let protection = node.protection();
+            // Mutant point, scripted-only: a fired
+            // `refmon.visibility.skip` waves the node through unchecked —
+            // the planted dropped-visibility bug the campaign explorer's
+            // self-test must detect. Random fault storms never reach it,
+            // and release builds compile it to nothing.
+            let skip = checked && extsec_faults::fire_mutant("refmon.visibility.skip").is_some();
+            let dac = skip
+                || protection
+                    .acl
+                    .check(&self.directory, subject.principal, AccessMode::List)
+                    .granted();
+            let mac = skip
+                || ((dac || S::NARRATE)
+                    && self.config.flow.permits(
+                        &subject.class,
+                        &protection.label,
+                        FlowCheck::Observe,
+                    ));
+            steps.traverse(depth, dac, mac, checked);
+            if checked && !dac {
+                return Err(DenyReason::NotVisibleDac(walk.path.prefix(depth)));
+            }
+            if checked && !mac {
+                return Err(DenyReason::NotVisibleMac(walk.path.prefix(depth)));
+            }
+            if let Some(memo) = visible.as_deref_mut() {
+                memo.insert(*id);
+            }
+        }
+        tele.finish(Stage::Resolve, climb_t);
+        Ok(())
+    }
+}
+
 /// How many prior activated snapshots the rollback ring keeps.
 const ROLLBACK_RING: usize = 8;
 
@@ -88,6 +295,11 @@ thread_local! {
     /// keeps one superseded state alive per thread at worst; it is
     /// replaced the next time the thread touches any monitor.
     static PINNED: RefCell<Option<PinnedSnapshot>> = const { RefCell::new(None) };
+    /// The buffer this thread's single-path walks record into, kept
+    /// between checks so a warm check allocates nothing. Taken out for
+    /// the length of one walk, so a reentrant walk simply gets a fresh
+    /// one.
+    static CHAIN: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
 }
 
 /// Hands every monitor instance a process-unique id so thread-local
@@ -394,105 +606,76 @@ impl ReferenceMonitor {
         self.with_snapshot(|state| {
             let whole = self.telemetry.start();
             self.telemetry.count_mode(mode);
-            let decision = self.check_in(state, subject, path, mode);
+            let (decision, _) = self.decide_and_audit(state, subject, path, mode, false);
             self.telemetry.finish(Stage::Check, whole);
             decision
         })
     }
 
-    /// Checks without consulting or filling the decision cache — the
-    /// oracle the benchmarks compare the cached path against.
-    ///
-    /// This bypass is **not** part of the public surface: the one check
-    /// path is [`ReferenceMonitor::check`] /
-    /// [`MonitorView::check`]. It is only compiled under the
-    /// `bench-internals` feature, for the workspace's benchmark harness.
-    #[cfg(feature = "bench-internals")]
-    pub fn check_uncached(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
-        self.check_unmemoized(subject, path, mode)
-    }
-
-    /// The cached check against one pinned snapshot.
-    fn check_at(
+    /// The one decision site for a single request: walks `path` once,
+    /// decides — through the decision cache when `memo` (and the
+    /// configuration) allow — and audits. Also returns where the walk
+    /// ended, so a guarded operation acts on the node it was granted
+    /// without resolving the path again.
+    fn decide_and_audit(
         &self,
         state: &State,
         subject: &Subject,
         path: &NsPath,
         mode: AccessMode,
-    ) -> Decision {
-        if !state.config.decision_cache {
-            return self.check_in(state, subject, path, mode);
+        memo: bool,
+    ) -> (Decision, Result<NodeId, NsError>) {
+        let tele = &self.telemetry;
+        let (decision, end) = state.walk(path, tele, |walk| {
+            if memo {
+                self.memoized(state, subject, walk, mode, None)
+            } else {
+                state.decide(subject, walk, mode, None, tele, &mut ())
+            }
+        });
+        if state.config.audit {
+            let audit_t = tele.start();
+            self.audit
+                .record(subject, path, mode, &decision, state.generation.raw());
+            tele.finish(Stage::Audit, audit_t);
         }
-        // A cheap, visitor-free resolve yields the key. When the path does
-        // not resolve, there is no stable node to key on; fall through to
-        // full evaluation, which also reproduces the exact deny reason
-        // (NotFound prefix vs. an earlier visibility denial).
-        let resolve_t = self.telemetry.start();
-        let resolved = state.namespace.resolve(path);
-        self.telemetry.finish(Stage::Resolve, resolve_t);
-        let Ok(id) = resolved else {
-            return self.check_in(state, subject, path, mode);
+        (decision, end)
+    }
+
+    /// Decides a walk through the generation-stamped decision cache: a
+    /// path that resolved is keyed on its final node and answered from
+    /// the cache, or decided and remembered on a miss. The generation
+    /// comes from the same snapshot as the state, so a hit is exactly
+    /// what deciding afresh would return. Anything else — the cache
+    /// configured off, or no node to key on — is decided directly.
+    fn memoized(
+        &self,
+        state: &State,
+        subject: &Subject,
+        walk: &Walk<'_>,
+        mode: AccessMode,
+        visible: Option<&mut HashSet<NodeId>>,
+    ) -> Decision {
+        let tele = &self.telemetry;
+        let node = match walk.end {
+            Ok(node) if state.config.decision_cache => *node,
+            _ => return state.decide(subject, walk, mode, visible, tele, &mut ()),
         };
         let key = CacheKey {
             principal: subject.principal,
-            node: id,
-            epoch: state.namespace.epoch(id),
+            node,
+            epoch: state.namespace.epoch(node),
             mode,
         };
-        let probe_t = self.telemetry.start();
+        let probe_t = tele.start();
         let hit = self.cache.lookup(&key, &subject.class, state.generation);
-        self.telemetry.finish(Stage::Cache, probe_t);
-        let decision = match hit {
-            Some(decision) => decision,
-            None => {
-                let decision =
-                    Self::evaluate_resolved(state, subject, path, id, mode, &self.telemetry);
-                #[cfg(debug_assertions)]
-                {
-                    // The cross-check re-runs the pipeline; record it into
-                    // the permanently disabled hub so debug builds count
-                    // each stage once, like release builds. The two runs
-                    // consult the fault stream independently, so under an
-                    // installed fault plan a side that drew an injected
-                    // fault (a structural denial naming it) is exempt —
-                    // injected faults only ever deny, never grant.
-                    let walk = Self::evaluate(state, subject, path, mode, Telemetry::disabled());
-                    let injected = |d: &Decision| matches!(d, Decision::Deny(DenyReason::Structure(s)) if s.contains("injected"));
-                    debug_assert!(
-                        decision == walk || injected(&decision) || injected(&walk),
-                        "resolved-id evaluation must agree with the guarded walk: \
-                         {decision:?} vs {walk:?}"
-                    );
-                }
-                self.cache
-                    .insert(key, &subject.class, state.generation, decision.clone());
-                decision
-            }
-        };
-        if state.config.audit {
-            let audit_t = self.telemetry.start();
-            self.audit
-                .record(subject, path, mode, &decision, state.generation.raw());
-            self.telemetry.finish(Stage::Audit, audit_t);
+        tele.finish(Stage::Cache, probe_t);
+        if let Some(decision) = hit {
+            return decision;
         }
-        decision
-    }
-
-    /// Evaluates and audits against one snapshot (the uncached path).
-    fn check_in(
-        &self,
-        state: &State,
-        subject: &Subject,
-        path: &NsPath,
-        mode: AccessMode,
-    ) -> Decision {
-        let decision = Self::evaluate(state, subject, path, mode, &self.telemetry);
-        if state.config.audit {
-            let audit_t = self.telemetry.start();
-            self.audit
-                .record(subject, path, mode, &decision, state.generation.raw());
-            self.telemetry.finish(Stage::Audit, audit_t);
-        }
+        let decision = state.decide(subject, walk, mode, visible, tele, &mut ());
+        self.cache
+            .insert(key, &subject.class, state.generation, decision.clone());
         decision
     }
 
@@ -514,173 +697,19 @@ impl ReferenceMonitor {
         })
     }
 
-    /// The guarded walk. Interior-node visibility checks happen inside
-    /// the resolve visitor, so their cost is recorded under
-    /// [`Stage::Resolve`]; the final node's ACL and MAC checks are
-    /// recorded by [`ReferenceMonitor::evaluate_at`].
-    fn evaluate(
+    /// The guard of an operation acting on `path`: decides `mode`
+    /// uncached and audits, then returns the node the operation may act
+    /// on.
+    fn authorize(
+        &self,
         state: &State,
         subject: &Subject,
         path: &NsPath,
         mode: AccessMode,
-        tele: &Telemetry,
-    ) -> Decision {
-        // Walk the path. Interior nodes must be visible; the final node
-        // gets the real mode check.
-        let mut deny: Option<DenyReason> = None;
-        let mut final_node: Option<NodeId> = None;
-        let resolve_t = tele.start();
-        let resolved = state.namespace.resolve_with(path, |id, node, last| {
-            if last {
-                final_node = Some(id);
-                return true;
-            }
-            if !state.config.check_visibility {
-                return true;
-            }
-            // Discretionary visibility: `list` on the interior node.
-            let dac =
-                node.protection()
-                    .acl
-                    .check(&state.directory, subject.principal, AccessMode::List);
-            if !dac.granted() {
-                deny = Some(DenyReason::NotVisibleDac(NsPath::root()));
-                return false;
-            }
-            // Mandatory visibility: the subject must be able to observe
-            // the interior node.
-            if !state.config.flow.permits(
-                &subject.class,
-                &node.protection().label,
-                FlowCheck::Observe,
-            ) {
-                deny = Some(DenyReason::NotVisibleMac(NsPath::root()));
-                return false;
-            }
-            true
-        });
-        tele.finish(Stage::Resolve, resolve_t);
-        let node_id = match resolved {
-            Ok(id) => id,
-            Err(NsError::VisitDenied(prefix)) => {
-                let reason = match deny {
-                    Some(DenyReason::NotVisibleDac(_)) => DenyReason::NotVisibleDac(prefix),
-                    Some(DenyReason::NotVisibleMac(_)) => DenyReason::NotVisibleMac(prefix),
-                    _ => DenyReason::Structure("visit denied".to_string()),
-                };
-                return Decision::Deny(reason);
-            }
-            Err(NsError::NotFound(prefix)) => return Decision::Deny(DenyReason::NotFound(prefix)),
-            Err(e) => return Decision::Deny(DenyReason::Structure(e.to_string())),
-        };
-        debug_assert_eq!(final_node, Some(node_id));
-        Self::evaluate_at(state, subject, node_id, mode, tele)
-    }
-
-    /// Evaluates with the final node already resolved — the cache-miss
-    /// path, which would otherwise resolve the name twice (once for the
-    /// key, once inside the guarded walk). Visibility of the interior
-    /// levels is checked by climbing the parent chain of the resolved
-    /// node, top-down so the denied prefix matches what the guarded walk
-    /// reports. The climb is the resolved-path stand-in for the guarded
-    /// walk, so its cost is recorded under [`Stage::Resolve`].
-    fn evaluate_resolved(
-        state: &State,
-        subject: &Subject,
-        path: &NsPath,
-        id: NodeId,
-        mode: AccessMode,
-        tele: &Telemetry,
-    ) -> Decision {
-        if state.config.check_visibility {
-            let climb_t = tele.start();
-            let stale = || Decision::Deny(DenyReason::Structure("stale node id".to_string()));
-            // Collect the ancestors leaf→root (the final node itself is
-            // exempt from the visibility check; it gets the mode check).
-            let mut chain = Vec::with_capacity(path.depth());
-            let mut cursor = match state.namespace.node(id) {
-                Ok(node) => node.parent(),
-                Err(_) => return stale(),
-            };
-            while let Some(ancestor) = cursor {
-                chain.push(ancestor);
-                cursor = match state.namespace.node(ancestor) {
-                    Ok(node) => node.parent(),
-                    Err(_) => return stale(),
-                };
-            }
-            for (depth, ancestor) in chain.iter().rev().enumerate() {
-                let Ok(node) = state.namespace.node(*ancestor) else {
-                    return stale();
-                };
-                let dac = node.protection().acl.check(
-                    &state.directory,
-                    subject.principal,
-                    AccessMode::List,
-                );
-                if !dac.granted() {
-                    return Decision::Deny(DenyReason::NotVisibleDac(Self::prefix_of(path, depth)));
-                }
-                if !state.config.flow.permits(
-                    &subject.class,
-                    &node.protection().label,
-                    FlowCheck::Observe,
-                ) {
-                    return Decision::Deny(DenyReason::NotVisibleMac(Self::prefix_of(path, depth)));
-                }
-            }
-            tele.finish(Stage::Resolve, climb_t);
-        }
-        Self::evaluate_at(state, subject, id, mode, tele)
-    }
-
-    /// The path prefix naming the ancestor at `depth` (0 = the root).
-    fn prefix_of(path: &NsPath, depth: usize) -> NsPath {
-        // A prefix of an already-validated path re-validates; the root
-        // fallback keeps a (structurally impossible) failure on the deny
-        // path instead of panicking inside a check.
-        NsPath::from_components(path.components()[..depth].iter().cloned())
-            .unwrap_or_else(|_| NsPath::root())
-    }
-
-    /// The final-node mode check: the discretionary half is recorded
-    /// under [`Stage::Acl`], the mandatory half under [`Stage::Mac`].
-    fn evaluate_at(
-        state: &State,
-        subject: &Subject,
-        node: NodeId,
-        mode: AccessMode,
-        tele: &Telemetry,
-    ) -> Decision {
-        let Ok(node) = state.namespace.node(node) else {
-            return Decision::Deny(DenyReason::Structure("stale node id".to_string()));
-        };
-        let protection = node.protection();
-        // Discretionary half.
-        let acl_t = tele.start();
-        let dac = protection
-            .acl
-            .check(&state.directory, subject.principal, mode);
-        tele.finish(Stage::Acl, acl_t);
-        match dac {
-            AclDecision::Granted => {}
-            AclDecision::DeniedByEntry(i) => {
-                return Decision::Deny(DenyReason::DacNegativeEntry(i));
-            }
-            AclDecision::NoMatchingEntry => return Decision::Deny(DenyReason::DacNoEntry),
-        }
-        // Mandatory half.
-        let check = state.config.flow_check(mode);
-        let mac_t = tele.start();
-        let permitted = state
-            .config
-            .flow
-            .permits(&subject.class, &protection.label, check);
-        tele.finish(Stage::Mac, mac_t);
-        if !permitted {
-            return Decision::Deny(DenyReason::MacFlow);
-        }
-        Decision::Allow
+    ) -> Result<NodeId, MonitorError> {
+        let (decision, end) = self.decide_and_audit(state, subject, path, mode, false);
+        decision.into_result()?;
+        Ok(end?)
     }
 
     // ------------------------------------------------------------------
@@ -700,28 +729,12 @@ impl ReferenceMonitor {
         protection: Protection,
     ) -> Result<NodeId, MonitorError> {
         let mut slot = self.published.lock();
-        let decision = Self::evaluate(
-            &slot,
-            subject,
-            parent,
-            AccessMode::WriteAppend,
-            &self.telemetry,
-        );
-        if slot.config.audit {
-            self.audit.record(
-                subject,
-                parent,
-                AccessMode::WriteAppend,
-                &decision,
-                slot.generation.raw(),
-            );
-        }
-        decision.into_result()?;
+        let parent = self.authorize(&slot, subject, parent, AccessMode::WriteAppend)?;
         slot.lattice.validate(&protection.label)?;
         // Insert into a private copy first; only a successful insert is
         // republished (a failed one leaves state and generation alone).
         let state = Arc::make_mut(&mut slot);
-        let id = state.namespace.insert(parent, name, kind, protection)?;
+        let id = state.namespace.insert_at(parent, name, kind, protection)?;
         state.generation = self.cache.bump_get();
         self.version.fetch_add(1, Ordering::Release);
         Ok(id)
@@ -730,19 +743,9 @@ impl ReferenceMonitor {
     /// Removes the node at `path`; requires `delete` on the node itself.
     pub fn remove(&self, subject: &Subject, path: &NsPath) -> Result<(), MonitorError> {
         let mut slot = self.published.lock();
-        let decision = Self::evaluate(&slot, subject, path, AccessMode::Delete, &self.telemetry);
-        if slot.config.audit {
-            self.audit.record(
-                subject,
-                path,
-                AccessMode::Delete,
-                &decision,
-                slot.generation.raw(),
-            );
-        }
-        decision.into_result()?;
+        let id = self.authorize(&slot, subject, path, AccessMode::Delete)?;
         let state = Arc::make_mut(&mut slot);
-        state.namespace.remove(path)?;
+        state.namespace.remove_id(id)?;
         state.generation = self.cache.bump_get();
         self.version.fetch_add(1, Ordering::Release);
         Ok(())
@@ -766,17 +769,7 @@ impl ReferenceMonitor {
         subject: &Subject,
         path: &NsPath,
     ) -> Result<Vec<String>, MonitorError> {
-        let decision = Self::evaluate(state, subject, path, AccessMode::List, &self.telemetry);
-        if state.config.audit {
-            self.audit.record(
-                subject,
-                path,
-                AccessMode::List,
-                &decision,
-                state.generation.raw(),
-            );
-        }
-        decision.into_result()?;
+        self.authorize(state, subject, path, AccessMode::List)?;
         Ok(state.namespace.list(path)?)
     }
 
@@ -856,24 +849,7 @@ impl ReferenceMonitor {
         f: impl FnOnce(&mut Protection) -> Result<R, MonitorError>,
     ) -> Result<R, MonitorError> {
         let mut slot = self.published.lock();
-        let decision = Self::evaluate(
-            &slot,
-            subject,
-            path,
-            AccessMode::Administrate,
-            &self.telemetry,
-        );
-        if slot.config.audit {
-            self.audit.record(
-                subject,
-                path,
-                AccessMode::Administrate,
-                &decision,
-                slot.generation.raw(),
-            );
-        }
-        decision.into_result()?;
-        let id = slot.namespace.resolve(path)?;
+        let id = self.authorize(&slot, subject, path, AccessMode::Administrate)?;
         let mut result: Option<Result<R, MonitorError>> = None;
         // The closure runs against the new state; invalidate and publish
         // even when it reports an error (a partial mutation before the
@@ -1253,10 +1229,9 @@ impl ReferenceMonitor {
         mode: AccessMode,
         enforced: &Decision,
     ) {
-        // The shadow evaluation is an uncached guarded walk recorded into
-        // the permanently disabled hub, so it never pollutes the enforced
-        // pipeline's stage histograms or the decision cache.
-        let shadowed = Self::evaluate(&shadow.state, subject, path, mode, Telemetry::disabled());
+        // Unrecorded, so the shadow evaluation never pollutes the enforced
+        // pipeline's stage histograms, the audit log or the decision cache.
+        let shadowed = shadow.state.decide_unrecorded(subject, path, mode, &mut ());
         let enforced_allows = matches!(enforced, Decision::Allow);
         let shadowed_allows = matches!(shadowed, Decision::Allow);
         self.telemetry.count_shadow_check();
@@ -1425,7 +1400,9 @@ impl ViewRef<'_> {
         let tele = &self.monitor.telemetry;
         let whole = tele.start();
         tele.count_mode(mode);
-        let decision = self.monitor.check_at(self.state, subject, path, mode);
+        let (decision, _) = self
+            .monitor
+            .decide_and_audit(self.state, subject, path, mode, true);
         tele.finish(Stage::Check, whole);
         // Shadow mode: dual-evaluate against the staged policy riding in
         // this snapshot. Off (the common case) this is one `Option` test
@@ -1441,21 +1418,17 @@ impl ViewRef<'_> {
     /// The vectorized batch check: one snapshot, one sorted pass.
     ///
     /// The item list is walked in path-sorted order so identical paths
-    /// and shared prefixes are adjacent, and resolution proceeds
-    /// incrementally: only the suffix that differs from the previous path
-    /// is re-walked through the directory B-tree. On top of that sit
-    /// three batch-local memos — resolved visibility per interior node,
-    /// one decision per distinct `(node, mode)` (filled from the shared
-    /// generation-stamped cache or a single fresh evaluation), and the
-    /// resolution chain itself. Decisions are written back in item order,
+    /// and shared prefixes are adjacent, and each distinct path is walked
+    /// once, resuming the previous path's chain at their longest shared
+    /// prefix, so only the differing suffix is looked up in the directory
+    /// B-trees. On top of that sit two batch-local memos — interior nodes
+    /// proven visible, and one decision per distinct `(node, mode)`
+    /// (filled from the shared generation-stamped cache or one
+    /// evaluation of the rule). Decisions are written back in item order,
     /// and audit records are emitted in item order afterwards, so the
     /// result is indistinguishable from the sequential per-item path
-    /// except in speed: every stage of every decision is computed by the
-    /// same code against the same snapshot.
-    ///
-    /// When the decision cache is configured off, the batch degrades to
-    /// the sequential guarded walk per item (the uncached configuration
-    /// is a verification surface, not the production path).
+    /// except in speed: every decision comes from the same rule against
+    /// the same snapshot.
     fn check_batch(&self, subject: &Subject, items: &[(NsPath, AccessMode)]) -> Vec<Decision> {
         let monitor = self.monitor;
         let state = self.state;
@@ -1465,17 +1438,40 @@ impl ViewRef<'_> {
             tele.count_mode(*mode);
         }
 
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_unstable_by(|&a, &b| items[a].0.components().cmp(items[b].0.components()));
+        let mut chain = Vec::new();
+        let mut prev: Option<&[String]> = None;
+        let mut end = Ok(NodeId::ROOT);
+        let mut visible: HashSet<NodeId> = HashSet::new();
+        let mut decided: HashMap<(NodeId, AccessMode), Decision> = HashMap::new();
         let mut decisions: Vec<Option<Decision>> = vec![None; items.len()];
-        if !state.config.decision_cache {
-            // Uncached configuration: the sequential path does a full
-            // guarded walk per item; keep that behavior exactly.
-            for (slot, (path, mode)) in decisions.iter_mut().zip(items) {
-                *slot = Some(ReferenceMonitor::evaluate(
-                    state, subject, path, *mode, tele,
-                ));
+        for idx in order {
+            let (path, mode) = &items[idx];
+            let comps = path.components();
+            if prev != Some(comps) {
+                let shared = prev.map_or(0, |prev| {
+                    prev.iter().zip(comps).take_while(|(a, b)| a == b).count()
+                });
+                let resolve_t = tele.start();
+                end = state.namespace.resolve_chain(path, shared, &mut chain);
+                tele.finish(Stage::Resolve, resolve_t);
+                prev = Some(comps);
             }
-        } else {
-            self.check_batch_vectorized(subject, items, &mut decisions);
+            let walk = Walk {
+                path,
+                chain: &chain,
+                end: &end,
+            };
+            decisions[idx] = Some(match end {
+                Ok(node) => decided
+                    .entry((node, *mode))
+                    .or_insert_with(|| {
+                        monitor.memoized(state, subject, &walk, *mode, Some(&mut visible))
+                    })
+                    .clone(),
+                Err(_) => state.decide(subject, &walk, *mode, Some(&mut visible), tele, &mut ()),
+            });
         }
 
         let decisions: Vec<Decision> = decisions
@@ -1500,181 +1496,6 @@ impl ViewRef<'_> {
             }
         }
         decisions
-    }
-
-    /// The sorted, memoized pass behind [`ViewRef::check_batch`]
-    /// (decision-cache configuration only).
-    fn check_batch_vectorized(
-        &self,
-        subject: &Subject,
-        items: &[(NsPath, AccessMode)],
-        decisions: &mut [Option<Decision>],
-    ) {
-        let monitor = self.monitor;
-        let state = self.state;
-        let tele = &monitor.telemetry;
-
-        // Root resolution seeds the incremental walk; it is also the one
-        // place the namespace fault-injection point fires for the fast
-        // path. If even the root will not resolve (only an injected fault
-        // can do that), fall back to the sequential walk per item.
-        let root = match state.namespace.resolve(&NsPath::root()) {
-            Ok(id) => id,
-            Err(_) => {
-                for (slot, (path, mode)) in decisions.iter_mut().zip(items) {
-                    *slot = Some(ReferenceMonitor::evaluate(
-                        state, subject, path, *mode, tele,
-                    ));
-                }
-                return;
-            }
-        };
-
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_unstable_by(|&a, &b| items[a].0.components().cmp(items[b].0.components()));
-
-        // chain[k] is the node the first k components resolve to; the
-        // previous item's chain is reused up to the longest shared prefix.
-        let mut chain: Vec<NodeId> = vec![root];
-        let mut prev: &[String] = &[];
-        let mut prev_resolved: Option<NodeId> = Some(root);
-        let mut first = true;
-        // Batch-local memos: interior nodes proven visible (the full
-        // ancestor chain above them included), and one decision per
-        // distinct (final node, mode).
-        let mut visible: HashSet<NodeId> = HashSet::new();
-        let mut decided: HashMap<(NodeId, AccessMode), Decision> = HashMap::new();
-
-        for idx in order {
-            let (path, mode) = &items[idx];
-            let comps = path.components();
-            if first || comps != prev {
-                first = false;
-                let resolve_t = tele.start();
-                let mut common = 0;
-                while common < comps.len() && common < prev.len() && comps[common] == prev[common] {
-                    common += 1;
-                }
-                // The previous chain may be shorter than the shared
-                // prefix if the previous path failed to resolve.
-                chain.truncate(common.min(chain.len() - 1) + 1);
-                let mut ok = true;
-                for name in &comps[chain.len() - 1..] {
-                    let parent = match state.namespace.node(*chain.last().expect("seeded")) {
-                        Ok(node) => node,
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    };
-                    if !parent.kind().is_container() {
-                        ok = false;
-                        break;
-                    }
-                    match parent.children().get(name) {
-                        Some(&child) => chain.push(child),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                prev = comps;
-                prev_resolved =
-                    (ok && chain.len() == comps.len() + 1).then(|| *chain.last().expect("seeded"));
-                tele.finish(Stage::Resolve, resolve_t);
-            }
-
-            let Some(id) = prev_resolved else {
-                // No stable node to key on: the sequential path falls back
-                // to the full guarded walk, which also reproduces the
-                // exact deny reason. No memo — exact parity, and failed
-                // resolutions are the cold path.
-                decisions[idx] = Some(ReferenceMonitor::evaluate(
-                    state, subject, path, *mode, tele,
-                ));
-                continue;
-            };
-
-            if let Some(decision) = decided.get(&(id, *mode)) {
-                decisions[idx] = Some(decision.clone());
-                continue;
-            }
-            let key = CacheKey {
-                principal: subject.principal,
-                node: id,
-                epoch: state.namespace.epoch(id),
-                mode: *mode,
-            };
-            let probe_t = tele.start();
-            let hit = monitor.cache.lookup(&key, &subject.class, state.generation);
-            tele.finish(Stage::Cache, probe_t);
-            let decision = match hit {
-                Some(decision) => decision,
-                None => {
-                    let decision =
-                        self.evaluate_on_chain(subject, path, &chain, *mode, &mut visible);
-                    monitor
-                        .cache
-                        .insert(key, &subject.class, state.generation, decision.clone());
-                    decision
-                }
-            };
-            decided.insert((id, *mode), decision.clone());
-            decisions[idx] = Some(decision);
-        }
-    }
-
-    /// [`ReferenceMonitor::evaluate_resolved`] with the ancestor chain
-    /// already in hand from the incremental resolver, and a batch-local
-    /// memo of interior nodes already proven visible. `chain` holds the
-    /// root at index 0 and the final node last; `visible` only ever
-    /// contains nodes whose whole ancestor chain passed the visibility
-    /// check, so a memo hit is exactly a re-check skipped.
-    fn evaluate_on_chain(
-        &self,
-        subject: &Subject,
-        path: &NsPath,
-        chain: &[NodeId],
-        mode: AccessMode,
-        visible: &mut HashSet<NodeId>,
-    ) -> Decision {
-        let state = self.state;
-        let tele = &self.monitor.telemetry;
-        let (final_node, ancestors) = chain.split_last().expect("chain holds at least the root");
-        if state.config.check_visibility {
-            let climb_t = tele.start();
-            for (depth, ancestor) in ancestors.iter().enumerate() {
-                if visible.contains(ancestor) {
-                    continue;
-                }
-                let Ok(node) = state.namespace.node(*ancestor) else {
-                    return Decision::Deny(DenyReason::Structure("stale node id".to_string()));
-                };
-                let dac = node.protection().acl.check(
-                    &state.directory,
-                    subject.principal,
-                    AccessMode::List,
-                );
-                if !dac.granted() {
-                    return Decision::Deny(DenyReason::NotVisibleDac(ReferenceMonitor::prefix_of(
-                        path, depth,
-                    )));
-                }
-                if !state.config.flow.permits(
-                    &subject.class,
-                    &node.protection().label,
-                    FlowCheck::Observe,
-                ) {
-                    return Decision::Deny(DenyReason::NotVisibleMac(ReferenceMonitor::prefix_of(
-                        path, depth,
-                    )));
-                }
-                visible.insert(*ancestor);
-            }
-            tele.finish(Stage::Resolve, climb_t);
-        }
-        ReferenceMonitor::evaluate_at(state, subject, *final_node, mode, tele)
     }
 
     fn require(
@@ -1802,6 +1623,18 @@ impl MonitorView<'_> {
     /// inspection; not access-checked).
     pub fn protection_of(&self, path: &NsPath) -> Result<Protection, MonitorError> {
         self.as_view_ref().protection_of(path)
+    }
+
+    /// Decides against this snapshot with nothing recorded — uncached,
+    /// unaudited, untimed — reporting each step of the rule to `steps`.
+    pub(crate) fn decide_with(
+        &self,
+        subject: &Subject,
+        path: &NsPath,
+        mode: AccessMode,
+        steps: &mut impl Steps,
+    ) -> Decision {
+        self.state.decide_unrecorded(subject, path, mode, steps)
     }
 }
 
@@ -1990,23 +1823,35 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        for subject in [low_subject(alice, &monitor), low_subject(bob, &monitor)] {
-            let items: Vec<(NsPath, AccessMode)> = vec![
-                (p("/svc/fs/read"), AccessMode::Execute),
-                (p("/svc/net/send"), AccessMode::Execute),
-                (p("/svc/fs/read"), AccessMode::Execute), // duplicate
-                (p("/hidden/sub"), AccessMode::Read),     // invisible prefix
-                (p("/svc/missing"), AccessMode::Read),    // not found
-                (p("/svc/fs/read"), AccessMode::Read),    // same node, new mode
-                (p("/svc/fs"), AccessMode::List),         // shared prefix, shorter
-            ];
-            let view = monitor.view();
-            let batch = view.check_batch(&subject, &items);
-            let sequential: Vec<Decision> = items
-                .iter()
-                .map(|(path, mode)| view.check(&subject, path, *mode))
-                .collect();
-            assert_eq!(batch, sequential);
+        let items: Vec<(NsPath, AccessMode)> = vec![
+            (p("/svc/fs/read"), AccessMode::Execute),
+            (p("/svc/net/send"), AccessMode::Execute),
+            (p("/svc/fs/read"), AccessMode::Execute), // duplicate
+            (p("/hidden/sub"), AccessMode::Read),     // invisible prefix
+            (p("/svc/missing"), AccessMode::Read),    // not found
+            (p("/svc/missing/deeper"), AccessMode::Read),
+            (p("/svc/fs/read/x/y"), AccessMode::Read), // through a leaf
+            (p("/svc/fs/read"), AccessMode::Read),     // same node, new mode
+            (p("/svc/fs"), AccessMode::List),          // shared prefix, shorter
+        ];
+        // The cache-off configuration runs the same sorted pass, minus
+        // the shared cache.
+        for decision_cache in [true, false] {
+            let mut config = monitor.config();
+            config.decision_cache = decision_cache;
+            monitor.set_config(config);
+            let cached = monitor.cache_stats();
+            for subject in [low_subject(alice, &monitor), low_subject(bob, &monitor)] {
+                let view = monitor.view();
+                let batch = view.check_batch(&subject, &items);
+                let sequential: Vec<Decision> = items
+                    .iter()
+                    .map(|(path, mode)| view.check(&subject, path, *mode))
+                    .collect();
+                assert_eq!(batch, sequential);
+            }
+            let after = monitor.cache_stats();
+            assert_eq!(after.misses > cached.misses, decision_cache);
         }
     }
 
@@ -2384,10 +2229,10 @@ mod tests {
         );
     }
 
-    /// The deny-prefix reported by the resolved-id fast path matches the
-    /// guarded walk at every level of a deep hierarchy.
+    /// The cached and unmemoized paths name the same denied prefix deep
+    /// in a hierarchy.
     #[test]
-    fn resolved_path_reports_same_prefix_as_walk() {
+    fn cached_and_unmemoized_name_the_same_prefix() {
         let (monitor, alice, _) = fixture();
         monitor
             .bootstrap(|ns| {
@@ -2413,8 +2258,7 @@ mod tests {
         assert!(monitor
             .check(&alice_s, &leaf, AccessMode::Execute)
             .allowed());
-        // Hide an interior level; both the cached (resolved) path and the
-        // uncached walk must name the same denied prefix.
+        // Hide an interior level; both paths must name it.
         monitor
             .bootstrap(|ns| {
                 let id = ns.resolve(&p("/svc/deep/a"))?;

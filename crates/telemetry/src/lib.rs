@@ -300,7 +300,7 @@ impl Telemetry {
 
     /// A process-wide hub that is permanently disabled. Internal callers
     /// that must re-run an instrumented path without double-counting
-    /// (e.g. debug-build cross-checks) record into this instead.
+    /// (e.g. shadow evaluation, `explain`) record into this instead.
     pub fn disabled() -> &'static Telemetry {
         static DISABLED: OnceLock<Telemetry> = OnceLock::new();
         DISABLED.get_or_init(Telemetry::new)

@@ -5,15 +5,17 @@
 //! 1. **Determinism** — the same world spec and explorer seed reproduce
 //!    the identical world, op sequence, and outcome, byte for byte.
 //!    Everything else (CI seeds, corpus replay, shrinking) rests on it.
-//! 2. **Clean campaigns** — a seeded guided campaign under a fault
-//!    storm holds all four invariants (stale-grant, mac-flow,
-//!    quarantine-bypass, cache-coherence/fail-closed). The step budget
+//! 2. **Clean campaigns** — a seeded guided campaign, with and without a
+//!    fault storm, holds every invariant (stale-grant, mac-flow,
+//!    visibility, quarantine-bypass, cache-coherence/fail-closed,
+//!    audit-gap, resource-bounds). The step budget
 //!    and seed are overridable (`EXTSEC_CAMPAIGN_STEPS`,
 //!    `EXTSEC_CAMPAIGN_SEED`) so CI's release leg runs the same test at
 //!    100k+ steps and logs the seed for replay.
 //! 3. **Self-test via planted mutants** — arming a scripted fail-open
 //!    bug (a silently skipped revocation; a quarantine bypass; a skipped
-//!    memory limit; an audit record dropped without being counted) must
+//!    memory limit; an audit record dropped without being counted; an
+//!    interior-node visibility check skipped) must
 //!    make the explorer find the violation within a bounded budget and
 //!    shrink it to a short replayable campaign.
 //! 4. **Corpus replay** — every minimized campaign under
@@ -315,6 +317,42 @@ fn planted_uncounted_audit_loss_is_found_and_minimized() {
     assert_eq!(replayed.invariant, Invariant::AuditGap);
 }
 
+#[test]
+fn planted_visibility_skip_is_found_and_minimized() {
+    let _guard = exclusive();
+    if !armed() {
+        eprintln!("fault machinery compiled out; skipping mutant self-test");
+        return;
+    }
+    // The mutant waves interior nodes through the monitor's one
+    // visibility check, so once a domain is hidden from a principal,
+    // a check below it that the leaf's ACL grants comes back allowed —
+    // cached and uncached paths agree, and only the visibility
+    // re-derivation can tell.
+    let spec = WorldSpec::campus(19);
+    let mut cfg = ExploreConfig::clean(5, 1_500);
+    cfg.mutants = vec![Mutant {
+        tag: "refmon.visibility.skip".into(),
+        nth: None,
+    }];
+    let out = explore(&spec, &cfg);
+    let violation = out
+        .violation
+        .expect("the explorer must find the planted visibility skip within 1500 steps");
+    assert_eq!(violation.invariant, Invariant::Visibility, "{violation}");
+
+    let report = minimize(&out.campaign, 400);
+    assert!(
+        report.campaign.ops.len() <= 4,
+        "minimization left {} ops (spent {} replays):\n{}",
+        report.campaign.ops.len(),
+        report.replays,
+        report.campaign.to_text()
+    );
+    let replayed = replay(&report.campaign).expect("minimized campaign must still reproduce");
+    assert_eq!(replayed.invariant, Invariant::Visibility);
+}
+
 // ---------------------------------------------------------------------
 // 4. Corpus replay: checked-in minimized campaigns stay reproducible.
 // ---------------------------------------------------------------------
@@ -399,6 +437,13 @@ fn regenerate_corpus() {
             4,
             600,
             "audit.drain.uncounted_loss",
+        ),
+        (
+            "visibility_skip.campaign",
+            WorldSpec::campus(19),
+            5,
+            1_500,
+            "refmon.visibility.skip",
         ),
     ] {
         let mut cfg = ExploreConfig::clean(seed, steps);

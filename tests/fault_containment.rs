@@ -323,6 +323,30 @@ fn scripted_resolve_fault_denies_structurally() {
     assert!(monitor.check(&alice, &path, AccessMode::Read).allowed());
 }
 
+/// A cached check resolves its path exactly once too: a resolve fault
+/// leaves no node to key the warm cache entry on, so the check is
+/// denied rather than resolved a second time.
+#[test]
+fn scripted_resolve_fault_denies_a_cached_check() {
+    let _x = exclusive();
+    if !armed() {
+        return;
+    }
+    let (monitor, alice, _) = world();
+    monitor.set_config(MonitorConfig {
+        decision_cache: true,
+        ..monitor.config()
+    });
+    let path = p("/svc/fs/read");
+    assert!(monitor.check(&alice, &path, AccessMode::Read).allowed());
+
+    faults::install(FaultPlan::seeded(1).at("ns.resolve", 0, FaultAction::Error));
+    let denial = monitor.check(&alice, &path, AccessMode::Read);
+    assert!(is_injected_denial(&denial), "{denial:?}");
+    assert_eq!(faults::clear().errors, 1);
+    assert!(monitor.check(&alice, &path, AccessMode::Read).allowed());
+}
+
 #[test]
 fn dispatch_panic_is_contained_and_recorded() {
     let _x = exclusive();
