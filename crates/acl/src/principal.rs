@@ -274,6 +274,11 @@ impl Directory {
         if g.members.contains(&principal) {
             return true;
         }
+        // Most groups nest nothing: answer without building `seen`, whose
+        // first insert allocates.
+        if g.subgroups.is_empty() {
+            return false;
+        }
         let mut seen = BTreeSet::new();
         seen.insert(group);
         let mut stack: Vec<GroupId> = g.subgroups.iter().copied().collect();

@@ -10,18 +10,21 @@
 //!
 //! # Losses and gaps
 //!
-//! A number is lost when its slot was overwritten by a newer record
-//! before the drainer read it (the ring lapped the drainer; counted as
-//! `shed`), when it was skipped by [`AuditRing::advance_to`] (a monitor
-//! that audited on a ring of its own before attaching), or when its
-//! writer stalled between taking the number and filling the slot. The
-//! drainer waits for a stalled writer until a flush barrier, or until
-//! the stall outlasts two idle periods, and then tombstones the slot; the
-//! writer, when it arrives, finds the tombstone and drops its record
-//! (`late_dropped`), so the chain's story stays consistent. A barrier
-//! reads every number handed out before it was requested, so a record
-//! whose `record` call returned before [`AuditPipeline::flush`] was called
-//! is never mistaken for a loss.
+//! Producers a whole ring ahead of the drainer wait for it, yielding,
+//! while it keeps advancing. One stall period covers both directions:
+//! two of [`PipelineConfig::idle_flush`]. A number is lost when its slot
+//! was overwritten by a newer record before the drainer read it, which
+//! happens only after the drainer has made no progress for a stall
+//! period (counted as `shed`); when it was skipped by
+//! [`AuditRing::advance_to`] (a monitor that audited on a ring of its own
+//! before attaching); or when its writer stalled between taking the
+//! number and filling the slot. The drainer waits for a stalled writer
+//! until a flush barrier, or until the stall outlasts a stall period, and
+//! then tombstones the slot; the writer, when it arrives, finds the
+//! tombstone and drops its record (`late_dropped`), so the chain's story
+//! stays consistent. A barrier reads every number handed out before it
+//! was requested, so a record whose `record` call returned before
+//! [`AuditPipeline::flush`] was called is never mistaken for a loss.
 
 use crate::query::{AuditQuery, GapRange, QueryResult, SegmentReport, SegmentStatus, VerifyReport};
 use crate::record::{encode_event, encode_gap, hash_from_hex, hash_hex, ChainHash, Entry, GENESIS};
@@ -44,14 +47,15 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// Slots in the pipeline's ring: how far producers may run ahead of
-    /// the drainer before the oldest unread records are overwritten
-    /// (shed).
+    /// the drainer before they wait for it.
     pub queue_capacity: usize,
     /// Segments are sealed once they reach this many bytes.
     pub segment_max_bytes: u64,
-    /// The stall period: the drainer declares a number lost once its
+    /// Half the stall period. The drainer declares a number lost once its
     /// writer has left the slot unfilled for two of these (a flush
-    /// barrier declares it at once).
+    /// barrier declares it at once), and a writer waiting for the drainer
+    /// overwrites an unread record (sheds it) once the drainer has made
+    /// no progress for two of these.
     pub idle_flush: Duration,
 }
 
@@ -59,7 +63,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             // The drainer lags a busy two-core checker by up to ~13k
-            // records; 8 192 slots shed ~0.6 % of them, 32 768 ~10^-5.
+            // records, so writers seldom have to wait for it.
             queue_capacity: 32_768,
             segment_max_bytes: 1 << 20,
             idle_flush: Duration::from_millis(20),
@@ -394,11 +398,10 @@ impl AuditPipeline {
         inner.write_manifest()?;
         counters.next_seq.store(next_seq, Ordering::Relaxed);
 
-        let ring = Arc::new(AuditRing::with_drainer(
-            config.queue_capacity,
-            next_seq,
-            true,
-        ));
+        let stall_limit = config.idle_flush * 2;
+        let ring = Arc::new(
+            AuditRing::with_drainer(config.queue_capacity, next_seq, true).paced(stall_limit),
+        );
         let (ctrl, ctrl_rx) = mpsc::channel();
         let inner = Arc::new(Mutex::new(inner));
         let drainer = Drainer {
@@ -410,7 +413,7 @@ impl AuditPipeline {
             batch: Batch::default(),
             acks: Vec::new(),
             stall: None,
-            stall_limit: config.idle_flush * 2,
+            stall_limit,
         };
         let handle = std::thread::Builder::new()
             .name("audit-drainer".to_owned())
@@ -867,13 +870,6 @@ impl Drainer {
     fn drain(&mut self, barrier: bool) -> usize {
         let end = self.ring.next_seq();
         let start = self.next;
-        // Numbers a full lap behind the cursor have had their slots
-        // claimed by newer ones: they can no longer be read.
-        let floor = end.saturating_sub(self.ring.capacity() as u64);
-        if self.next < floor {
-            self.batch.push_gap(self.next, floor - 1);
-            self.next = floor;
-        }
         let stalled = self
             .stall
             .is_some_and(|(seq, since)| seq == self.next && since.elapsed() >= self.stall_limit);

@@ -14,9 +14,17 @@
 //! holding
 //!
 //! * nothing, or an older number: it overwrites the slot. When the ring
-//!   has a drainer and the older record was never drained, that record is
-//!   lost: it is counted as `shed`, and the drainer declares it as a gap
-//!   when it reaches its number;
+//!   has a drainer, the writer first waits until the drainer has passed
+//!   `s - capacity`, the number a lap before it: while that record is
+//!   unread, or its writer has not filled the slot yet. It yields between
+//!   looks, for as long as the drainer keeps advancing (Linux's audit
+//!   backlog makes its producers wait the same way). Once the drainer has
+//!   made no progress for the ring's stall limit, the writer overwrites
+//!   the slot anyway; an unread record it overwrites is lost: it is
+//!   counted as `shed`, and the drainer declares it as a gap when it
+//!   reaches its number. Until the drainer moves again, later writers
+//!   overwrite at once, so a dead or blocked drainer costs the writers
+//!   one stall limit in all;
 //! * `s` itself (a tombstone the drainer left when it stopped waiting for
 //!   the writer) or a newer number (the writer was lapped): the record is
 //!   dropped and counted as `late_dropped`. Its number is already part of
@@ -26,8 +34,9 @@
 //! late-dropped, and at rest `issued == persisted + shed + late_dropped`.
 
 use crate::record::{AuditRecord, Outcome};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// One decision's fields as a ring slot holds them.
 ///
@@ -145,6 +154,15 @@ pub struct AuditRing {
     /// Whether a drainer reads this ring, so that overwriting an unread
     /// record is a loss to count.
     drained: bool,
+    /// The drainer's read position: every number below it has been read
+    /// or declared lost.
+    read_to: AtomicU64,
+    /// `read_to` when a writer last gave up waiting for the drainer;
+    /// while the drainer has not moved past it, writers shed at once.
+    stalled_at: AtomicU64,
+    /// How long a writer waits for a drainer that makes no progress
+    /// before it overwrites an unread record (zero: at once).
+    stall_limit: Duration,
     shed: AtomicU64,
     late_dropped: AtomicU64,
 }
@@ -178,9 +196,19 @@ impl AuditRing {
             skipped: AtomicU64::new(0),
             floor: AtomicU64::new(first_seq),
             drained,
+            read_to: AtomicU64::new(first_seq),
+            stalled_at: AtomicU64::new(u64::MAX),
+            stall_limit: Duration::ZERO,
             shed: AtomicU64::new(0),
             late_dropped: AtomicU64::new(0),
         }
+    }
+
+    /// Makes writers wait up to `stall_limit` for a drainer that stops
+    /// advancing before they overwrite a record it has not read.
+    pub(crate) fn paced(mut self, stall_limit: Duration) -> AuditRing {
+        self.stall_limit = stall_limit;
+        self
     }
 
     fn cell(&self, seq: u64) -> &Mutex<Slot> {
@@ -203,8 +231,9 @@ impl AuditRing {
 
     /// Records one event: takes the next sequence number, locks its slot
     /// and lets `fill` overwrite the slot's fields in place. Returns the
-    /// sequence number. Never blocks on another slot, never allocates
-    /// beyond growing a buffer `fill` writes past its capacity.
+    /// sequence number. Never locks another slot, never allocates beyond
+    /// growing a buffer `fill` writes past its capacity, and waits only
+    /// for a drainer still reading the slot's previous record.
     pub fn record(&self, fill: impl FnOnce(&mut RingEvent)) -> u64 {
         let seq = self.reserve();
         self.commit(seq, fill);
@@ -226,6 +255,9 @@ impl AuditRing {
     /// of a reserved number, unless the number was already declared lost.
     pub(crate) fn commit(&self, seq: u64, fill: impl FnOnce(&mut RingEvent)) {
         let mut slot = self.cell(seq).lock();
+        if self.drained && self.lap_pending(seq, &slot) {
+            slot = self.pace(seq, slot);
+        }
         if slot.state != State::Empty && slot.seq >= seq {
             self.late_dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -236,6 +268,40 @@ impl AuditRing {
         fill(&mut slot.event);
         slot.seq = seq;
         slot.state = State::Live;
+    }
+
+    /// Whether `seq`'s slot still belongs to the number a lap before it:
+    /// that number's record is unread, or its writer has not arrived.
+    fn lap_pending(&self, seq: u64, slot: &Slot) -> bool {
+        match slot.state {
+            State::Empty => seq >= self.origin + self.capacity,
+            State::Live => slot.seq < seq,
+            State::Drained | State::Tombstone => slot.seq + self.capacity < seq,
+        }
+    }
+
+    /// Waits, yielding between looks, while `seq`'s slot is pending a lap
+    /// and the drainer keeps advancing. Gives up once the drainer has not
+    /// moved for the stall limit, and at once if an earlier writer already
+    /// gave up at its position.
+    fn pace<'a>(&'a self, seq: u64, mut slot: MutexGuard<'a, Slot>) -> MutexGuard<'a, Slot> {
+        let mut progress = self.read_to.load(Ordering::Acquire);
+        let mut since = None;
+        while self.lap_pending(seq, &slot) && self.stalled_at.load(Ordering::Relaxed) != progress {
+            if since.get_or_insert_with(Instant::now).elapsed() >= self.stall_limit {
+                self.stalled_at.store(progress, Ordering::Relaxed);
+                break;
+            }
+            drop(slot);
+            std::thread::yield_now();
+            slot = self.cell(seq).lock();
+            let now = self.read_to.load(Ordering::Acquire);
+            if now != progress {
+                progress = now;
+                since = None;
+            }
+        }
+        slot
     }
 
     /// Moves the cursor up to `seq` if it is behind. The numbers jumped
@@ -274,6 +340,14 @@ impl AuditRing {
     /// `read` under the slot lock and marked drained. A pending number is
     /// tombstoned when `give_up` is set, so its late writer drops it.
     pub(crate) fn take(&self, seq: u64, give_up: bool, read: impl FnOnce(&RingEvent)) -> Take {
+        let take = self.examine(seq, give_up, read);
+        if take != Take::Pending {
+            self.read_to.store(seq + 1, Ordering::Release);
+        }
+        take
+    }
+
+    fn examine(&self, seq: u64, give_up: bool, read: impl FnOnce(&RingEvent)) -> Take {
         let mut slot = self.cell(seq).lock();
         if slot.state != State::Empty && slot.seq > seq {
             return Take::Lost;

@@ -6,14 +6,14 @@
 //! monotonic-clock reads per cold check). This bench puts numbers on
 //! both claims against the two established hot-path workloads:
 //!
-//! * the F1/F8 tail-grant shape (256 filler ACL entries, audit off) in
-//!   its cached-warm and uncached forms, single-threaded, and
+//! * the F1 tail-grant shape (256 filler ACL entries, audit off),
+//!   single-threaded, and
 //! * the F9 parallel workload (per-thread principals on one hot node),
 //!   to show enabled telemetry does not reintroduce the shared-cache-line
 //!   serialization the lock-free read path removed.
 //!
 //! The acceptance criterion is the disabled-telemetry overhead on the
-//! tail-grant cached-warm row: ≤ 5% versus the same binary with the
+//! tail-grant row: ≤ 5% versus the same binary with the
 //! telemetry calls never compiled out (they never are — disabled *is*
 //! the compiled path). Set `EXTSEC_BENCH_SMOKE=1` to run a fast
 //! correctness pass (CI) instead of the full measurement.
@@ -35,10 +35,10 @@ fn smoke() -> bool {
     std::env::var_os("EXTSEC_BENCH_SMOKE").is_some()
 }
 
-/// The F8 fixture: `/svc/fs/read` carries `len` filler entries with the
+/// The F1 fixture: `/svc/fs/read` carries `len` filler entries with the
 /// probing subject's grant at the tail; audit off so the measurement
 /// isolates the decision machinery.
-fn tail_grant_world(len: usize, decision_cache: bool) -> (Arc<ReferenceMonitor>, Subject) {
+fn tail_grant_world(len: usize) -> (Arc<ReferenceMonitor>, Subject) {
     let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
     let mut builder = MonitorBuilder::new(lattice);
     let fillers: Vec<_> = (0..len)
@@ -47,7 +47,6 @@ fn tail_grant_world(len: usize, decision_cache: bool) -> (Arc<ReferenceMonitor>,
     let target = builder.add_principal("target").unwrap();
     builder.config(MonitorConfig {
         audit: false,
-        decision_cache,
         ..MonitorConfig::default()
     });
     let monitor = builder.build();
@@ -86,7 +85,6 @@ fn parallel_world(threads: usize) -> (Arc<ReferenceMonitor>, Vec<Subject>) {
         .collect();
     builder.config(MonitorConfig {
         audit: false,
-        decision_cache: true,
         ..MonitorConfig::default()
     });
     let monitor = builder.build();
@@ -118,20 +116,10 @@ fn parallel_world(threads: usize) -> (Arc<ReferenceMonitor>, Vec<Subject>) {
 }
 
 /// Mean ns/check over `iters` single-thread checks.
-fn time_checks(
-    monitor: &ReferenceMonitor,
-    subject: &Subject,
-    path: &NsPath,
-    iters: u32,
-    uncached: bool,
-) -> f64 {
+fn time_checks(monitor: &ReferenceMonitor, subject: &Subject, path: &NsPath, iters: u32) -> f64 {
     let start = Instant::now();
     for _ in 0..iters {
-        if uncached {
-            black_box(monitor.check_unmemoized(black_box(subject), path, AccessMode::Execute));
-        } else {
-            black_box(monitor.check(black_box(subject), path, AccessMode::Execute));
-        }
+        black_box(monitor.check(black_box(subject), path, AccessMode::Execute));
     }
     start.elapsed().as_nanos() as f64 / f64::from(iters)
 }
@@ -186,28 +174,14 @@ fn bench(c: &mut Criterion) {
     for enabled in [false, true] {
         let label = if enabled { "on" } else { "off" };
 
-        let (warm, subject_w) = tail_grant_world(256, true);
-        warm.telemetry().set_enabled(enabled);
-        assert!(warm.check(&subject_w, &path, AccessMode::Execute).allowed());
-        group.bench_with_input(BenchmarkId::new("tail-grant-warm", label), &(), |b, ()| {
-            b.iter(|| black_box(warm.check(black_box(&subject_w), &path, AccessMode::Execute)))
+        let (monitor, subject) = tail_grant_world(256);
+        monitor.telemetry().set_enabled(enabled);
+        assert!(monitor
+            .check(&subject, &path, AccessMode::Execute)
+            .allowed());
+        group.bench_with_input(BenchmarkId::new("tail-grant", label), &(), |b, ()| {
+            b.iter(|| black_box(monitor.check(black_box(&subject), &path, AccessMode::Execute)))
         });
-
-        let (cold, subject_u) = tail_grant_world(256, false);
-        cold.telemetry().set_enabled(enabled);
-        group.bench_with_input(
-            BenchmarkId::new("tail-grant-uncached", label),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    black_box(cold.check_unmemoized(
-                        black_box(&subject_u),
-                        &path,
-                        AccessMode::Execute,
-                    ))
-                })
-            },
-        );
     }
     group.finish();
 
@@ -224,20 +198,13 @@ fn report_overhead_table(single_iters: u32, parallel_iters: u64) {
         "workload", "telemetry off", "telemetry on", "overhead"
     );
 
-    let mut rows: Vec<(&str, f64, f64, &str)> = Vec::new();
-    for (label, cached) in [
-        ("tail-grant-256 warm cached", true),
-        ("tail-grant-256 uncached", false),
-    ] {
-        let mut ns = [0.0f64; 2];
-        for (slot, enabled) in [false, true].into_iter().enumerate() {
-            let (monitor, subject) = tail_grant_world(256, cached);
-            monitor.telemetry().set_enabled(enabled);
-            // Warm the pin (and, when caching, the entry).
-            black_box(monitor.check(&subject, &path, AccessMode::Execute));
-            ns[slot] = time_checks(&monitor, &subject, &path, single_iters, !cached);
-        }
-        rows.push((label, ns[0], ns[1], "ns/check"));
+    let mut ns = [0.0f64; 2];
+    for (slot, enabled) in [false, true].into_iter().enumerate() {
+        let (monitor, subject) = tail_grant_world(256);
+        monitor.telemetry().set_enabled(enabled);
+        // Warm this thread's snapshot pin.
+        black_box(monitor.check(&subject, &path, AccessMode::Execute));
+        ns[slot] = time_checks(&monitor, &subject, &path, single_iters);
     }
 
     let threads = std::thread::available_parallelism()
@@ -250,20 +217,16 @@ fn report_overhead_table(single_iters: u32, parallel_iters: u64) {
         rate[slot] = aggregate_throughput(&monitor, &subjects, threads, parallel_iters);
     }
 
-    for (label, off, on, unit) in &rows {
-        println!(
-            "{:<28} {:>11.0} {} {:>11.0} {} {:>+8.1}%",
-            label,
-            off,
-            unit,
-            on,
-            unit,
-            (on - off) / off * 100.0
-        );
-    }
+    println!(
+        "{:<28} {:>11.0} ns/check {:>11.0} ns/check {:>+8.1}%",
+        "tail-grant-256",
+        ns[0],
+        ns[1],
+        (ns[1] - ns[0]) / ns[0] * 100.0
+    );
     println!(
         "{:<28} {:>10.2e} c/s {:>10.2e} c/s {:>+8.1}%  ({} threads)",
-        "f9-parallel cached",
+        "f9-parallel",
         rate[0],
         rate[1],
         // Throughput: overhead is the rate *lost* when enabling.
@@ -272,7 +235,7 @@ fn report_overhead_table(single_iters: u32, parallel_iters: u64) {
     );
 
     // A smoke-visible sanity check that enabled telemetry really counted.
-    let (monitor, subject) = tail_grant_world(16, true);
+    let (monitor, subject) = tail_grant_world(16);
     monitor.telemetry().set_enabled(true);
     for _ in 0..10 {
         black_box(monitor.check(&subject, &path, AccessMode::Execute));
@@ -280,11 +243,7 @@ fn report_overhead_table(single_iters: u32, parallel_iters: u64) {
     let snap = monitor.telemetry_snapshot();
     assert_eq!(snap.checks(), 10, "telemetry must count every check");
     assert_eq!(snap.mode(AccessMode::Execute), 10);
-    println!(
-        "f10 sanity: telemetry counted {} checks, cache stage p99 {} ns",
-        snap.checks(),
-        snap.stage(extsec_core::Stage::Cache).quantile_ns(0.99)
-    );
+    println!("f10 sanity: telemetry counted {} checks", snap.checks());
 }
 
 criterion_group! {

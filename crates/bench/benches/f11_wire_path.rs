@@ -3,7 +3,7 @@
 //! The networked front end (`extsec-server`) adds a TCP round trip, two
 //! frame codecs, and a thread handoff to every check. This bench prices
 //! that wire path against the in-process `monitor.check` baseline (the
-//! F9 cached-warm shape) and shows how batching amortizes it: a
+//! F9 single-thread shape) and shows how batching amortizes it: a
 //! `BatchCheck` frame answers `B` checks with one round trip and one
 //! snapshot pin, so wire-path ns/check should fall roughly as `1/B`
 //! toward the in-process floor.
@@ -35,7 +35,7 @@ fn smoke() -> bool {
 }
 
 /// The F9 fixture: `/svc/fs/op` granting execute to one principal per
-/// client thread; audit off, cache on (the production shape).
+/// client thread; audit off (the production shape).
 fn world(clients: usize) -> (Arc<ReferenceMonitor>, Vec<Subject>) {
     let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
     let mut builder = MonitorBuilder::new(lattice);
@@ -44,7 +44,6 @@ fn world(clients: usize) -> (Arc<ReferenceMonitor>, Vec<Subject>) {
         .collect();
     builder.config(MonitorConfig {
         audit: false,
-        decision_cache: true,
         ..MonitorConfig::default()
     });
     let monitor = builder.build();
@@ -111,7 +110,7 @@ fn wire_cell(
                 let items: Vec<_> = (0..batch)
                     .map(|_| (path.clone(), AccessMode::Execute))
                     .collect();
-                // Warm the connection, the snapshot pin, and the cache.
+                // Warm the connection and the snapshot pin.
                 let warm = client.batch_check(&subject, &items).unwrap();
                 assert!(warm.iter().all(|d| d.allowed()));
                 barrier.wait();
@@ -131,7 +130,7 @@ fn wire_cell(
     (slowest * 1e9 / checks as f64, checks as f64 / slowest)
 }
 
-/// In-process baseline: cached-warm single-thread ns/check (F9's floor).
+/// In-process baseline: warm single-thread ns/check (F9's floor).
 fn in_process_ns(monitor: &ReferenceMonitor, subject: &Subject, iters: u32) -> f64 {
     let path = p("/svc/fs/op");
     black_box(monitor.check(subject, &path, AccessMode::Execute));
@@ -180,7 +179,7 @@ fn report_wire_table(rounds: u64, baseline_iters: u32) {
 
     let (baseline_monitor, baseline_subjects) = world(1);
     let base = in_process_ns(&baseline_monitor, &baseline_subjects[0], baseline_iters);
-    println!("{:<26} {:>12.0} ns/check", "in-process cached-warm", base);
+    println!("{:<26} {:>12.0} ns/check", "in-process warm", base);
 
     println!(
         "{:<12} {:>8} {:>14} {:>14} {:>10}",

@@ -8,9 +8,9 @@
 //! Two questions, one sweep:
 //!
 //! - **Amortization.** With the vectorized server-side batch path (one
-//!   snapshot pin, sorted shared-prefix resolution, one cache-probe
-//!   loop, replies coalesced into one flush), how close does batch-64
-//!   wire cost get to the in-process cached-warm floor?
+//!   snapshot pin, sorted shared-prefix resolution, one decision per
+//!   distinct node and mode, replies coalesced into one flush), how
+//!   close does batch-64 wire cost get to the in-process warm floor?
 //! - **Fan-in.** Does per-check cost hold as live connections grow from
 //!   1 to the thousands — i.e. does the reactor actually multiplex, or
 //!   does it degrade into queueing?
@@ -52,7 +52,7 @@ fn smoke() -> bool {
 const DRIVERS: usize = 4;
 
 /// The F9/F11 fixture: `/svc/fs/op` granting execute to one principal
-/// per driver thread; audit off, cache on (the production shape).
+/// per driver thread; audit off (the production shape).
 fn world(drivers: usize) -> (Arc<ReferenceMonitor>, Vec<Subject>) {
     let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
     let mut builder = MonitorBuilder::new(lattice);
@@ -61,7 +61,6 @@ fn world(drivers: usize) -> (Arc<ReferenceMonitor>, Vec<Subject>) {
         .collect();
     builder.config(MonitorConfig {
         audit: false,
-        decision_cache: true,
         ..MonitorConfig::default()
     });
     let monitor = builder.build();
@@ -173,7 +172,7 @@ fn reactor_cell(
                         stream
                     })
                     .collect();
-                // Warm every connection, the snapshot pin, and the cache.
+                // Warm every connection and the snapshot pin.
                 round(&mut socks, &frame, batch, true);
                 barrier.wait();
                 let start = Instant::now();
@@ -195,7 +194,7 @@ fn reactor_cell(
     (slowest * 1e9 / checks as f64, checks as f64 / slowest)
 }
 
-/// In-process baseline: cached-warm single-thread ns/check (F9's floor).
+/// In-process baseline: warm single-thread ns/check (F9's floor).
 fn in_process_ns(monitor: &ReferenceMonitor, subject: &Subject, iters: u32) -> f64 {
     let path = p("/svc/fs/op");
     black_box(monitor.check(subject, &path, AccessMode::Execute));
@@ -251,7 +250,7 @@ fn report_reactor_table(smoke: bool) {
     println!("\nf12 reactor table (closed loop per connection, loopback TCP):");
     let (baseline_monitor, baseline_subjects) = world(1);
     let base = in_process_ns(&baseline_monitor, &baseline_subjects[0], baseline_iters);
-    println!("{:<26} {:>12.0} ns/check", "in-process cached-warm", base);
+    println!("{:<26} {:>12.0} ns/check", "in-process warm", base);
     println!("shards={shards} drivers={DRIVERS} (drivers and shards share the host's cores)");
 
     println!(

@@ -9,7 +9,7 @@
 //! * the ring append on a monitor-owned ring, the chained append
 //!   (compact encode + SHA-256 chain step, the drainer's per-entry
 //!   work), and the ring append into a live pipeline's ring;
-//! * the cached-warm check path with audit off, audit on (own ring),
+//! * the warm check path with audit off, audit on (own ring),
 //!   and audit on with the persistent pipeline attached — attaching
 //!   the pipeline must stay within baseline noise;
 //! * drainer throughput, events/sec from first record to flush barrier,
@@ -59,8 +59,8 @@ fn sample_record(seq: u64) -> AuditRecord {
     }
 }
 
-/// A one-entry world whose single check is a cached-warm grant; the
-/// F1/F8 baseline shape with the audit knobs under test.
+/// A one-entry world whose single check is a warm grant; the F1
+/// baseline shape with the audit knobs under test.
 fn check_world(audit: bool) -> (Arc<ReferenceMonitor>, Subject) {
     let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
     let mut builder = MonitorBuilder::new(lattice);

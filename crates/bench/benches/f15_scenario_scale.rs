@@ -2,8 +2,8 @@
 //!
 //! Builds campus worlds at 10^4 → 10^6 principals with the campaign
 //! crate's deterministic generator and reports, per population: build
-//! time, node count, resident-set growth, cold (uncached) and warm
-//! (cached) check latency over a strided probe sweep, and one guarded
+//! time, node count, resident-set growth, cold (first pass) and warm
+//! (third pass) check latency over a strided probe sweep, and one guarded
 //! `set_acl` round-trip. This is the scale harness behind the F15 table
 //! in EXPERIMENTS.md and the same generator the campaign explorer and
 //! `tests/scale.rs` use, so the numbers describe the worlds the
@@ -43,8 +43,8 @@ fn measure(principals: usize, seed: u64) -> Row {
     let (world, stats) = World::build_timed(&spec);
     let rss_after = rss_kib().unwrap_or(rss_before);
 
-    // Strided sweep: 64 principals × 32 leaves, cold (uncached oracle)
-    // then warm (second cached pass over the same grid).
+    // Strided sweep: 64 principals × 32 leaves, cold (the first pass
+    // over the grid) then warm (the third).
     let pstride = (principals / 64).max(1);
     let lstride = (world.leaves.len() / 32).max(1);
     let grid: Vec<(usize, usize)> = (0..principals)
@@ -66,7 +66,7 @@ fn measure(principals: usize, seed: u64) -> Row {
     }
     let cold = cold_t.elapsed();
 
-    // Populate, then time the cached pass.
+    // One untimed pass, then time the warm one.
     for &(pi, li) in &grid {
         black_box(
             world

@@ -1,10 +1,10 @@
 //! F16 — what the policy-bundle subsystem costs on the check path.
 //!
-//! Three prices, against the established F8 tail-grant workload (256
-//! filler ACL entries, decision cache on, audit off):
+//! Three prices, against the established F1 tail-grant workload (256
+//! filler ACL entries, audit off):
 //!
 //! * a *staged* bundle must be free: staging compiles a diff into the
-//!   registry and never touches the published snapshot, so the warm-hit
+//!   registry and never touches the published snapshot, so the warm
 //!   row with a bundle staged must match the baseline;
 //! * *shadow mode* dual-evaluates every enforced check against the
 //!   staged policy, so the warm row with shadow on prices the full
@@ -42,8 +42,8 @@ bundle "f16-price" version 1 base current;
 set-acl /svc/fs/read "+p0:rl";
 "#;
 
-/// The F8 fixture: `/svc/fs/read` carries 256 filler entries with the
-/// probing subject's grant at the tail; audit off, decision cache on.
+/// The F1 fixture: `/svc/fs/read` carries 256 filler entries with the
+/// probing subject's grant at the tail; audit off.
 fn tail_grant_world() -> (Arc<ReferenceMonitor>, Subject) {
     let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
     let mut builder = MonitorBuilder::new(lattice);
@@ -53,7 +53,6 @@ fn tail_grant_world() -> (Arc<ReferenceMonitor>, Subject) {
     let target = builder.add_principal("target").unwrap();
     builder.config(MonitorConfig {
         audit: false,
-        decision_cache: true,
         ..MonitorConfig::default()
     });
     let monitor = builder.build();
@@ -82,7 +81,7 @@ fn tail_grant_world() -> (Arc<ReferenceMonitor>, Subject) {
     (monitor, subject)
 }
 
-/// Mean ns/check over `iters` warm cached checks.
+/// Mean ns/check over `iters` warm checks.
 fn time_checks(monitor: &ReferenceMonitor, subject: &Subject, path: &NsPath, iters: u32) -> f64 {
     let start = Instant::now();
     for _ in 0..iters {
@@ -140,7 +139,7 @@ fn bench(c: &mut Criterion) {
     report_bundle_table(50_000, 2_000);
 }
 
-/// Prints the EXPERIMENTS.md F16 table: warm-hit pricing under the
+/// Prints the EXPERIMENTS.md F16 table: warm-check pricing under the
 /// three bundle states, the dual-evaluation ratio, and the lifecycle
 /// cycle cost — then asserts shadow mode counted every flip without
 /// changing one enforced decision.
@@ -171,8 +170,8 @@ fn report_bundle_table(iters: u32, cycles: u32) {
     }
     let cycle_us = start.elapsed().as_micros() as f64 / f64::from(cycles);
 
-    println!("\nf16 bundle pricing (256-entry tail grant, warm cached hits):");
-    println!("{:<26} {:>14}", "state", "warm hit");
+    println!("\nf16 bundle pricing (256-entry tail grant, warm checks):");
+    println!("{:<26} {:>14}", "state", "warm check");
     println!("{:<26} {:>11.0} ns", "no bundle", base_ns);
     println!(
         "{:<26} {:>11.0} ns {:>+8.1}%",

@@ -8,8 +8,8 @@
 //! until the hardware runs out.
 //!
 //! The criterion group measures single-thread latency of the new path
-//! (cached and uncached, audit on and off) so regressions show up next
-//! to F8. The scaling table below it spawns 1/2/4/8 threads — one
+//! (audit on and off). The scaling table below it spawns 1/2/4/8
+//! threads — one
 //! principal per thread, all granted on the same hot node — and reports
 //! aggregate checks/sec per configuration. Run on an N-core box the
 //! table is the acceptance criterion; on a 1-CPU container it honestly
@@ -31,9 +31,8 @@ fn p(s: &str) -> NsPath {
 }
 
 /// A monitor with `/svc/fs/op` granting execute to eight per-thread
-/// principals (distinct principals spread the workload across cache
-/// shards the way distinct extensions would).
-fn parallel_world(decision_cache: bool, audit: bool) -> (Arc<ReferenceMonitor>, Vec<Subject>) {
+/// principals (one per thread, the way distinct extensions would run).
+fn parallel_world(audit: bool) -> (Arc<ReferenceMonitor>, Vec<Subject>) {
     let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
     let mut builder = MonitorBuilder::new(lattice);
     let principals: Vec<_> = (0..MAX_THREADS)
@@ -41,7 +40,6 @@ fn parallel_world(decision_cache: bool, audit: bool) -> (Arc<ReferenceMonitor>, 
         .collect();
     builder.config(MonitorConfig {
         audit,
-        decision_cache,
         ..MonitorConfig::default()
     });
     let monitor = builder.build();
@@ -89,8 +87,7 @@ fn aggregate_throughput(
             let path = path.clone();
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                // Warm this thread's snapshot pin and cache entry before
-                // the clock starts.
+                // Warm this thread's snapshot pin before the clock starts.
                 black_box(monitor.check(&subject, &path, AccessMode::Execute));
                 barrier.wait();
                 for _ in 0..iters {
@@ -111,15 +108,10 @@ fn aggregate_throughput(
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("f9_parallel_check");
     let path = p("/svc/fs/op");
-    for (label, decision_cache, audit) in [
-        ("cached/audit-on", true, true),
-        ("cached/audit-off", true, false),
-        ("uncached/audit-on", false, true),
-        ("uncached/audit-off", false, false),
-    ] {
-        let (monitor, subjects) = parallel_world(decision_cache, audit);
+    for (label, audit) in [("audit-on", true), ("audit-off", false)] {
+        let (monitor, subjects) = parallel_world(audit);
         let subject = subjects[0].clone();
-        // Warm the pin + cache entry.
+        // Warm the pin.
         assert!(monitor
             .check(&subject, &path, AccessMode::Execute)
             .allowed());
@@ -133,8 +125,8 @@ fn bench(c: &mut Criterion) {
 }
 
 /// Prints the F9 scaling table: aggregate checks/sec at 1/2/4/8 threads
-/// for every (cache, audit) configuration, plus the 8-vs-1 ratio on the
-/// cached/audit-on row (the acceptance criterion).
+/// with audit on and off, plus the 8-vs-1 ratio (the acceptance
+/// criterion is the audit-on row's).
 fn report_scaling_table() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("\nf9 scaling table (host has {cores} core(s) available):");
@@ -142,15 +134,11 @@ fn report_scaling_table() {
         "{:<20} {:>12} {:>12} {:>12} {:>12} {:>8}",
         "configuration", "1 thr", "2 thr", "4 thr", "8 thr", "8/1"
     );
-    for (label, decision_cache, audit, iters) in [
-        ("cached/audit-on", true, true, 300_000u64),
-        ("cached/audit-off", true, false, 300_000),
-        ("uncached/audit-on", false, true, 100_000),
-        ("uncached/audit-off", false, false, 100_000),
-    ] {
+    for (label, audit) in [("audit-on", true), ("audit-off", false)] {
+        let iters = 200_000u64;
         let mut row = Vec::new();
         for threads in [1usize, 2, 4, 8] {
-            let (monitor, subjects) = parallel_world(decision_cache, audit);
+            let (monitor, subjects) = parallel_world(audit);
             row.push(aggregate_throughput(&monitor, &subjects, threads, iters));
         }
         println!(

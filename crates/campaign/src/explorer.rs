@@ -2,10 +2,9 @@
 //!
 //! A seeded weighted walk over the op vocabulary, biased toward
 //! (principal, leaf) pairs whose decisions recently flipped — the
-//! neighbourhoods where revocation, relabel, and group churn interact
-//! with the decision cache. Every generated op is recorded before it is
-//! applied, so the instant a violation fires the [`Campaign`] in hand
-//! replays it.
+//! neighbourhoods where revocation, relabel, and group churn interact.
+//! Every generated op is recorded before it is applied, so the instant
+//! a violation fires the [`Campaign`] in hand replays it.
 
 use crate::invariant::Violation;
 use crate::op::{Campaign, Mutant, Op, Storm};

@@ -18,8 +18,7 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Invariant {
     /// A check was granted that the post-revocation ACL no longer
-    /// grants: the revocation did not take effect (or a cached grant
-    /// outlived it).
+    /// grants: the revocation did not take effect.
     StaleGrant,
     /// An allowed check whose mandatory lattice flow re-derivation
     /// fails: information flowed against the lattice.
@@ -30,8 +29,9 @@ pub enum Invariant {
     /// A quarantined extension (with its cooldown still running) was
     /// dispatched anyway.
     QuarantineBypass,
-    /// The cached decision path and the uncached oracle disagree.
-    CacheCoherence,
+    /// A batch check decided an item differently from a single check of
+    /// it against the same snapshot.
+    BatchCoherence,
     /// An injected fault minted a grant the fault-free oracle denies.
     FailClosed,
     /// The audit pipeline's persisted record of the campaign is not
@@ -51,7 +51,7 @@ impl fmt::Display for Invariant {
             Invariant::MacFlow => "mac-flow",
             Invariant::Visibility => "visibility",
             Invariant::QuarantineBypass => "quarantine-bypass",
-            Invariant::CacheCoherence => "cache-coherence",
+            Invariant::BatchCoherence => "batch-coherence",
             Invariant::FailClosed => "fail-closed",
             Invariant::AuditGap => "audit-gap",
             Invariant::ResourceBounds => "resource-bounds",
@@ -68,7 +68,7 @@ impl FromStr for Invariant {
             "mac-flow" => Ok(Invariant::MacFlow),
             "visibility" => Ok(Invariant::Visibility),
             "quarantine-bypass" => Ok(Invariant::QuarantineBypass),
-            "cache-coherence" => Ok(Invariant::CacheCoherence),
+            "batch-coherence" => Ok(Invariant::BatchCoherence),
             "fail-closed" => Ok(Invariant::FailClosed),
             "audit-gap" => Ok(Invariant::AuditGap),
             "resource-bounds" => Ok(Invariant::ResourceBounds),
@@ -125,35 +125,55 @@ pub fn is_injected_denial(decision: &Decision) -> bool {
     }
 }
 
-/// Decision-cache coherence: evaluates the request through the cached
-/// path and through the uncached oracle and requires them to agree.
-/// Under a storm (`storm = true`) the two evaluations meet independent
-/// injected faults, so a disagreement is tolerated exactly when the
-/// denying side names an injected fault.
+/// Batch coherence: against one pinned snapshot, one batch asking `path`
+/// in each of `modes` — and, when that is one mode, in a contrasting one
+/// (write, or read for a write) — must decide every item exactly as a
+/// single check of that item does. The batch's memos — one walk per
+/// distinct path, one decision per distinct node and mode — may change
+/// how fast it decides, never what; asked two modes of one node, a memo
+/// that mixed them up would show. Returns the single checks' decisions
+/// for `modes`, in order. Under a storm (`storm = true`) the two
+/// evaluations meet independent injected faults, so a disagreement is
+/// tolerated exactly when the denying side names an injected fault.
 pub fn coherent(
     monitor: &ReferenceMonitor,
     subject: &Subject,
     path: &NsPath,
-    mode: AccessMode,
+    modes: &[AccessMode],
     storm: bool,
-) -> Result<Decision, Violation> {
-    let cached = monitor.check(subject, path, mode);
-    let oracle = monitor.check_unmemoized(subject, path, mode);
-    let ok = if storm {
-        cached.allowed() == oracle.allowed()
-            || (cached.allowed() && is_injected_denial(&oracle))
-            || (oracle.allowed() && is_injected_denial(&cached))
-    } else {
-        cached == oracle
+) -> Result<Vec<Decision>, Violation> {
+    let contrast = match modes {
+        [AccessMode::Write] => Some(AccessMode::Read),
+        [_] => Some(AccessMode::Write),
+        _ => None,
     };
-    if ok {
-        Ok(cached)
-    } else {
-        Err(Violation::new(
-            Invariant::CacheCoherence,
-            format!("{path} {mode:?}: cached {cached:?} but uncached oracle {oracle:?}"),
-        ))
+    let view = monitor.view();
+    let items: Vec<(NsPath, AccessMode)> = modes
+        .iter()
+        .chain(&contrast)
+        .map(|m| (path.clone(), *m))
+        .collect();
+    let batch = view.check_batch(subject, &items);
+    let singles: Vec<Decision> = items
+        .iter()
+        .map(|(path, mode)| view.check(subject, path, *mode))
+        .collect();
+    for (((path, mode), batched), single) in items.iter().zip(&batch).zip(&singles) {
+        let ok = if storm {
+            batched.allowed() == single.allowed()
+                || (batched.allowed() && is_injected_denial(single))
+                || (single.allowed() && is_injected_denial(batched))
+        } else {
+            batched == single
+        };
+        if !ok {
+            return Err(Violation::new(
+                Invariant::BatchCoherence,
+                format!("{path} {mode:?}: batched {batched:?} but a single check {single:?}"),
+            ));
+        }
     }
+    Ok(singles[..modes.len()].to_vec())
 }
 
 /// MAC lattice flow: an allowed decision is re-derived against the

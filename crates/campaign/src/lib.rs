@@ -19,8 +19,8 @@
 //! * [`invariant`] — the machine-checked invariants: no stale grant
 //!   after revoke, no MAC lattice-flow violation on an allowed check,
 //!   no allowed check through an interior node the subject may not
-//!   see, no quarantine bypass, decision-cache coherence against the
-//!   uncached oracle, fail-closed under injected faults, and audit
+//!   see, no quarantine bypass, batch checks deciding each item as a
+//!   single check does, fail-closed under injected faults, and audit
 //!   gap-freedom (the session's hash-chained audit log verifies with
 //!   every sequence number persisted or gap-declared).
 //! * [`explorer`] — guided traversal: weighted operation selection

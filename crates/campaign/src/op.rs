@@ -118,8 +118,8 @@ pub enum Op {
         /// Milliseconds to advance.
         ms: u64,
     },
-    /// A probed check: cached decision vs uncached oracle, MAC flow
-    /// re-derivation, and the revocation ledger.
+    /// A probed check: batch vs single checks of the same snapshot, MAC
+    /// flow and visibility re-derivation, and the revocation ledger.
     Check {
         /// Principal index.
         principal: usize,
@@ -138,7 +138,7 @@ pub enum Op {
         principal: usize,
     },
     /// A 3-thread concurrent burst of the same check against a fixed
-    /// uncached oracle — the F9 lock-free read path under campaign load.
+    /// oracle check — the F9 lock-free read path under campaign load.
     Burst {
         /// Principal index.
         principal: usize,

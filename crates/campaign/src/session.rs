@@ -241,7 +241,7 @@ impl Session {
                 leaf,
                 mode,
             } => {
-                self.probe(*principal, *leaf, *mode)?;
+                self.probe(*principal, *leaf, &[*mode])?;
                 false
             }
             Op::Burst {
@@ -332,7 +332,7 @@ impl Session {
             return Ok(());
         };
         if self.world.monitor.shadow_bundle(staged.id, true).is_ok() {
-            self.probe(pi, li, AccessMode::Read)?;
+            self.probe(pi, li, &[AccessMode::Read])?;
             let _ = self.world.monitor.shadow_bundle(staged.id, false);
         }
         if self.world.monitor.activate_bundle(staged.id).is_err() {
@@ -342,9 +342,9 @@ impl Session {
         // expectation on this leaf, and rollback below restores the
         // pre-bundle ACL, so the expectation stays cleared either way.
         self.ledger.clear(li);
-        self.probe(pi, li, AccessMode::Read)?;
+        self.probe(pi, li, &[AccessMode::Read])?;
         let _ = self.world.monitor.rollback();
-        self.probe(pi, li, AccessMode::Read)
+        self.probe(pi, li, &[AccessMode::Read])
     }
 
     fn run_ext(&mut self, ext: usize) -> Result<(), Violation> {
@@ -362,49 +362,52 @@ impl Session {
         Ok(())
     }
 
-    /// One invariant-checked probe: cache coherence, MAC flow and
-    /// traversal visibility re-derivation, and the revocation ledger,
+    /// One invariant-checked probe of a leaf in each of `modes`: batch
+    /// coherence (one batch asks every mode), then per mode MAC flow and
+    /// traversal visibility re-derivation and the revocation ledger,
     /// plus flip tracking for the explorer's guidance.
     pub fn probe(
         &mut self,
         principal: usize,
         leaf: usize,
-        mode: AccessMode,
+        modes: &[AccessMode],
     ) -> Result<(), Violation> {
         let pi = principal % self.world.principals.len();
         let li = leaf % self.world.leaves.len();
         let subject = self.world.subject(pi);
         let path = self.world.leaves[li].clone();
-        self.stats.probes += 1;
-        let decision = coherent(&self.world.monitor, &subject, &path, mode, self.storm)
+        let decisions = coherent(&self.world.monitor, &subject, &path, modes, self.storm)
             .map_err(|v| v.at_step(self.step))?;
-        mac_flow(&self.world.monitor, &subject, &path, mode, &decision)
-            .map_err(|v| v.at_step(self.step))?;
-        visibility(&self.world.monitor, &subject, &path, mode, &decision)
-            .map_err(|v| v.at_step(self.step))?;
-        if decision.allowed() {
-            self.stats.grants += 1;
-            self.ledger
-                .verify_grant(&self.world.monitor, li, pi, subject.principal, mode)
+        for (&mode, decision) in modes.iter().zip(&decisions) {
+            self.stats.probes += 1;
+            mac_flow(&self.world.monitor, &subject, &path, mode, decision)
                 .map_err(|v| v.at_step(self.step))?;
-        } else {
-            self.stats.denials += 1;
-        }
-        let key = (pi, li, mode);
-        if let Some(previous) = self.memory.insert(key, decision.allowed()) {
-            if previous != decision.allowed() {
-                self.stats.flips += 1;
-                self.hot.push_back((pi, li));
-                if self.hot.len() > HOT_CAP {
-                    self.hot.pop_front();
+            visibility(&self.world.monitor, &subject, &path, mode, decision)
+                .map_err(|v| v.at_step(self.step))?;
+            if decision.allowed() {
+                self.stats.grants += 1;
+                self.ledger
+                    .verify_grant(&self.world.monitor, li, pi, subject.principal, mode)
+                    .map_err(|v| v.at_step(self.step))?;
+            } else {
+                self.stats.denials += 1;
+            }
+            let key = (pi, li, mode);
+            if let Some(previous) = self.memory.insert(key, decision.allowed()) {
+                if previous != decision.allowed() {
+                    self.stats.flips += 1;
+                    self.hot.push_back((pi, li));
+                    if self.hot.len() > HOT_CAP {
+                        self.hot.pop_front();
+                    }
                 }
             }
         }
         Ok(())
     }
 
-    /// Concurrent burst: one uncached oracle, then the same check from
-    /// three threads through the lock-free cached read path. With no
+    /// Concurrent burst: one oracle check, then the same check from
+    /// three threads through the lock-free read path. With no
     /// concurrent mutator, any granted answer must match the oracle
     /// (injected denials of the oracle are tolerated under a storm).
     fn burst(&mut self, principal: usize, leaf: usize, mode: AccessMode) -> Result<(), Violation> {
@@ -446,9 +449,7 @@ impl Session {
     fn reprobe(&mut self) -> Result<(), Violation> {
         for (leaf, principals) in self.ledger.sample(REPROBE_LEAVES) {
             for principal in principals {
-                for mode in [AccessMode::Read, AccessMode::Execute] {
-                    self.probe(principal, leaf, mode)?;
-                }
+                self.probe(principal, leaf, &[AccessMode::Read, AccessMode::Execute])?;
             }
         }
         Ok(())

@@ -68,11 +68,6 @@ impl std::error::Error for NsError {}
 pub struct NameSpace {
     nodes: Vec<Option<Node>>,
     free: Vec<NodeId>,
-    /// Per-slot reuse counters: `epochs[i]` is bumped every time slot `i`
-    /// is vacated, so an `(id, epoch)` pair names one node *occupancy*
-    /// even though raw ids are recycled. Callers that key long-lived state
-    /// (e.g. decision caches) on node ids must key on the pair.
-    epochs: Vec<u32>,
 }
 
 impl NameSpace {
@@ -90,17 +85,7 @@ impl NameSpace {
         NameSpace {
             nodes: vec![Some(root)],
             free: Vec::new(),
-            epochs: vec![0],
         }
-    }
-
-    /// Returns the reuse epoch of `id`'s slot. Together with the id this
-    /// uniquely names one node occupancy: removing a node bumps its
-    /// slot's epoch, so a recycled id is distinguishable from the node it
-    /// replaced. Returns the current slot epoch even for vacant slots (a
-    /// subsequent insert reuses the slot at that epoch).
-    pub fn epoch(&self, id: NodeId) -> u32 {
-        self.epochs.get(id.0 as usize).copied().unwrap_or(0)
     }
 
     /// Returns the node for `id`.
@@ -244,7 +229,6 @@ impl NameSpace {
             None => {
                 let id = NodeId(self.nodes.len() as u32);
                 self.nodes.push(Some(node));
-                self.epochs.push(0);
                 id
             }
         };
@@ -279,7 +263,6 @@ impl NameSpace {
         let name = node.name.clone();
         self.node_mut(parent)?.children.remove(&name);
         self.nodes[id.0 as usize] = None;
-        self.epochs[id.0 as usize] += 1;
         self.free.push(id);
         Ok(())
     }
@@ -495,37 +478,6 @@ mod tests {
             .unwrap();
         assert_eq!(ns.len(), before);
         assert_eq!(ns.path_of(id).unwrap(), p("/svc/fs/write"));
-    }
-
-    #[test]
-    fn epochs_distinguish_recycled_ids() {
-        let mut ns = build();
-        let read = ns.resolve(&p("/svc/fs/read")).unwrap();
-        let first_epoch = ns.epoch(read);
-        ns.remove(&p("/svc/fs/read")).unwrap();
-        assert_eq!(ns.epoch(read), first_epoch + 1);
-        let write = ns
-            .insert(
-                &p("/svc/fs"),
-                "write",
-                NodeKind::Procedure,
-                Protection::default(),
-            )
-            .unwrap();
-        // Same recycled slot, different occupancy.
-        assert_eq!(write, read);
-        assert_eq!(ns.epoch(write), first_epoch + 1);
-        // Fresh slots start at epoch zero.
-        let other = ns
-            .insert(
-                &p("/svc/fs"),
-                "sync",
-                NodeKind::Procedure,
-                Protection::default(),
-            )
-            .unwrap();
-        assert_ne!(other, write);
-        assert_eq!(ns.epoch(other), 0);
     }
 
     #[test]

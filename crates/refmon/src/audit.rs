@@ -64,8 +64,8 @@ impl fmt::Display for AuditEvent {
     }
 }
 
-/// Observability counters for the in-memory view, reported next to the
-/// decision-cache stats so saturation is visible rather than silent.
+/// Observability counters for the in-memory view, so saturation is
+/// visible rather than silent.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AuditStats {
     /// The current ring's capacity.

@@ -33,9 +33,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
-/// A policy generation: the stamp the decision cache and every published
-/// state snapshot carry. Distinct from [`BundleId`] by construction so a
-/// bundle id can never be passed where a generation is expected.
+/// A policy generation: the stamp every published state snapshot, audit
+/// record and bundle base carries. It rises with every policy mutation.
+/// Distinct from [`BundleId`] by construction so a bundle id can never be
+/// passed where a generation is expected.
 #[derive(
     Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
@@ -53,6 +54,11 @@ impl Generation {
     /// The raw counter value (for wire encoding and display).
     pub fn raw(self) -> u64 {
         self.0
+    }
+
+    /// The generation after this one.
+    pub(crate) fn next(self) -> Generation {
+        Generation(self.0 + 1)
     }
 }
 

@@ -45,12 +45,6 @@ pub struct MonitorConfig {
     pub check_visibility: bool,
     /// Whether decisions are recorded in the audit log.
     pub audit: bool,
-    /// Whether the monitor memoizes access decisions in its
-    /// generation-stamped cache. Every policy mutation bumps the global
-    /// generation, lazily invalidating all cached entries, so enabling the
-    /// cache never changes what a check returns — only how fast repeats of
-    /// it come back. DESIGN.md §6 knob 6; figure F8 measures the effect.
-    pub decision_cache: bool,
 }
 
 impl Default for MonitorConfig {
@@ -60,7 +54,6 @@ impl Default for MonitorConfig {
             mac_interaction: MacInteraction::default(),
             check_visibility: true,
             audit: true,
-            decision_cache: true,
         }
     }
 }

@@ -11,8 +11,8 @@
 //! the decision: it runs the monitor's one access rule — the same
 //! function every check, batch and guard calls — with a step recorder
 //! attached, so `explain().decision == check()` holds by construction
-//! (and is property-tested). It is never on the hot path, never cached
-//! and never audited.
+//! (and is property-tested). It is never on the hot path and never
+//! audited.
 
 use crate::decision::Decision;
 use crate::monitor::{MonitorView, ReferenceMonitor, Steps};

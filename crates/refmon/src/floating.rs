@@ -101,14 +101,11 @@ impl FloatingSubject {
             monitor.config().flow_check(mode),
             FlowCheck::Observe | FlowCheck::ObserveAndModify
         );
-        // Floating subjects bypass the decision cache: their effective
-        // class floats with every successful observation, so a memoized
-        // decision could outlive the class it was computed for.
         if !observes {
-            return monitor.check_unmemoized(&self.subject, path, mode);
+            return monitor.check(&self.subject, path, mode);
         }
         let at_clearance = self.subject.with_class(self.clearance.clone());
-        let decision = monitor.check_unmemoized(&at_clearance, path, mode);
+        let decision = monitor.check(&at_clearance, path, mode);
         if decision.allowed() {
             if let Ok(protection) = monitor.protection_of(path) {
                 let joined = self.subject.class.join(&protection.label);

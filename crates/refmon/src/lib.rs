@@ -70,7 +70,6 @@
 
 pub mod audit;
 pub mod bundle;
-pub mod cache;
 pub mod config;
 pub mod decision;
 pub mod error;
@@ -85,7 +84,6 @@ pub use audit::{outcome_of, AuditEvent, AuditLog, AuditStats};
 pub use bundle::{
     BundleError, BundleId, BundleStatusReport, FlipRecord, Generation, ShadowReport, StagedBundle,
 };
-pub use cache::{CacheKey, CacheStats, DecisionCache};
 pub use config::{MacInteraction, MonitorConfig};
 pub use decision::{Decision, DenyReason};
 pub use error::{Error, MonitorError};
@@ -100,7 +98,7 @@ pub use extsec_telemetry::{
     TelemetrySnapshot,
 };
 pub use floating::FloatingSubject;
-pub use monitor::{AuditAccessError, MonitorBuilder, MonitorView, ReferenceMonitor};
+pub use monitor::{AuditAccessError, CacheStats, MonitorBuilder, MonitorView, ReferenceMonitor};
 pub use policy::PolicyEngine;
 pub use snapshot::{NodeRecord, PolicySnapshot};
 pub use subject::{Subject, ThreadId};

@@ -6,9 +6,9 @@
 //! epoch-versioned pointer (read-copy-update in safe Rust): readers pin
 //! the current [`Arc`] of the state and never take a lock on the hot
 //! path, while writers rebuild the state under a small publish mutex and
-//! swap it in, bumping the decision-cache generation in the same critical
-//! section so the (state, generation) pair a reader sees is always
-//! internally consistent. Each thread caches the `Arc` it last pinned in
+//! swap it in, stamping the next policy generation into it in the same
+//! critical section so the (state, generation) pair a reader sees is
+//! always internally consistent. Each thread keeps the `Arc` it last pinned in
 //! thread-local storage keyed by `(monitor id, version)`, so a repeat
 //! check is one atomic version load plus a thread-local compare — no
 //! shared reference-count traffic at all.
@@ -18,7 +18,6 @@ use crate::bundle::{
     self, BundleError, BundleId, BundleStatusReport, CompiledBundle, CompiledOp, Generation,
     ShadowStats, StagedBundle,
 };
-use crate::cache::{CacheKey, CacheStats, DecisionCache};
 use crate::config::MonitorConfig;
 use crate::decision::{Decision, DenyReason};
 use crate::error::MonitorError;
@@ -37,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The monitor's complete policy state, published as one immutable
-/// snapshot. The decision-cache generation the state was built under is
+/// snapshot. The policy generation the state was published under is
 /// stamped into the snapshot itself, so a reader can never pair a stale
 /// state with a newer generation (or vice versa).
 #[derive(Clone)]
@@ -46,7 +45,7 @@ struct State {
     directory: Directory,
     lattice: Lattice,
     config: MonitorConfig,
-    /// The decision-cache generation this snapshot was published under.
+    /// The policy generation this snapshot was published under.
     generation: Generation,
     /// The staged policy being shadow-evaluated next to this one, when
     /// shadow mode is on. Riding inside the published state means the
@@ -127,8 +126,8 @@ impl State {
         (result, end)
     }
 
-    /// Walks and decides `path` with nothing recorded — uncached,
-    /// unaudited, untimed — reporting each step to `steps`. Shadow
+    /// Walks and decides `path` with nothing recorded — unaudited,
+    /// untimed — reporting each step to `steps`. Shadow
     /// evaluation and `explain` run the rule this way.
     fn decide_unrecorded(
         &self,
@@ -417,7 +416,6 @@ impl MonitorBuilder {
             id: next_monitor_id(),
             audit,
             audit_pipeline,
-            cache: DecisionCache::new(),
             telemetry,
             bundles: Mutex::new(BundleRegistry::default()),
             shadow_stats: Mutex::new(ShadowStats::default()),
@@ -450,12 +448,6 @@ pub struct ReferenceMonitor {
     /// reaches the pipeline through the ring the audit log records into,
     /// never through this lock.
     audit_pipeline: Arc<Mutex<Option<Arc<AuditPipeline>>>>,
-    /// Memoized decisions, stamped with the policy generation. Mutators
-    /// advance the generation inside the publish critical section and the
-    /// new generation is stamped into the snapshot they publish, so a
-    /// reader — which takes the generation *from its snapshot* — can
-    /// never hit an entry computed against superseded policy.
-    cache: DecisionCache,
     /// Pipeline telemetry: stage timings, mode/service/dispatch counters.
     /// Starts disabled; when disabled every recording call is a single
     /// relaxed load, so the hot path pays (almost) nothing.
@@ -540,13 +532,13 @@ impl ReferenceMonitor {
     }
 
     /// Rebuilds the state held in `slot` (cloning it only when readers
-    /// still pin the old snapshot), advances the decision-cache
-    /// generation, applies `f`, and republishes. Must be called with the
-    /// publish lock held; the version bump is `Release` so the new state
-    /// is visible to any reader that observes the new version.
+    /// still pin the old snapshot), advances its policy generation,
+    /// applies `f`, and republishes. Must be called with the publish lock
+    /// held; the version bump is `Release` so the new state is visible to
+    /// any reader that observes the new version.
     fn mutate_published<R>(&self, slot: &mut Arc<State>, f: impl FnOnce(&mut State) -> R) -> R {
         let state = Arc::make_mut(slot);
-        state.generation = self.cache.bump_get();
+        state.generation = state.generation.next();
         let result = f(state);
         self.version.fetch_add(1, Ordering::Release);
         result
@@ -565,11 +557,8 @@ impl ReferenceMonitor {
     /// read one consistent policy state, open a [`MonitorView`] (the
     /// blessed entry point) and make all the calls through it.
     ///
-    /// When [`MonitorConfig::decision_cache`] is on, repeat checks are
-    /// answered from the generation-stamped cache: the generation comes
-    /// from the same immutable snapshot as the state, so a hit is exactly
-    /// the decision a fresh evaluation against that snapshot would
-    /// produce. Audit records are written on hits and misses alike.
+    /// Every check runs the whole rule — visibility, ACL and flow — and
+    /// nothing is memoized across checks.
     pub fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
         self.with_snapshot(|state| {
             ViewRef {
@@ -594,11 +583,9 @@ impl ReferenceMonitor {
         })
     }
 
-    /// Checks without consulting or filling the decision cache. Used for
-    /// subjects whose effective class is interior mutable state the
-    /// generation counter cannot see (floating-class subjects), and as
-    /// the uncached oracle the campaign invariant checkers compare the
-    /// cached path against (decision-cache coherence, DESIGN.md §6.11).
+    /// The same evaluation as [`ReferenceMonitor::check`] without shadow
+    /// recording: the reference decision that the campaign invariants
+    /// and the benchmark's correctness gate compare other paths against.
     ///
     /// This is a verification surface, not an alternative check path:
     /// production callers go through [`ReferenceMonitor::check`].
@@ -606,32 +593,26 @@ impl ReferenceMonitor {
         self.with_snapshot(|state| {
             let whole = self.telemetry.start();
             self.telemetry.count_mode(mode);
-            let (decision, _) = self.decide_and_audit(state, subject, path, mode, false);
+            let (decision, _) = self.decide_and_audit(state, subject, path, mode);
             self.telemetry.finish(Stage::Check, whole);
             decision
         })
     }
 
     /// The one decision site for a single request: walks `path` once,
-    /// decides — through the decision cache when `memo` (and the
-    /// configuration) allow — and audits. Also returns where the walk
-    /// ended, so a guarded operation acts on the node it was granted
-    /// without resolving the path again.
+    /// decides and audits. Also returns where the walk ended, so a
+    /// guarded operation acts on the node it was granted without
+    /// resolving the path again.
     fn decide_and_audit(
         &self,
         state: &State,
         subject: &Subject,
         path: &NsPath,
         mode: AccessMode,
-        memo: bool,
     ) -> (Decision, Result<NodeId, NsError>) {
         let tele = &self.telemetry;
         let (decision, end) = state.walk(path, tele, |walk| {
-            if memo {
-                self.memoized(state, subject, walk, mode, None)
-            } else {
-                state.decide(subject, walk, mode, None, tele, &mut ())
-            }
+            state.decide(subject, walk, mode, None, tele, &mut ())
         });
         if state.config.audit {
             let audit_t = tele.start();
@@ -640,43 +621,6 @@ impl ReferenceMonitor {
             tele.finish(Stage::Audit, audit_t);
         }
         (decision, end)
-    }
-
-    /// Decides a walk through the generation-stamped decision cache: a
-    /// path that resolved is keyed on its final node and answered from
-    /// the cache, or decided and remembered on a miss. The generation
-    /// comes from the same snapshot as the state, so a hit is exactly
-    /// what deciding afresh would return. Anything else — the cache
-    /// configured off, or no node to key on — is decided directly.
-    fn memoized(
-        &self,
-        state: &State,
-        subject: &Subject,
-        walk: &Walk<'_>,
-        mode: AccessMode,
-        visible: Option<&mut HashSet<NodeId>>,
-    ) -> Decision {
-        let tele = &self.telemetry;
-        let node = match walk.end {
-            Ok(node) if state.config.decision_cache => *node,
-            _ => return state.decide(subject, walk, mode, visible, tele, &mut ()),
-        };
-        let key = CacheKey {
-            principal: subject.principal,
-            node,
-            epoch: state.namespace.epoch(node),
-            mode,
-        };
-        let probe_t = tele.start();
-        let hit = self.cache.lookup(&key, &subject.class, state.generation);
-        tele.finish(Stage::Cache, probe_t);
-        if let Some(decision) = hit {
-            return decision;
-        }
-        let decision = state.decide(subject, walk, mode, visible, tele, &mut ());
-        self.cache
-            .insert(key, &subject.class, state.generation, decision.clone());
-        decision
     }
 
     /// Checks and converts to a `Result` in one step. Like
@@ -697,9 +641,8 @@ impl ReferenceMonitor {
         })
     }
 
-    /// The guard of an operation acting on `path`: decides `mode`
-    /// uncached and audits, then returns the node the operation may act
-    /// on.
+    /// The guard of an operation acting on `path`: decides `mode` and
+    /// audits, then returns the node the operation may act on.
     fn authorize(
         &self,
         state: &State,
@@ -707,7 +650,7 @@ impl ReferenceMonitor {
         path: &NsPath,
         mode: AccessMode,
     ) -> Result<NodeId, MonitorError> {
-        let (decision, end) = self.decide_and_audit(state, subject, path, mode, false);
+        let (decision, end) = self.decide_and_audit(state, subject, path, mode);
         decision.into_result()?;
         Ok(end?)
     }
@@ -735,7 +678,7 @@ impl ReferenceMonitor {
         // republished (a failed one leaves state and generation alone).
         let state = Arc::make_mut(&mut slot);
         let id = state.namespace.insert_at(parent, name, kind, protection)?;
-        state.generation = self.cache.bump_get();
+        state.generation = state.generation.next();
         self.version.fetch_add(1, Ordering::Release);
         Ok(id)
     }
@@ -746,7 +689,7 @@ impl ReferenceMonitor {
         let id = self.authorize(&slot, subject, path, AccessMode::Delete)?;
         let state = Arc::make_mut(&mut slot);
         state.namespace.remove_id(id)?;
-        state.generation = self.cache.bump_get();
+        state.generation = state.generation.next();
         self.version.fetch_add(1, Ordering::Release);
         Ok(())
     }
@@ -851,9 +794,8 @@ impl ReferenceMonitor {
         let mut slot = self.published.lock();
         let id = self.authorize(&slot, subject, path, AccessMode::Administrate)?;
         let mut result: Option<Result<R, MonitorError>> = None;
-        // The closure runs against the new state; invalidate and publish
-        // even when it reports an error (a partial mutation before the
-        // error would otherwise leak through stale cache entries).
+        // The closure runs against the new state; publish it even when it
+        // reports an error, since it may have mutated before failing.
         self.mutate_published(&mut slot, |state| {
             state.namespace.update_protection(id, |prot| {
                 result = Some(f(prot));
@@ -929,8 +871,8 @@ impl ReferenceMonitor {
         f: impl FnOnce(&mut NameSpace) -> Result<R, NsError>,
     ) -> Result<R, MonitorError> {
         let mut slot = self.published.lock();
-        // `f` gets the whole name space; invalidate and publish even on
-        // error, since a failing closure may have mutated before failing.
+        // `f` gets the whole name space; publish even on error, since a
+        // failing closure may have mutated before failing.
         let result = self.mutate_published(&mut slot, |state| f(&mut state.namespace));
         Ok(result?)
     }
@@ -1053,7 +995,7 @@ impl ReferenceMonitor {
         while registry.history.len() > ROLLBACK_RING {
             registry.history.pop_front();
         }
-        next.generation = self.cache.bump_get();
+        next.generation = slot.generation.next();
         let generation = next.generation;
         *slot = Arc::new(next);
         self.version.fetch_add(1, Ordering::Release);
@@ -1066,10 +1008,10 @@ impl ReferenceMonitor {
     /// the staged policy and would-be flips are counted into telemetry
     /// and the status report — *enforced decisions never change*. The
     /// toggle is an atomic publish that deliberately does **not** bump
-    /// the cache generation: the enforced policy is untouched, so every
-    /// warm cache entry stays valid and the fast path keeps its hit
-    /// rate. Shadowing requires the same base-generation match as
-    /// activation (the diff is relative to that base).
+    /// the generation: the enforced policy is untouched, so a bundle
+    /// staged against it stays activatable. Shadowing requires the same
+    /// base-generation match as activation (the diff is relative to that
+    /// base).
     pub fn shadow_bundle(&self, id: BundleId, on: bool) -> Result<Generation, BundleError> {
         let mut slot = self.published.lock();
         if !on {
@@ -1110,16 +1052,20 @@ impl ReferenceMonitor {
     }
 
     /// Rolls back to the most recent pre-activation snapshot: one atomic
-    /// publish restoring that snapshot's policy byte-for-byte (under a
-    /// fresh generation, so stale cache entries cannot resurface).
-    /// Returns [`BundleError::NoHistory`] when the ring is empty.
+    /// publish restoring that snapshot's policy byte-for-byte, under a
+    /// generation above every one published before. Returns
+    /// [`BundleError::NoHistory`] when the ring is empty.
     pub fn rollback(&self) -> Result<Generation, BundleError> {
         let mut slot = self.published.lock();
         let mut registry = self.bundles.lock();
         let prior = registry.history.pop_back().ok_or(BundleError::NoHistory)?;
         let mut next = State::clone(&prior);
         next.shadow = None;
-        next.generation = self.cache.bump_get();
+        // Counted on from the generation being rolled away from, never
+        // from `prior`'s: `prior.generation + 1` is the activation's own
+        // generation, so a bundle staged against the activated policy
+        // would pass the base check against the restored one.
+        next.generation = slot.generation.next();
         let generation = next.generation;
         *slot = Arc::new(next);
         self.version.fetch_add(1, Ordering::Release);
@@ -1230,7 +1176,7 @@ impl ReferenceMonitor {
         enforced: &Decision,
     ) {
         // Unrecorded, so the shadow evaluation never pollutes the enforced
-        // pipeline's stage histograms, the audit log or the decision cache.
+        // pipeline's stage histograms or the audit log.
         let shadowed = shadow.state.decide_unrecorded(subject, path, mode, &mut ());
         let enforced_allows = matches!(enforced, Decision::Allow);
         let shadowed_allows = matches!(shadowed, Decision::Allow);
@@ -1252,15 +1198,19 @@ impl ReferenceMonitor {
         &self.audit
     }
 
-    /// Returns the decision cache's effectiveness counters (hits, misses,
-    /// invalidations, resident entries, current generation).
+    /// A compatibility shim for readers of the retired decision cache's
+    /// counters: `hits` and `misses` read 0, and `invalidations` counts
+    /// the policy generations published.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats {
+            hits: 0,
+            misses: 0,
+            invalidations: self.policy_generation(),
+        }
     }
 
     /// Returns the audit ring's saturation counters (capacity, retained
-    /// and dropped events), the observability companion to
-    /// [`ReferenceMonitor::cache_stats`].
+    /// and dropped events).
     pub fn audit_stats(&self) -> AuditStats {
         self.audit.stats()
     }
@@ -1332,9 +1282,8 @@ impl ReferenceMonitor {
     }
 
     /// Takes an immutable snapshot of the pipeline telemetry — per-stage
-    /// latency histograms (resolve, cache, acl, mac, audit, whole
-    /// checks), per-mode counters and view spans — completing the
-    /// observability triple with [`ReferenceMonitor::cache_stats`] and
+    /// latency histograms (resolve, acl, mac, audit, whole checks),
+    /// per-mode counters and view spans — the companion of
     /// [`ReferenceMonitor::audit_stats`].
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         self.telemetry.snapshot()
@@ -1348,6 +1297,18 @@ impl ReferenceMonitor {
             Ok(state.namespace.node(id)?.protection().clone())
         })
     }
+}
+
+/// What [`ReferenceMonitor::cache_stats`] reports. The monitor keeps no
+/// decision cache; the type stays until the benchmark stops reading it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+    /// Policy generations published since the monitor was built.
+    pub invalidations: u64,
 }
 
 /// Why an audit query/verify/flush call could not be served.
@@ -1395,14 +1356,14 @@ struct ViewRef<'a> {
 
 impl ViewRef<'_> {
     /// The whole-check span: one `check` stage sample and one per-mode
-    /// count, wrapped around the cached pipeline.
+    /// count, wrapped around the decision and its audit record.
     fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
         let tele = &self.monitor.telemetry;
         let whole = tele.start();
         tele.count_mode(mode);
         let (decision, _) = self
             .monitor
-            .decide_and_audit(self.state, subject, path, mode, true);
+            .decide_and_audit(self.state, subject, path, mode);
         tele.finish(Stage::Check, whole);
         // Shadow mode: dual-evaluate against the staged policy riding in
         // this snapshot. Off (the common case) this is one `Option` test
@@ -1422,9 +1383,9 @@ impl ViewRef<'_> {
     /// once, resuming the previous path's chain at their longest shared
     /// prefix, so only the differing suffix is looked up in the directory
     /// B-trees. On top of that sit two batch-local memos — interior nodes
-    /// proven visible, and one decision per distinct `(node, mode)`
-    /// (filled from the shared generation-stamped cache or one
-    /// evaluation of the rule). Decisions are written back in item order,
+    /// proven visible, and one decision per distinct `(node, mode)`,
+    /// each from one evaluation of the rule. Decisions are written back
+    /// in item order,
     /// and audit records are emitted in item order afterwards, so the
     /// result is indistinguishable from the sequential per-item path
     /// except in speed: every decision comes from the same rule against
@@ -1463,14 +1424,27 @@ impl ViewRef<'_> {
                 chain: &chain,
                 end: &end,
             };
+            let mut decide =
+                || state.decide(subject, &walk, *mode, Some(&mut visible), tele, &mut ());
             decisions[idx] = Some(match end {
-                Ok(node) => decided
-                    .entry((node, *mode))
-                    .or_insert_with(|| {
-                        monitor.memoized(state, subject, &walk, *mode, Some(&mut visible))
-                    })
-                    .clone(),
-                Err(_) => state.decide(subject, &walk, *mode, Some(&mut visible), tele, &mut ()),
+                Ok(node) => {
+                    // Mutant point, scripted-only: a fired
+                    // `refmon.batch.memo_mode` keys the memo on the node
+                    // alone, so a later item asking another mode of the
+                    // same node gets the first item's decision — the
+                    // planted memo bug the campaign's batch-coherence
+                    // invariant must catch. Random fault storms never
+                    // reach it, and release builds compile it to nothing.
+                    let key_mode = match extsec_faults::fire_mutant("refmon.batch.memo_mode") {
+                        Some(_) => AccessMode::Read,
+                        None => *mode,
+                    };
+                    decided
+                        .entry((node, key_mode))
+                        .or_insert_with(decide)
+                        .clone()
+                }
+                Err(_) => decide(),
             });
         }
 
@@ -1529,8 +1503,8 @@ impl ViewRef<'_> {
 /// Every method reads the same snapshot, so a compound operation — check
 /// then enter, list then per-item check — is atomic against concurrent
 /// administration: either all of it sees the old policy or all of it sees
-/// the new one, never a mix. Decisions still go through the shared
-/// decision cache and audit log, and the monitor-level
+/// the new one, never a mix. Decisions still go through the shared audit
+/// log, and the monitor-level
 /// `check`/`require`/`list`/`enter` are exactly these methods against a
 /// freshly pinned snapshot.
 ///
@@ -1556,7 +1530,7 @@ impl MonitorView<'_> {
         }
     }
 
-    /// Checks `subject`'s access against this snapshot (cached, audited).
+    /// Checks `subject`'s access against this snapshot (audited).
     pub fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
         self.monitor.telemetry.count_view_op();
         self.as_view_ref().check(subject, path, mode)
@@ -1565,7 +1539,7 @@ impl MonitorView<'_> {
     /// Checks a whole batch against this snapshot in one vectorized pass:
     /// items are walked in path-sorted order so shared prefixes resolve
     /// once, visibility of interior nodes is proven once per node, and
-    /// distinct `(node, mode)` pairs hit the decision cache exactly once.
+    /// each distinct `(node, mode)` pair is decided once.
     /// Returns one decision per item, in item order; audit records are
     /// also emitted in item order. Decision-for-decision identical to
     /// calling [`MonitorView::check`] on each item in sequence (the
@@ -1625,8 +1599,8 @@ impl MonitorView<'_> {
         self.as_view_ref().protection_of(path)
     }
 
-    /// Decides against this snapshot with nothing recorded — uncached,
-    /// unaudited, untimed — reporting each step of the rule to `steps`.
+    /// Decides against this snapshot with nothing recorded — unaudited,
+    /// untimed — reporting each step of the rule to `steps`.
     pub(crate) fn decide_with(
         &self,
         subject: &Subject,
@@ -1834,24 +1808,14 @@ mod tests {
             (p("/svc/fs/read"), AccessMode::Read),     // same node, new mode
             (p("/svc/fs"), AccessMode::List),          // shared prefix, shorter
         ];
-        // The cache-off configuration runs the same sorted pass, minus
-        // the shared cache.
-        for decision_cache in [true, false] {
-            let mut config = monitor.config();
-            config.decision_cache = decision_cache;
-            monitor.set_config(config);
-            let cached = monitor.cache_stats();
-            for subject in [low_subject(alice, &monitor), low_subject(bob, &monitor)] {
-                let view = monitor.view();
-                let batch = view.check_batch(&subject, &items);
-                let sequential: Vec<Decision> = items
-                    .iter()
-                    .map(|(path, mode)| view.check(&subject, path, *mode))
-                    .collect();
-                assert_eq!(batch, sequential);
-            }
-            let after = monitor.cache_stats();
-            assert_eq!(after.misses > cached.misses, decision_cache);
+        for subject in [low_subject(alice, &monitor), low_subject(bob, &monitor)] {
+            let view = monitor.view();
+            let batch = view.check_batch(&subject, &items);
+            let sequential: Vec<Decision> = items
+                .iter()
+                .map(|(path, mode)| view.check(&subject, path, *mode))
+                .collect();
+            assert_eq!(batch, sequential);
         }
     }
 
@@ -2009,32 +1973,16 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_on_repeat_checks() {
+    fn revocation_is_visible_on_the_next_check() {
         let (monitor, alice, _) = fixture();
         let alice_s = low_subject(alice, &monitor);
-        let before = monitor.cache_stats();
-        monitor.check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute);
-        monitor.check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute);
-        monitor.check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute);
-        let after = monitor.cache_stats();
-        assert_eq!(after.misses - before.misses, 1);
-        assert_eq!(after.hits - before.hits, 2);
-        // Audit saw every check, hit or miss.
-        assert_eq!(monitor.audit().len(), 3);
-    }
-
-    #[test]
-    fn cache_never_serves_across_revocation() {
-        let (monitor, alice, _) = fixture();
-        let alice_s = low_subject(alice, &monitor);
-        // Warm the cache with the grant.
         assert!(monitor
             .check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)
             .allowed());
         assert!(monitor
             .check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)
             .allowed());
-        // Revoke via the TCB path; the generation bump invalidates.
+        // Revoke via the TCB path.
         monitor
             .bootstrap(|ns| {
                 let id = ns.resolve(&p("/svc/fs/read"))?;
@@ -2049,11 +1997,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_on_recycled_node_epoch() {
+    fn recycled_node_id_is_decided_by_the_new_node() {
         let (monitor, alice, bob) = fixture();
         let alice_s = low_subject(alice, &monitor);
         let bob_s = low_subject(bob, &monitor);
-        // Warm an allow for alice on /svc/fs/read.
+        // Alice may execute /svc/fs/read.
         assert!(monitor
             .check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)
             .allowed());
@@ -2086,24 +2034,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_knob_off_bypasses_cache() {
-        let (monitor, alice, _) = fixture();
-        let mut config = monitor.config();
-        config.decision_cache = false;
-        monitor.set_config(config);
-        let alice_s = low_subject(alice, &monitor);
-        let before = monitor.cache_stats();
-        let first = monitor.check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute);
-        let second = monitor.check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute);
-        assert_eq!(first, second);
-        let after = monitor.cache_stats();
-        assert_eq!(after.hits, before.hits);
-        assert_eq!(after.misses, before.misses);
-        assert_eq!(after.entries, 0);
-    }
-
-    #[test]
-    fn group_membership_edits_invalidate() {
+    fn group_membership_edits_take_effect() {
         let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
         let mut builder = MonitorBuilder::new(lattice);
         let carol = builder.add_principal("carol").unwrap();
@@ -2129,14 +2060,14 @@ mod tests {
             })
             .unwrap();
         let carol_s = low_subject(carol, &monitor);
-        // Not a member yet: denied (and cached).
+        // Not a member yet: denied.
         assert!(!monitor
             .check(&carol_s, &p("/svc/op"), AccessMode::Execute)
             .allowed());
         assert!(!monitor
             .check(&carol_s, &p("/svc/op"), AccessMode::Execute)
             .allowed());
-        // Join the group; the cached denial must not survive.
+        // Join the group; the denial must not survive.
         monitor.directory_mut(|d| d.add_member(staff, carol).unwrap());
         assert!(monitor
             .check(&carol_s, &p("/svc/op"), AccessMode::Execute)
@@ -2229,10 +2160,10 @@ mod tests {
         );
     }
 
-    /// The cached and unmemoized paths name the same denied prefix deep
+    /// `check` and `check_unmemoized` name the same denied prefix deep
     /// in a hierarchy.
     #[test]
-    fn cached_and_unmemoized_name_the_same_prefix() {
+    fn check_and_unmemoized_name_the_same_prefix() {
         let (monitor, alice, _) = fixture();
         monitor
             .bootstrap(|ns| {
@@ -2301,7 +2232,7 @@ mod tests {
             .check(&bob_s, &p("/svc/fs/read"), AccessMode::Execute)
             .allowed());
         let generation = monitor.activate_bundle(staged.id).unwrap();
-        assert_eq!(monitor.cache_stats().generation, generation);
+        assert_eq!(monitor.policy_generation(), generation.raw());
         assert!(monitor
             .check(&bob_s, &p("/svc/fs/read"), AccessMode::Execute)
             .allowed());
@@ -2422,6 +2353,38 @@ mod tests {
         assert_eq!(monitor.rollback(), Err(BundleError::NoHistory));
     }
 
+    /// A rollback publishes a generation above every earlier one, so a
+    /// bundle staged against the activated policy it rolled away from
+    /// is refused rather than applied to the restored one.
+    #[test]
+    fn rollback_generation_rises_above_every_earlier_one() {
+        let (monitor, _, _) = fixture();
+        let stage = |name: &str| {
+            monitor
+                .stage_bundle(&format!(
+                    "bundle \"{name}\" version 1 base current;\n\
+                     acl-add /svc/fs/read \"+bob:x\";"
+                ))
+                .unwrap()
+        };
+        let before = monitor.policy_generation();
+        let activated = monitor.activate_bundle(stage("grant").id).unwrap();
+        assert!(activated.raw() > before);
+        let stale = stage("stale");
+        assert_eq!(stale.base, activated);
+        let restored = monitor.rollback().unwrap();
+        assert!(restored > activated, "{restored} after {activated}");
+        assert_eq!(monitor.policy_generation(), restored.raw());
+        assert_eq!(
+            monitor.activate_bundle(stale.id),
+            Err(BundleError::BaseConflict {
+                expected: activated,
+                actual: restored,
+            })
+        );
+        assert_eq!(monitor.cache_stats().invalidations, restored.raw());
+    }
+
     #[test]
     fn shadow_counts_flips_without_changing_enforcement() {
         let (monitor, alice, bob) = fixture();
@@ -2435,9 +2398,9 @@ mod tests {
             )
             .unwrap();
         monitor.shadow_bundle(staged.id, true).unwrap();
-        // Shadow mode must not bump the cache generation: warm entries
-        // stay valid and the enforced fast path is untouched.
-        assert_eq!(monitor.cache_stats().generation, staged.base);
+        // Shadow mode must not bump the generation: the enforced policy
+        // is untouched.
+        assert_eq!(monitor.policy_generation(), staged.base.raw());
         // Enforced outcomes are exactly the active policy's.
         assert!(monitor
             .check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)

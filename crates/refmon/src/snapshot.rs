@@ -74,7 +74,7 @@ impl ReferenceMonitor {
             lattice,
             directory,
             config,
-            generation: self.cache_stats().generation,
+            generation: Generation::from_raw(self.policy_generation()),
             nodes,
         }
     }

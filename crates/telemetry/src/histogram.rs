@@ -1,8 +1,8 @@
 //! Log-scale latency histograms.
 //!
 //! A latency distribution on the check path spans four orders of
-//! magnitude (a warm cache hit is tens of nanoseconds, a cold 256-entry
-//! ACL scan is microseconds), so linear buckets waste either resolution
+//! magnitude (a flow check is tens of nanoseconds, a cold 256-entry ACL
+//! scan is microseconds), so linear buckets waste either resolution
 //! or memory. The [`LatencyHistogram`] uses power-of-two buckets over
 //! nanoseconds: bucket `b` holds samples in `[2^(b-1), 2^b)` ns, which
 //! gives constant relative error (~2x) at every scale in a fixed 40-slot

@@ -44,25 +44,22 @@ use std::time::Instant;
 pub enum Stage {
     /// Name resolution (path walk through the protected name space).
     Resolve = 0,
-    /// Decision-cache probe (hit or miss).
-    Cache = 1,
     /// Discretionary ACL evaluation at the resolved node.
-    Acl = 2,
+    Acl = 1,
     /// Mandatory flow check against the lattice.
-    Mac = 3,
+    Mac = 2,
     /// Audit-record append.
-    Audit = 4,
+    Audit = 3,
     /// A whole `check` call, end to end.
-    Check = 5,
+    Check = 4,
     /// Lifetime of a pinned [`MonitorView`]: one pin, one trace.
-    ViewSpan = 6,
+    ViewSpan = 5,
 }
 
 impl Stage {
     /// All stages, in declaration order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 6] = [
         Stage::Resolve,
-        Stage::Cache,
         Stage::Acl,
         Stage::Mac,
         Stage::Audit,
@@ -77,7 +74,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Resolve => "resolve",
-            Stage::Cache => "cache",
             Stage::Acl => "acl",
             Stage::Mac => "mac",
             Stage::Audit => "audit",

@@ -55,10 +55,10 @@ pub struct StageSnapshot {
 }
 
 /// An immutable, internally consistent view of every telemetry counter
-/// and histogram, exported alongside
-/// `cache_stats()`/`audit_stats()`. Taking a snapshot never blocks the
-/// pipeline; all counters are monotone, so fields from two successive
-/// snapshots of the same [`Telemetry`](crate::Telemetry) never decrease.
+/// and histogram, exported alongside `audit_stats()`. Taking a snapshot
+/// never blocks the pipeline; all counters are monotone, so fields from
+/// two successive snapshots of the same [`Telemetry`](crate::Telemetry)
+/// never decrease.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Whether collection was enabled when the snapshot was taken.

@@ -1,7 +1,7 @@
 //! Telemetry quickstart: enable pipeline telemetry, drive a small mixed
 //! workload, and print the monitor's full observability surface — the
 //! per-stage latency histograms, per-mode/service/dispatch counters,
-//! decision-cache stats, and audit stats.
+//! the policy generation, and audit stats.
 //!
 //! Run with `cargo run --release --example stats`.
 
@@ -118,11 +118,7 @@ export main = main
     system.monitor.telemetry().publish();
     println!("{}", system.monitor.telemetry_snapshot());
 
-    let cache = system.monitor.cache_stats();
-    println!(
-        "decision cache: {} hits / {} misses, {} entries, generation {} ({} invalidations)",
-        cache.hits, cache.misses, cache.entries, cache.generation, cache.invalidations
-    );
+    println!("policy generation: {}", system.monitor.policy_generation());
     let audit = system.monitor.audit_stats();
     println!(
         "audit log: {} retained of {} capacity, {} dropped",

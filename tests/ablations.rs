@@ -229,96 +229,42 @@ fn ablation_audit_is_observation_only() {
     assert_eq!(sc.system.monitor.audit().len(), 0);
 }
 
-/// Knob 6 of DESIGN.md §6: the decision cache is pure memoization — on
-/// or off, every decision over the whole subject × mode surface is
-/// identical. Only the hit counters betray its existence.
-#[test]
-fn ablation_decision_cache_is_observation_only() {
-    let sc = applet_scenario().unwrap();
-    let path = extsec::services::fs::FsService::node_path("dept-1/report").unwrap();
-    let subjects = [&sc.user, &sc.applet_d1, &sc.applet_d2, &sc.outsider];
-
-    assert!(sc.system.monitor.config().decision_cache, "on by default");
-    let mut cached_decisions = Vec::new();
-    for s in &subjects {
-        for mode in AccessMode::ALL {
-            // Twice, so the second observation comes from the cache.
-            sc.system.monitor.check(s, &path, mode);
-            cached_decisions.push(sc.system.monitor.check(s, &path, mode));
-        }
-    }
-    let stats = sc.system.monitor.cache_stats();
-    assert!(stats.hits > 0, "repeat checks should hit");
-    assert!(stats.entries > 0, "decisions should be resident");
-
-    // Flip the knob off; every decision must be unchanged.
-    let mut config = sc.system.monitor.config();
-    config.decision_cache = false;
-    sc.system.monitor.set_config(config);
-    let frozen = sc.system.monitor.cache_stats();
-    let mut i = 0;
-    for s in &subjects {
-        for mode in AccessMode::ALL {
-            assert_eq!(
-                sc.system.monitor.check(s, &path, mode),
-                cached_decisions[i],
-                "decision changed with the cache off"
-            );
-            i += 1;
-        }
-    }
-    // With the knob off, the counters do not move.
-    let after = sc.system.monitor.cache_stats();
-    assert_eq!(after.hits, frozen.hits);
-    assert_eq!(after.misses, frozen.misses);
-}
-
 /// Snapshot restore is a policy mutation like any other: the restored
-/// monitor starts at a bumped generation with an empty cache, and a
-/// monitor whose state is rebuilt in place (directory swap + bootstrap,
-/// exactly what `from_snapshot` performs) serves no stale decisions.
+/// monitor starts at a bumped generation, and a monitor whose state is
+/// rebuilt in place (directory swap + bootstrap, exactly what
+/// `from_snapshot` performs) decides exactly as the snapshotted one did.
 #[test]
 fn ablation_snapshot_restore_invalidates_cache() {
     let sc = applet_scenario().unwrap();
     let path = extsec::services::fs::FsService::node_path("dept-1/report").unwrap();
 
-    // Warm the cache, then capture policy.
     let before = sc
         .system
         .monitor
         .check(&sc.applet_d1, &path, AccessMode::Read);
-    let warmed = sc
-        .system
-        .monitor
-        .check(&sc.applet_d1, &path, AccessMode::Read);
-    assert_eq!(before, warmed);
-    assert!(sc.system.monitor.cache_stats().hits > 0);
+    let generation_at_snapshot = sc.system.monitor.policy_generation();
     let snapshot = sc.system.monitor.snapshot();
-    let generation_at_snapshot = sc.system.monitor.cache_stats().generation;
 
-    // Taking a snapshot is read-only: no invalidation.
+    // Taking a snapshot is read-only: the generation does not move.
     assert_eq!(
-        sc.system.monitor.cache_stats().generation,
+        sc.system.monitor.policy_generation(),
         generation_at_snapshot
     );
 
     // Restoring runs the TCB mutators, so the new monitor's generation is
-    // already past zero and nothing is resident.
+    // already past zero.
     let restored = extsec::ReferenceMonitor::from_snapshot(snapshot).unwrap();
-    let stats = restored.cache_stats();
     assert!(
-        stats.generation > extsec::refmon::Generation::ZERO,
+        restored.policy_generation() > 0,
         "restore must bump the generation of the monitor it rebuilds"
     );
-    assert_eq!(stats.entries, 0, "restore must not carry cached decisions");
-    assert_eq!(stats.hits, 0);
 
-    // And the restored monitor replays the snapshot-time decision, warm
-    // or cold (principal ids survive the snapshot round-trip).
-    let replay_cold = restored.check(&sc.applet_d1, &path, AccessMode::Read);
-    let replay_warm = restored.check(&sc.applet_d1, &path, AccessMode::Read);
-    assert_eq!(replay_cold, before);
-    assert_eq!(replay_warm, before);
+    // And the restored monitor replays the snapshot-time decision, first
+    // time and every time (principal ids survive the snapshot round-trip).
+    let replay_first = restored.check(&sc.applet_d1, &path, AccessMode::Read);
+    let replay_again = restored.check(&sc.applet_d1, &path, AccessMode::Read);
+    assert_eq!(replay_first, before);
+    assert_eq!(replay_again, before);
 }
 
 /// The full config matrix never panics and stays self-consistent: for
@@ -341,7 +287,6 @@ fn ablation_config_matrix_monotonicity() {
         mac_interaction: MacInteraction::Exempt,
         check_visibility: false,
         audit: false,
-        decision_cache: true,
     };
     let mut permissive_allows = Vec::new();
     sc.system.monitor.set_config(permissive);
@@ -358,7 +303,6 @@ fn ablation_config_matrix_monotonicity() {
                     mac_interaction: interaction,
                     check_visibility: visibility,
                     audit: false,
-                    decision_cache: true,
                 };
                 sc.system.monitor.set_config(config);
                 let mut i = 0;

@@ -150,11 +150,12 @@ fn t1_attack_matrix() {
             .map(|e| e.decide(attacker, &path, attack.mode).allowed())
             .collect();
         // The extsec cell is additionally held to the campaign
-        // invariants: the cached decision must agree with the uncached
-        // oracle, and were the attack admitted, the grant would have to
+        // invariants: a batch must decide the attack as a single check
+        // does, and were the attack admitted, the grant would have to
         // re-derive under the MAC lattice.
-        let decision = coherent(&sc.system.monitor, attacker, &path, attack.mode, false)
-            .unwrap_or_else(|v| panic!("{}: {v}", attack.name));
+        let decision = coherent(&sc.system.monitor, attacker, &path, &[attack.mode], false)
+            .unwrap_or_else(|v| panic!("{}: {v}", attack.name))
+            .remove(0);
         mac_flow(&sc.system.monitor, attacker, &path, attack.mode, &decision)
             .unwrap_or_else(|v| panic!("{}: {v}", attack.name));
         assert_eq!(decision.allowed(), got[3], "{}", attack.name);

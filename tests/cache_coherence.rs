@@ -1,22 +1,25 @@
-//! Cache coherence: the generation-stamped decision cache may never
-//! change what the monitor decides — only how fast it decides it.
+//! Coherence of the live policy state: what a monitor decides depends
+//! only on the policy it holds, never on the history of edits that
+//! produced it.
 //!
-//! The property: take two monitors built from the same recipe, one with
-//! `decision_cache` on and one with it off, and drive both through the
-//! same random interleaving of checks, ACL edits, relabels, node
-//! replacement (exercising id recycling), group-membership edits and
-//! configuration flips. After every operation — and in a final exhaustive
-//! sweep over every (principal, class, path, mode) combination — the two
-//! monitors must agree decision-for-decision, including the full
-//! [`explain`](extsec::ReferenceMonitor::explain) trace.
+//! The property: drive one monitor through a random interleaving of
+//! checks, ACL edits, relabels, node replacement (recycling node ids),
+//! group-membership edits, guarded edits and configuration flips. After
+//! every operation — and in a final exhaustive sweep over every
+//! (principal, class, path, mode) combination — it must agree
+//! decision-for-decision, including the full
+//! [`explain`](extsec::ReferenceMonitor::explain) trace, with a monitor
+//! rebuilt from its snapshot: a fresh arena holding the same policy with
+//! no recycled ids and no edit history.
 
 use extsec::refmon::Explanation;
 use extsec::{
-    AccessMode, Acl, AclEntry, GroupId, Lattice, ModeSet, MonitorBuilder, NodeKind, NsPath,
-    PrincipalId, Protection, ReferenceMonitor, SecurityClass, Subject,
+    AccessMode, Acl, AclEntry, GroupId, Lattice, ModeSet, MonitorBuilder, MonitorError, NodeKind,
+    NsPath, PrincipalId, Protection, ReferenceMonitor, SecurityClass, Subject,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
 
 const PRINCIPALS: usize = 3;
@@ -82,8 +85,7 @@ enum Op {
         mode: usize,
     },
     /// Remove a leaf and re-insert a same-named node with a fresh ACL:
-    /// the arena recycles the slot, so only the epoch in the cache key
-    /// keeps old entries from resurfacing.
+    /// the arena recycles the slot, and the new node must decide alone.
     Replace {
         leaf: usize,
         who: usize,
@@ -124,9 +126,7 @@ struct World {
 }
 
 impl World {
-    /// Builds the fixture with the decision cache on or off; everything
-    /// else is identical.
-    fn build(decision_cache: bool) -> World {
+    fn build() -> World {
         let lattice = Lattice::build(["low", "high"], ["c0", "c1"]).unwrap();
         let mut builder = MonitorBuilder::new(lattice.clone());
         let principals: Vec<PrincipalId> = (0..PRINCIPALS)
@@ -134,10 +134,6 @@ impl World {
             .collect();
         let group = builder.add_group("g0").unwrap();
         builder.add_member(group, principals[0]).unwrap();
-        builder.config(extsec::MonitorConfig {
-            decision_cache,
-            ..Default::default()
-        });
         let monitor = builder.build();
         let classes = vec![
             SecurityClass::bottom(),
@@ -198,12 +194,12 @@ impl World {
         Subject::new(self.principals[who], self.classes[class].clone())
     }
 
-    /// Applies a mutation op. Checks are handled by the caller (they need
-    /// the cross-monitor comparison); everything else mutates this world
-    /// in a deterministic way shared by both monitors.
-    fn apply(&self, op: &Op) -> Option<String> {
+    /// Applies a mutation op. TCB edits always succeed (an edit of a
+    /// node that does not exist right now is a no-op); a guarded edit
+    /// returns what `set_acl` returned.
+    fn apply(&self, op: &Op) -> Result<(), MonitorError> {
         match op {
-            Op::Check { .. } => None,
+            Op::Check { .. } => Ok(()),
             Op::SetAcl {
                 path,
                 who,
@@ -216,12 +212,9 @@ impl World {
                 } else {
                     AclEntry::allow_principal(self.principals[*who], MODES[*mode])
                 };
-                let result = self.monitor.bootstrap(|ns| {
-                    let id = match ns.resolve(&target) {
-                        Ok(id) => id,
-                        // The leaf may currently not exist; a no-op must
-                        // still be a no-op on both monitors.
-                        Err(_) => return Ok(()),
+                self.monitor.bootstrap(|ns| {
+                    let Ok(id) = ns.resolve(&target) else {
+                        return Ok(());
                     };
                     ns.update_protection(id, |prot| {
                         prot.acl = Acl::from_entries([
@@ -229,32 +222,26 @@ impl World {
                             entry,
                         ]);
                     })
-                });
-                Some(format!("{result:?}"))
+                })
             }
             Op::SetLabel { path, label } => {
                 let target = p(PATHS[*path]);
                 let label = self.classes[*label].clone();
-                let result = self.monitor.bootstrap(|ns| {
-                    let id = match ns.resolve(&target) {
-                        Ok(id) => id,
-                        Err(_) => return Ok(()),
+                self.monitor.bootstrap(|ns| {
+                    let Ok(id) = ns.resolve(&target) else {
+                        return Ok(());
                     };
                     ns.update_protection(id, |prot| prot.label = label.clone())
-                });
-                Some(format!("{result:?}"))
+                })
             }
             Op::Membership { who, join } => {
                 let principal = self.principals[*who];
                 let group = self.group;
-                let result = self.monitor.directory_mut(|d| {
-                    if *join {
-                        format!("{:?}", d.add_member(group, principal))
-                    } else {
-                        format!("{:?}", d.remove_member(group, principal))
-                    }
-                });
-                Some(result)
+                self.monitor.directory_mut(|d| match join {
+                    true => d.add_member(group, principal),
+                    false => d.remove_member(group, principal).map(|_| ()),
+                })?;
+                Ok(())
             }
             Op::GuardedSetAcl {
                 actor,
@@ -268,15 +255,14 @@ impl World {
                     AclEntry::allow_principal(self.principals[0], AccessMode::List),
                     AclEntry::allow_principal(self.principals[*who], MODES[*mode]),
                 ]);
-                let result = self.monitor.set_acl(&subject, &p(PATHS[*path]), acl);
-                Some(format!("{result:?}"))
+                self.monitor.set_acl(&subject, &p(PATHS[*path]), acl)
             }
             Op::Replace { leaf, who, mode } => {
                 let target = p(PATHS[LEAVES[*leaf]]);
                 let parent = target.parent().unwrap();
                 let name = target.leaf().unwrap().to_string();
                 let entry = AclEntry::allow_principal(self.principals[*who], MODES[*mode]);
-                let result = self.monitor.bootstrap(move |ns| {
+                self.monitor.bootstrap(move |ns| {
                     if let Ok(id) = ns.resolve(&target) {
                         ns.remove_id(id)?;
                     }
@@ -287,112 +273,107 @@ impl World {
                         Protection::new(Acl::from_entries([entry]), SecurityClass::bottom()),
                     )?;
                     Ok(())
-                });
-                Some(format!("{result:?}"))
+                })
             }
             Op::Visibility(on) => {
                 let mut config = self.monitor.config();
                 config.check_visibility = *on;
                 self.monitor.set_config(config);
-                Some(String::new())
+                Ok(())
             }
         }
     }
+
+    /// The live policy rebuilt in a fresh monitor: the same principals,
+    /// groups, labels, ACLs and configuration in a new arena, with no
+    /// recycled node ids and no history.
+    fn rebuilt(&self) -> Arc<ReferenceMonitor> {
+        ReferenceMonitor::from_snapshot(self.monitor.snapshot()).unwrap()
+    }
 }
 
-/// Compares one check end-to-end on both monitors: the decision, the
-/// explanation trace, and the explain/check agreement on each monitor
-/// individually.
+/// Compares one check end-to-end on the live and the rebuilt monitor:
+/// the decision, the explanation trace, and the explain/check agreement
+/// on the live one.
 fn agree(
-    cached: &World,
-    uncached: &World,
+    live: &World,
+    rebuilt: &ReferenceMonitor,
     who: usize,
     class: usize,
     path: usize,
     mode: usize,
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    let subject_c = cached.subject(who, class);
-    let subject_u = uncached.subject(who, class);
+) -> Result<(), TestCaseError> {
+    let subject = live.subject(who, class);
     let target = p(PATHS[path]);
     let mode = MODES[mode];
-    let d_cached = cached.monitor.check(&subject_c, &target, mode);
-    let d_uncached = uncached.monitor.check(&subject_u, &target, mode);
+    let d_live = live.monitor.check(&subject, &target, mode);
+    let d_rebuilt = rebuilt.check(&subject, &target, mode);
     prop_assert_eq!(
-        &d_cached,
-        &d_uncached,
+        &d_live,
+        &d_rebuilt,
         "decision diverged for p{} class{} {} {:?}",
         who,
         class,
         target,
         mode
     );
-    let e_cached: Explanation = cached.monitor.explain(&subject_c, &target, mode);
-    let e_uncached: Explanation = uncached.monitor.explain(&subject_u, &target, mode);
-    prop_assert_eq!(&e_cached, &e_uncached, "explanations diverged");
+    let e_live: Explanation = live.monitor.explain(&subject, &target, mode);
+    let e_rebuilt: Explanation = rebuilt.explain(&subject, &target, mode);
+    prop_assert_eq!(&e_live, &e_rebuilt, "explanations diverged");
     prop_assert_eq!(
-        &e_cached.decision,
-        &d_cached,
-        "explain disagrees with check on the cached monitor"
+        &e_live.decision,
+        &d_live,
+        "explain disagrees with check on the live monitor"
     );
     Ok(())
 }
 
 proptest! {
-    /// ≥256 random interleavings of ≥32 operations: the cached monitor
-    /// tracks the uncached oracle exactly.
+    /// ≥256 random interleavings of ≥32 operations: the live monitor
+    /// decides exactly as its policy rebuilt from scratch does.
     #[test]
-    fn cached_and_uncached_monitors_agree(
+    fn live_and_rebuilt_monitors_agree(
         ops in vec(op_strategy(), 32..64),
         probes in vec((0..PRINCIPALS, 0..CLASSES, 0..PATHS.len(), 0..MODES.len()), 32..64),
     ) {
-        let cached = World::build(true);
-        let uncached = World::build(false);
+        let live = World::build();
+        let mut rebuilt = live.rebuilt();
         for (i, op) in ops.iter().enumerate() {
             match op {
                 Op::Check { who, class, path, mode } => {
-                    agree(&cached, &uncached, *who, *class, *path, *mode)?;
+                    agree(&live, &rebuilt, *who, *class, *path, *mode)?;
+                }
+                // A guarded edit is refused exactly when the rebuilt
+                // policy refuses its administrate check.
+                Op::GuardedSetAcl { actor, class, path, .. } => {
+                    let guard = rebuilt.check(
+                        &live.subject(*actor, *class),
+                        &p(PATHS[*path]),
+                        AccessMode::Administrate,
+                    );
+                    let expected = guard.into_result().map_err(MonitorError::Denied);
+                    prop_assert_eq!(live.apply(op), expected, "guarded edit at op {}", i);
+                    rebuilt = live.rebuilt();
                 }
                 _ => {
-                    let r_cached = cached.apply(op);
-                    let r_uncached = uncached.apply(op);
-                    prop_assert_eq!(r_cached, r_uncached, "mutation outcome diverged at op {}", i);
+                    prop_assert_eq!(live.apply(op), Ok(()), "TCB edit failed at op {}", i);
+                    rebuilt = live.rebuilt();
                 }
             }
-            // A probe after every op catches staleness the moment it
+            // A probe after every op catches divergence the moment it
             // appears, not just at the end.
             let (who, class, path, mode) = probes[i % probes.len()];
-            agree(&cached, &uncached, who, class, path, mode)?;
+            agree(&live, &rebuilt, who, class, path, mode)?;
         }
         // Exhaustive closing sweep over the whole decision surface.
         for who in 0..PRINCIPALS {
             for class in 0..CLASSES {
                 for path in 0..PATHS.len() {
                     for mode in 0..MODES.len() {
-                        agree(&cached, &uncached, who, class, path, mode)?;
+                        agree(&live, &rebuilt, who, class, path, mode)?;
                     }
                 }
             }
         }
-        // The run must actually have exercised the cache on one side and
-        // not the other.
-        let stats_cached = cached.monitor.cache_stats();
-        let stats_uncached = uncached.monitor.cache_stats();
-        prop_assert!(stats_cached.hits + stats_cached.misses > 0, "cache was never consulted");
-        prop_assert_eq!(stats_uncached.hits + stats_uncached.misses, 0, "uncached monitor used its cache");
     }
-}
-
-/// The deny *reason* — not just the allow/deny bit — survives caching:
-/// repeat denials serve the identical reason object.
-#[test]
-fn cached_denials_preserve_reasons() {
-    let world = World::build(true);
-    let outsider = world.subject(2, 0);
-    let target = p("/svc/fs/read");
-    let first = world.monitor.check(&outsider, &target, AccessMode::Execute);
-    let second = world.monitor.check(&outsider, &target, AccessMode::Execute);
-    assert_eq!(first, second);
-    assert!(!second.allowed());
-    let stats = world.monitor.cache_stats();
-    assert!(stats.hits >= 1, "second denial should be a cache hit");
 }

@@ -7,7 +7,7 @@
 //!    Everything else (CI seeds, corpus replay, shrinking) rests on it.
 //! 2. **Clean campaigns** — a seeded guided campaign, with and without a
 //!    fault storm, holds every invariant (stale-grant, mac-flow,
-//!    visibility, quarantine-bypass, cache-coherence/fail-closed,
+//!    visibility, quarantine-bypass, batch-coherence/fail-closed,
 //!    audit-gap, resource-bounds). The step budget
 //!    and seed are overridable (`EXTSEC_CAMPAIGN_STEPS`,
 //!    `EXTSEC_CAMPAIGN_SEED`) so CI's release leg runs the same test at
@@ -15,7 +15,8 @@
 //! 3. **Self-test via planted mutants** — arming a scripted fail-open
 //!    bug (a silently skipped revocation; a quarantine bypass; a skipped
 //!    memory limit; an audit record dropped without being counted; an
-//!    interior-node visibility check skipped) must
+//!    interior-node visibility check skipped; a batch memo that ignores
+//!    the access mode) must
 //!    make the explorer find the violation within a bounded budget and
 //!    shrink it to a short replayable campaign.
 //! 4. **Corpus replay** — every minimized campaign under
@@ -327,7 +328,7 @@ fn planted_visibility_skip_is_found_and_minimized() {
     // The mutant waves interior nodes through the monitor's one
     // visibility check, so once a domain is hidden from a principal,
     // a check below it that the leaf's ACL grants comes back allowed —
-    // cached and uncached paths agree, and only the visibility
+    // batch and single checks agree, and only the visibility
     // re-derivation can tell.
     let spec = WorldSpec::campus(19);
     let mut cfg = ExploreConfig::clean(5, 1_500);
@@ -351,6 +352,46 @@ fn planted_visibility_skip_is_found_and_minimized() {
     );
     let replayed = replay(&report.campaign).expect("minimized campaign must still reproduce");
     assert_eq!(replayed.invariant, Invariant::Visibility);
+}
+
+#[test]
+fn planted_batch_memo_mode_is_found_and_minimized() {
+    let _guard = exclusive();
+    if !armed() {
+        eprintln!("fault machinery compiled out; skipping mutant self-test");
+        return;
+    }
+    // The mutant keys the batch's decision memo on the node alone, so a
+    // batch asking one leaf in several modes answers every mode as the
+    // first was answered. Single checks are untouched, so only the
+    // batch-coherence invariant, which checks each batch item against a
+    // single check of it, can tell.
+    let spec = WorldSpec::campus(23);
+    let mut cfg = ExploreConfig::clean(6, 600);
+    cfg.mutants = vec![Mutant {
+        tag: "refmon.batch.memo_mode".into(),
+        nth: None,
+    }];
+    let out = explore(&spec, &cfg);
+    let violation = out
+        .violation
+        .expect("the explorer must find the planted batch memo bug within 600 steps");
+    assert_eq!(
+        violation.invariant,
+        Invariant::BatchCoherence,
+        "{violation}"
+    );
+
+    let report = minimize(&out.campaign, 400);
+    assert!(
+        report.campaign.ops.len() <= 2,
+        "minimization left {} ops (spent {} replays):\n{}",
+        report.campaign.ops.len(),
+        report.replays,
+        report.campaign.to_text()
+    );
+    let replayed = replay(&report.campaign).expect("minimized campaign must still reproduce");
+    assert_eq!(replayed.invariant, Invariant::BatchCoherence);
 }
 
 // ---------------------------------------------------------------------
@@ -444,6 +485,13 @@ fn regenerate_corpus() {
             5,
             1_500,
             "refmon.visibility.skip",
+        ),
+        (
+            "batch_memo_mode.campaign",
+            WorldSpec::campus(23),
+            6,
+            600,
+            "refmon.batch.memo_mode",
         ),
     ] {
         let mut cfg = ExploreConfig::clean(seed, steps);

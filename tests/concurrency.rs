@@ -121,18 +121,17 @@ fn parallel_checks_and_administration() {
     assert_eq!(acl.len(), 2);
 }
 
-/// Revocation visibility under the decision cache: once `set_acl`
-/// returns to the revoker, *no* subsequent check — however hot the
-/// cached entry was — may return the revoked grant. The generation bump
-/// happens inside the monitor's write lock, so a reader that starts
-/// after revocation observes both the new ACL and the new generation.
+/// Revocation visibility: once `set_acl` returns to the revoker, *no*
+/// subsequent check — however hot the grant was — may return the
+/// revoked grant. The publish happens inside the monitor's write lock,
+/// so a reader that starts after revocation observes both the new ACL
+/// and the new generation.
 #[test]
 fn revocation_is_immediately_visible_to_readers() {
     let mut builder = SystemBuilder::new(paper_lattice());
     let alice = builder.principal("alice").unwrap();
     let bob = builder.principal("bob").unwrap();
     let system = Arc::new(builder.build().unwrap());
-    assert!(system.monitor.config().decision_cache, "cache must be on");
     system
         .monitor
         .bootstrap(|ns| {
@@ -190,8 +189,9 @@ fn revocation_is_immediately_visible_to_readers() {
         })
         .collect();
 
-    // Let the readers warm the cached grant, then revoke.
+    // Let the readers see the grant for a while, then revoke.
     std::thread::sleep(std::time::Duration::from_millis(100));
+    let granted_under = system.monitor.policy_generation();
     let admin = system.subject("alice", "others").unwrap();
     system
         .monitor
@@ -214,11 +214,8 @@ fn revocation_is_immediately_visible_to_readers() {
         total_stale, 0,
         "a reader saw the revoked grant after set_acl returned"
     );
-    // The cache was actually in play while the grant was hot.
-    let stats = system.monitor.cache_stats();
-    assert!(stats.hits > 0, "readers never hit the cache");
     assert!(
-        stats.invalidations > 0,
+        system.monitor.policy_generation() > granted_under,
         "revocation never bumped the generation"
     );
 }
@@ -272,14 +269,14 @@ export main = main
     assert_eq!(system.clock.ticks(), 1600);
 }
 
-/// Multi-writer/multi-reader stress: readers issue a mix of cached and
-/// uncached checks against a node whose ACL and label are being rewritten
+/// Multi-writer/multi-reader stress: readers issue a mix of `check` and
+/// `check_unmemoized` calls against a node whose ACL and label are being rewritten
 /// concurrently by two writers — but every shape either writer publishes
 /// still grants the reader. A single denial during that phase would mean
 /// a reader saw a torn state (half-applied ACL, or an ACL paired with a
 /// label from a different publication). A final revocation then asserts
-/// the other direction: once `set_acl` returns, no reader — cached or
-/// uncached — may see the old grant.
+/// the other direction: once `set_acl` returns, no reader may see the old
+/// grant.
 #[test]
 fn stress_mixed_readers_race_acl_and_label_writers() {
     let mut builder = SystemBuilder::new(paper_lattice());
@@ -313,6 +310,7 @@ fn stress_mixed_readers_race_acl_and_label_writers() {
             Ok(())
         })
         .unwrap();
+    let start_generation = system.monitor.policy_generation();
 
     let writers_stop = Arc::new(AtomicBool::new(false));
     let readers_stop = Arc::new(AtomicBool::new(false));
@@ -385,7 +383,7 @@ fn stress_mixed_readers_race_acl_and_label_writers() {
         })
     };
 
-    // Readers: alternate cached and uncached checks. During the mutation
+    // Readers: alternate `check` and `check_unmemoized`. During the mutation
     // phase every published state grants carol, so any denial that is not
     // explained by the final revocation is a torn read.
     let readers: Vec<_> = (0..4)
@@ -473,9 +471,8 @@ fn stress_mixed_readers_race_acl_and_label_writers() {
     assert!(flips > 0, "the label writer made progress");
     assert_eq!(torn, 0, "a reader saw a torn (non-published) state");
     assert_eq!(stale, 0, "a reader saw the grant after revocation");
-    // The racing writers really did publish and invalidate.
-    let stats = system.monitor.cache_stats();
-    assert!(stats.invalidations > 0);
+    // The racing writers really did publish.
+    assert!(system.monitor.policy_generation() > start_generation);
 }
 
 #[test]

@@ -17,8 +17,8 @@ use extsec::faults::{self, FaultAction, FaultPlan};
 use extsec::server::{Client, ClientConfig, Server, ServerConfig};
 use extsec::{
     AccessMode, Acl, AclEntry, Decision, ExtError, ExtRuntime, ExtensionManifest, HealthConfig,
-    Lattice, ModeSet, MonitorBuilder, MonitorConfig, NodeKind, NsPath, Origin, Protection,
-    ReferenceMonitor, SecurityClass, Subject,
+    Lattice, ModeSet, MonitorBuilder, NodeKind, NsPath, Origin, Protection, ReferenceMonitor,
+    SecurityClass, Subject,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -45,17 +45,13 @@ fn armed() -> bool {
 }
 
 /// A small world with both grants and denials on record: alice holds
-/// `rx` on `/svc/fs/read`, bob holds nothing. The decision cache is off
-/// so every check walks the name space and meets the fault points.
+/// `rx` on `/svc/fs/read`, bob holds nothing. Every check walks the name
+/// space and meets the fault points.
 fn world() -> (Arc<ReferenceMonitor>, Subject, Subject) {
     let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
     let mut builder = MonitorBuilder::new(lattice);
     let alice = builder.add_principal("alice").unwrap();
     let bob = builder.add_principal("bob").unwrap();
-    builder.config(MonitorConfig {
-        decision_cache: false,
-        ..MonitorConfig::default()
-    });
     let monitor = builder.build();
     monitor
         .bootstrap(|ns| {
@@ -323,9 +319,9 @@ fn scripted_resolve_fault_denies_structurally() {
     assert!(monitor.check(&alice, &path, AccessMode::Read).allowed());
 }
 
-/// A cached check resolves its path exactly once too: a resolve fault
-/// leaves no node to key the warm cache entry on, so the check is
-/// denied rather than resolved a second time.
+/// A repeated check resolves its path exactly once too: a resolve fault
+/// on a check that was just granted denies it rather than resolving a
+/// second time.
 #[test]
 fn scripted_resolve_fault_denies_a_cached_check() {
     let _x = exclusive();
@@ -333,10 +329,6 @@ fn scripted_resolve_fault_denies_a_cached_check() {
         return;
     }
     let (monitor, alice, _) = world();
-    monitor.set_config(MonitorConfig {
-        decision_cache: true,
-        ..monitor.config()
-    });
     let path = p("/svc/fs/read");
     assert!(monitor.check(&alice, &path, AccessMode::Read).allowed());
 

@@ -85,7 +85,7 @@ fn thousands_of_nodes_and_principals() {
 /// Exercises a generator-built world at a given principal count:
 /// build, then a deterministic probe sweep plus one admin-guarded
 /// revocation, asserting the monitor answers (and agrees with its
-/// uncached oracle) at population.
+/// reference evaluation) at population.
 fn generated_world_at(principals: usize, seed: u64) {
     let spec = WorldSpec::scaled(Profile::Campus, principals, seed);
     let (world, stats) = World::build_timed(&spec);
@@ -96,8 +96,8 @@ fn generated_world_at(principals: usize, seed: u64) {
     assert_eq!(world.principals.len(), principals);
     assert!(world.leaves.len() >= principals / 20);
 
-    // A strided probe sweep across the population: cached and uncached
-    // paths must agree on every answer.
+    // A strided probe sweep across the population: `check` and
+    // `check_unmemoized` must agree on every answer.
     let pstride = (principals / 64).max(1);
     let lstride = (world.leaves.len() / 32).max(1);
     let mut granted = 0usize;
@@ -106,16 +106,13 @@ fn generated_world_at(principals: usize, seed: u64) {
         let subject = world.subject(pi);
         for li in (0..world.leaves.len()).step_by(lstride) {
             let path = &world.leaves[li];
-            let cached = world.monitor.check(&subject, path, AccessMode::Read);
+            let decision = world.monitor.check(&subject, path, AccessMode::Read);
             let oracle = world
                 .monitor
                 .check_unmemoized(&subject, path, AccessMode::Read);
-            assert_eq!(
-                cached, oracle,
-                "probe ({pi},{li}) cache incoherent at scale"
-            );
+            assert_eq!(decision, oracle, "probe ({pi},{li}) incoherent at scale");
             probes += 1;
-            if cached.allowed() {
+            if decision.allowed() {
                 granted += 1;
             }
         }

@@ -206,14 +206,14 @@ proptest! {
                 let s_off = off.subject(*who, *class);
                 let d_on = on.monitor.check(&s_on, &target, MODES[*mode]);
                 let d_off = off.monitor.check(&s_off, &target, MODES[*mode]);
-                prop_assert_eq!(&d_on, &d_off, "cached decision diverged at op {}", i);
+                prop_assert_eq!(&d_on, &d_off, "decision diverged at op {}", i);
                 let f_on = FloatingSubject::new(s_on)
                     .check(&on.monitor, &target, MODES[*mode]);
                 let f_off = FloatingSubject::new(s_off)
                     .check(&off.monitor, &target, MODES[*mode]);
                 prop_assert_eq!(
                     f_on.allowed(), f_off.allowed(),
-                    "uncached decision diverged at op {}", i
+                    "floating decision diverged at op {}", i
                 );
                 checks += 2;
                 by_mode[*mode] += 2;
@@ -276,11 +276,12 @@ fn assert_coherent(snap: &TelemetrySnapshot) {
     }
 }
 
-/// The PR 2 stress mix with telemetry enabled: ACL and label writers race
-/// cached, uncached, and view readers while a sampler takes snapshots the
-/// whole time. Every observed counter must be monotone across successive
-/// snapshots and every histogram tear-free; after the threads join, the
-/// totals must account for every check exactly.
+/// The concurrency stress mix with telemetry enabled: ACL and label
+/// writers race `check`, `check_unmemoized` and view readers while a
+/// sampler takes snapshots the whole time. Every observed counter must
+/// be monotone across successive snapshots and every histogram
+/// tear-free; after the threads join, the totals must account for every
+/// check exactly.
 #[test]
 fn snapshots_are_monotone_and_tear_free_under_stress() {
     let world = Arc::new(build_world(true));
