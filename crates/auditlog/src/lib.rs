@@ -10,9 +10,9 @@
 //!    the chain and is detected by re-deriving it.
 //! 2. **Segments** ([`segment`] + [`store`]): a background drainer
 //!    compacts records into append-only on-disk segments with
-//!    per-segment chain anchors and an atomically-replaced, fsync'd
-//!    manifest; a torn tail is truncated back to the last chain-valid
-//!    entry at startup.
+//!    per-segment chain anchors and an append-only manifest, one fsync'd
+//!    line per seal; a torn tail is truncated back to the last
+//!    chain-valid entry at startup.
 //! 3. **Pipeline** ([`ring`] + [`pipeline`] + [`query`]): the
 //!    producer-facing ring of preallocated slots (one slot write per
 //!    decision, never blocked by the drainer; a record overwritten before
@@ -51,7 +51,7 @@ pub use record::{
 pub use ring::{AuditRing, RingEvent};
 pub use segment::{
     parse_segment_name, scan_segment, segment_name, Damage, Manifest, ScanOutcome, SealedSegment,
-    MANIFEST_NAME, SEGMENT_HEADER_LEN, SEGMENT_MAGIC, SEGMENT_VERSION,
+    MANIFEST_LOG_NAME, MANIFEST_NAME, SEGMENT_HEADER_LEN, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 pub use sha256::{digest_parts, Sha256, DIGEST_LEN};
 pub use store::{DiskStore, MemStore, Store};

@@ -25,16 +25,25 @@
 //! stays consistent. A barrier reads every number handed out before it
 //! was requested, so a record whose `record` call returned before
 //! [`AuditPipeline::flush`] was called is never mistaken for a loss.
+//!
+//! # Admin reads
+//!
+//! [`AuditPipeline::query`] and [`AuditPipeline::verify`] copy the segment
+//! catalog under a short lock and read outside it, and
+//! [`AuditPipeline::stats`] reads atomics only, so no admin read makes the
+//! drainer wait (which would make writers shed after a stall period),
+//! and no drainer I/O makes an admin read wait.
 
 use crate::query::{AuditQuery, GapRange, QueryResult, SegmentReport, SegmentStatus, VerifyReport};
 use crate::record::{encode_event, encode_gap, hash_from_hex, hash_hex, ChainHash, Entry, GENESIS};
 use crate::ring::{AuditRing, RingEvent, Take};
 use crate::segment::{
     parse_segment_name, push_payload_frame, scan_segment, segment_header, segment_name, Manifest,
-    SealedSegment, MANIFEST_NAME, SEGMENT_HEADER_LEN,
+    SealedSegment, MANIFEST_LOG_NAME, MANIFEST_NAME, SEGMENT_HEADER_LEN,
 };
 use crate::store::{DiskStore, MemStore, Store};
 use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,6 +134,7 @@ struct Counters {
     verify_calls: AtomicU64,
     verify_ns: AtomicU64,
     next_seq: AtomicU64,
+    active_bytes: AtomicU64,
 }
 
 /// The drainer's control messages; records never travel this way.
@@ -136,50 +146,161 @@ enum Ctrl {
     Shutdown,
 }
 
-/// Chain/segment state shared between the drainer and the admin
-/// (query/verify) paths. The check path never touches this lock.
-struct Inner {
-    store: Box<dyn Store>,
-    manifest: Manifest,
+/// The extent of the active (unsealed) segment, the one the drainer
+/// appends to. Its blob is `segment_name(start)`, and its first entry,
+/// once it has one, covers `start`.
+#[derive(Clone, Copy, Debug)]
+struct Tail {
+    start: u64,
+    /// Bytes written, header included.
+    len: u64,
+    entries: u64,
+    /// The sequence number just past the segment's coverage (`start`
+    /// while it is empty).
+    next: u64,
+}
+
+/// What the log holds: the sealed segments, oldest first, and the extent
+/// of the active tail. This is all the admin paths (query/verify) share
+/// with the drainer, and the check path never touches it. The drainer
+/// takes the lock only to publish what a persist round appended and
+/// sealed, never across I/O; the admin paths take it only to copy the
+/// catalog. Sealed segments never change and the tail only grows, so a
+/// copy stays readable, without the lock, while the drainer appends.
+#[derive(Clone)]
+struct Catalog {
+    sealed: Vec<Arc<SealedSegment>>,
+    tail: Tail,
+}
+
+/// The drainer's end of the log: the chain head and the tail segment it
+/// appends to. Owned by the drainer thread (by recovery before that).
+struct Writer {
+    store: Arc<dyn Store>,
+    catalog: Arc<Mutex<Catalog>>,
     chain_head: ChainHash,
-    active_name: String,
-    active_len: u64,
-    active_entries: u64,
-    /// First sequence number covered by the active segment (meaningful
-    /// only when `active_entries > 0`).
-    active_first: u64,
-    /// The sequence number just past the active segment's coverage
-    /// (equals the segment's nominal start when empty).
-    active_next: u64,
+    /// The chain hash the tail segment starts from (its header's anchor).
+    anchor: ChainHash,
+    tail: Tail,
+    /// Segments filled since the last commit, oldest first: all their
+    /// frames are appended, their manifest lines are not.
+    filled: Vec<SealedSegment>,
     segment_max: u64,
 }
 
-impl Inner {
+impl Writer {
+    /// Startup recovery: sealed segments are trusted from the manifest
+    /// (verified lazily by [`AuditPipeline::verify`]), the unsealed tail
+    /// is re-chained from its anchor, and a torn tail is truncated back to
+    /// the last chain-valid entry.
+    fn recover(store: Arc<dyn Store>, segment_max: u64, counters: &Counters) -> io::Result<Writer> {
+        let names = store.list()?;
+        let sealed = read_manifest(&*store, &names, counters)?;
+        let chain_head = match sealed.last() {
+            Some(last) => {
+                hash_from_hex(&last.end_hash).ok_or_else(|| invalid("bad manifest hash"))?
+            }
+            None => GENESIS,
+        };
+        let next = sealed.last().map_or(0, |s| s.last_seq + 1);
+        // Unsealed segments: everything named like a segment but absent
+        // from the manifest. By construction at most one exists; recover
+        // defensively anyway, oldest first.
+        let mut unsealed: Vec<u64> = {
+            let known: HashSet<&str> = sealed.iter().map(|s| s.name.as_str()).collect();
+            names
+                .iter()
+                .filter(|n| !known.contains(n.as_str()))
+                .filter_map(|n| parse_segment_name(n))
+                .collect()
+        };
+        unsealed.sort_unstable();
+
+        let tail = Tail {
+            start: next,
+            len: 0,
+            entries: 0,
+            next,
+        };
+        let mut writer = Writer {
+            store,
+            catalog: Arc::new(Mutex::new(Catalog { sealed, tail })),
+            chain_head,
+            anchor: chain_head,
+            tail,
+            filled: Vec::new(),
+            segment_max,
+        };
+        let mut have_tail = false;
+        for (i, &start) in unsealed.iter().enumerate() {
+            let name = segment_name(start);
+            let bytes = writer.store.read(&name)?;
+            let scan = scan_segment(&bytes, Some(&writer.chain_head));
+            let torn = bytes.len() as u64 - scan.valid_len;
+            counters
+                .recovered_truncated_bytes
+                .fetch_add(torn, Ordering::Relaxed);
+            if scan.valid_len < SEGMENT_HEADER_LEN as u64 {
+                // The header never fully landed (or cannot splice onto
+                // the chain): nothing recoverable here.
+                writer.store.remove(&name)?;
+                continue;
+            }
+            if torn > 0 {
+                writer.store.truncate(&name, scan.valid_len)?;
+            }
+            writer.anchor = writer.chain_head;
+            writer.chain_head = scan.end_hash;
+            writer.tail = Tail {
+                start,
+                len: scan.valid_len,
+                entries: scan.entries.len() as u64,
+                next: scan
+                    .entries
+                    .last()
+                    .map_or(writer.tail.next, |e| e.last_seq() + 1),
+            };
+            if i + 1 == unsealed.len() {
+                have_tail = true;
+            } else if writer.tail.entries > 0 {
+                // An older unsealed segment with content: seal it now so
+                // exactly one unsealed segment remains.
+                writer.filled.push(writer.sealed_tail());
+            } else {
+                writer.store.remove(&name)?;
+            }
+        }
+        if !have_tail {
+            writer.start_segment(writer.tail.next)?;
+        }
+        writer.commit(counters)?;
+        Ok(writer)
+    }
+
     /// Chains the batch's entries (already in sequence order) onto the
-    /// active segment, sealing and rolling it as it fills. State is
-    /// committed only after each append succeeds, so an I/O failure
-    /// leaves the in-memory chain consistent with the bytes that actually
-    /// landed.
+    /// tail segment, rolling to a fresh segment as each fills, then
+    /// [commits](Writer::commit) the round. The chain and tail advance only
+    /// after each append succeeds, so an I/O failure leaves them
+    /// consistent with the bytes that actually landed, and a seal that
+    /// failed is retried by the next commit.
     fn persist(&mut self, batch: &Batch, counters: &Counters, durable: bool) -> io::Result<()> {
         let mut buf = Vec::new();
         let mut i = 0;
         while i < batch.entries.len() {
             buf.clear();
             let mut chain = self.chain_head;
-            let mut first = None;
-            let mut next = self.active_next;
+            let mut next = self.tail.next;
             let mut count = 0u64;
             let mut events = 0u64;
             let mut gap_records = 0u64;
             let mut gap_missing = 0u64;
             while let Some(entry) = batch.entries.get(i) {
-                if self.active_entries + count > 0
-                    && self.active_len + buf.len() as u64 >= self.segment_max
+                if self.tail.entries + count > 0
+                    && self.tail.len + buf.len() as u64 >= self.segment_max
                 {
                     break;
                 }
                 chain = push_payload_frame(&mut buf, &chain, batch.payload(i));
-                first.get_or_insert(entry.first);
                 next = entry.last + 1;
                 count += 1;
                 if entry.gap {
@@ -191,13 +312,10 @@ impl Inner {
                 i += 1;
             }
             if count > 0 {
-                self.store.append(&self.active_name, &buf)?;
-                self.active_len += buf.len() as u64;
-                if self.active_entries == 0 {
-                    self.active_first = first.expect("count > 0 implies a first entry");
-                }
-                self.active_entries += count;
-                self.active_next = next;
+                self.store.append(&segment_name(self.tail.start), &buf)?;
+                self.tail.len += buf.len() as u64;
+                self.tail.entries += count;
+                self.tail.next = next;
                 self.chain_head = chain;
                 counters
                     .persisted_events
@@ -210,56 +328,122 @@ impl Inner {
                     .fetch_add(gap_missing, Ordering::Relaxed);
             }
             if i < batch.entries.len() {
-                self.roll(counters)?;
+                self.filled.push(self.sealed_tail());
+                self.start_segment(self.tail.next)?;
             }
         }
+        self.commit(counters)?;
         if durable {
-            self.store.sync(&self.active_name)?;
+            self.store.sync(&segment_name(self.tail.start))?;
         }
         Ok(())
     }
 
-    /// Seals the (non-empty) active segment into the manifest and starts
-    /// a fresh one anchored on the chain head.
-    fn roll(&mut self, counters: &Counters) -> io::Result<()> {
-        debug_assert!(self.active_entries > 0, "never seal an empty segment");
-        self.store.sync(&self.active_name)?;
-        let start_hash = self
-            .manifest
-            .segments
-            .last()
-            .map(|s| s.end_hash.clone())
-            .unwrap_or_else(|| hash_hex(&GENESIS));
-        self.manifest.segments.push(SealedSegment {
-            name: self.active_name.clone(),
-            first_seq: self.active_first,
-            last_seq: self.active_next - 1,
-            entries: self.active_entries,
-            start_hash,
+    /// The manifest entry that seals the (non-empty) tail as it stands.
+    fn sealed_tail(&self) -> SealedSegment {
+        debug_assert!(self.tail.entries > 0, "never seal an empty segment");
+        SealedSegment {
+            name: segment_name(self.tail.start),
+            first_seq: self.tail.start,
+            last_seq: self.tail.next - 1,
+            entries: self.tail.entries,
+            start_hash: hash_hex(&self.anchor),
             end_hash: hash_hex(&self.chain_head),
-        });
-        self.manifest.head = hash_hex(&self.chain_head);
-        self.write_manifest()?;
-        counters.segments_sealed.fetch_add(1, Ordering::Relaxed);
-        self.start_segment(self.active_next)
+        }
     }
 
-    fn start_segment(&mut self, first_seq: u64) -> io::Result<()> {
-        self.active_name = segment_name(first_seq);
+    /// Starts a fresh tail segment anchored on the chain head.
+    fn start_segment(&mut self, start: u64) -> io::Result<()> {
         self.store
-            .append(&self.active_name, &segment_header(&self.chain_head))?;
-        self.active_len = SEGMENT_HEADER_LEN as u64;
-        self.active_entries = 0;
-        self.active_first = first_seq;
-        self.active_next = first_seq;
+            .append(&segment_name(start), &segment_header(&self.chain_head))?;
+        self.anchor = self.chain_head;
+        self.tail = Tail {
+            start,
+            len: SEGMENT_HEADER_LEN as u64,
+            entries: 0,
+            next: start,
+        };
         Ok(())
     }
 
-    fn write_manifest(&mut self) -> io::Result<()> {
-        let json = serde_json::to_string(&self.manifest)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.store.write_atomic(MANIFEST_NAME, json.as_bytes())
+    /// Seals the filled segments as one group, then shows readers the
+    /// new seals and the tail in one step, so no copy of the catalog lists
+    /// a segment twice or misses one. The group fsyncs each filled
+    /// segment (the first fsync also makes durable the directory entries
+    /// of the segments created since), then appends one manifest line per
+    /// segment and fsyncs the log once: the lines are the commit point,
+    /// so a seal costs the same however long the log is, and a round that
+    /// fills many small segments pays one manifest fsync, not one each.
+    fn commit(&mut self, counters: &Counters) -> io::Result<()> {
+        let mut lines = String::new();
+        for segment in &self.filled {
+            self.store.sync(&segment.name)?;
+            lines.push_str(&serde_json::to_string(segment).map_err(|e| invalid(e.to_string()))?);
+            lines.push('\n');
+        }
+        if !lines.is_empty() {
+            self.store.append(MANIFEST_LOG_NAME, lines.as_bytes())?;
+        }
+        counters
+            .segments_sealed
+            .fetch_add(self.filled.len() as u64, Ordering::Relaxed);
+        {
+            let mut catalog = self.catalog.lock();
+            catalog.sealed.extend(self.filled.drain(..).map(Arc::new));
+            catalog.tail = self.tail;
+        }
+        counters
+            .active_bytes
+            .store(self.tail.len, Ordering::Relaxed);
+        if !lines.is_empty() {
+            self.store.sync(MANIFEST_LOG_NAME)?;
+        }
+        Ok(())
     }
+}
+
+fn invalid(message: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.into())
+}
+
+fn parse_json<T: serde::Deserialize>(bytes: &[u8], what: &str) -> io::Result<T> {
+    let text = std::str::from_utf8(bytes).map_err(|_| invalid(format!("{what} not utf-8")))?;
+    serde_json::from_str(text).map_err(|e| invalid(format!("bad {what}: {e}")))
+}
+
+/// Reads the sealed-segment list: first the segments of a
+/// `manifest.json`, which a log written before the manifest became
+/// append-only may hold and which is never rewritten, then one segment
+/// per complete line of the manifest log. A torn last line, from a seal
+/// that crashed mid-append, is truncated away; its segment is still on
+/// disk and recovers as unsealed.
+fn read_manifest(
+    store: &dyn Store,
+    names: &[String],
+    counters: &Counters,
+) -> io::Result<Vec<Arc<SealedSegment>>> {
+    let has = |name: &str| names.iter().any(|n| n == name);
+    let mut sealed = Vec::new();
+    if has(MANIFEST_NAME) {
+        let base: Manifest = parse_json(&store.read(MANIFEST_NAME)?, "manifest")?;
+        sealed.extend(base.segments.into_iter().map(Arc::new));
+    }
+    if has(MANIFEST_LOG_NAME) {
+        let bytes = store.read(MANIFEST_LOG_NAME)?;
+        let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        for line in bytes[..complete].split(|&b| b == b'\n') {
+            if !line.is_empty() {
+                sealed.push(Arc::new(parse_json(line, "manifest line")?));
+            }
+        }
+        if complete < bytes.len() {
+            store.truncate(MANIFEST_LOG_NAME, complete as u64)?;
+            counters
+                .recovered_truncated_bytes
+                .fetch_add((bytes.len() - complete) as u64, Ordering::Relaxed);
+        }
+    }
+    Ok(sealed)
 }
 
 /// The tamper-evident persistent audit pipeline.
@@ -269,7 +453,8 @@ impl Inner {
 pub struct AuditPipeline {
     ring: Arc<AuditRing>,
     ctrl: mpsc::Sender<Ctrl>,
-    inner: Arc<Mutex<Inner>>,
+    store: Arc<dyn Store>,
+    catalog: Arc<Mutex<Catalog>>,
     counters: Arc<Counters>,
     drainer: Mutex<Option<JoinHandle<()>>>,
 }
@@ -292,110 +477,14 @@ impl AuditPipeline {
     /// re-chained from its anchor, and a torn tail is truncated back to
     /// the last chain-valid entry. The ring is allocated here, once.
     pub fn open(store: Box<dyn Store>, config: PipelineConfig) -> io::Result<AuditPipeline> {
+        let store: Arc<dyn Store> = Arc::from(store);
         let counters = Arc::new(Counters::default());
-        let mut inner = Inner {
-            store,
-            manifest: Manifest::default(),
-            chain_head: GENESIS,
-            active_name: String::new(),
-            active_len: 0,
-            active_entries: 0,
-            active_first: 0,
-            active_next: 0,
-            segment_max: config.segment_max_bytes.max(SEGMENT_HEADER_LEN as u64 + 64),
-        };
-        let names = inner.store.list()?;
-        if names.iter().any(|n| n == MANIFEST_NAME) {
-            let bytes = inner.store.read(MANIFEST_NAME)?;
-            let text = std::str::from_utf8(&bytes)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "manifest not utf-8"))?;
-            inner.manifest = serde_json::from_str(text).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("bad manifest: {e}"))
-            })?;
-        }
-        inner.chain_head = hash_from_hex(&inner.manifest.head)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad manifest head"))?;
-        let mut next_seq = inner
-            .manifest
-            .segments
-            .last()
-            .map(|s| s.last_seq + 1)
-            .unwrap_or(0);
-
-        // Unsealed segments: everything named like a segment but absent
-        // from the manifest. By construction at most one exists; recover
-        // defensively anyway, oldest first.
-        let mut unsealed: Vec<(u64, String)> = names
-            .iter()
-            .filter(|n| !inner.manifest.segments.iter().any(|s| &s.name == *n))
-            .filter_map(|n| parse_segment_name(n).map(|seq| (seq, n.clone())))
-            .collect();
-        unsealed.sort_unstable();
-
-        let mut have_active = false;
-        let count = unsealed.len();
-        for (i, (_, name)) in unsealed.into_iter().enumerate() {
-            let is_last = i + 1 == count;
-            let bytes = inner.store.read(&name)?;
-            let scan = scan_segment(&bytes, Some(&inner.chain_head));
-            if scan.valid_len < bytes.len() as u64 {
-                counters
-                    .recovered_truncated_bytes
-                    .fetch_add(bytes.len() as u64 - scan.valid_len, Ordering::Relaxed);
-            }
-            if scan.valid_len < SEGMENT_HEADER_LEN as u64 {
-                // The header never fully landed (or cannot splice onto
-                // the chain): nothing recoverable here.
-                inner.store.remove(&name)?;
-                continue;
-            }
-            if scan.valid_len < bytes.len() as u64 {
-                inner.store.truncate(&name, scan.valid_len)?;
-            }
-            let entries = scan.entries.len() as u64;
-            let first = scan
-                .entries
-                .first()
-                .map(|e| e.first_seq())
-                .unwrap_or(next_seq);
-            if let Some(last_entry) = scan.entries.last() {
-                next_seq = last_entry.last_seq() + 1;
-            }
-            inner.chain_head = scan.end_hash;
-            if is_last {
-                inner.active_name = name;
-                inner.active_len = scan.valid_len;
-                inner.active_entries = entries;
-                inner.active_first = first;
-                inner.active_next = next_seq;
-                have_active = true;
-            } else if entries > 0 {
-                // An older unsealed segment with content: seal it now so
-                // exactly one unsealed segment remains.
-                let start_hash = inner
-                    .manifest
-                    .segments
-                    .last()
-                    .map(|s| s.end_hash.clone())
-                    .unwrap_or_else(|| hash_hex(&GENESIS));
-                inner.manifest.segments.push(SealedSegment {
-                    name,
-                    first_seq: first,
-                    last_seq: next_seq - 1,
-                    entries,
-                    start_hash,
-                    end_hash: hash_hex(&inner.chain_head),
-                });
-                inner.manifest.head = hash_hex(&inner.chain_head);
-                counters.segments_sealed.fetch_add(1, Ordering::Relaxed);
-            } else {
-                inner.store.remove(&name)?;
-            }
-        }
-        if !have_active {
-            inner.start_segment(next_seq)?;
-        }
-        inner.write_manifest()?;
+        let writer = Writer::recover(
+            Arc::clone(&store),
+            config.segment_max_bytes.max(SEGMENT_HEADER_LEN as u64 + 64),
+            &counters,
+        )?;
+        let next_seq = writer.tail.next;
         counters.next_seq.store(next_seq, Ordering::Relaxed);
 
         let stall_limit = config.idle_flush * 2;
@@ -403,11 +492,11 @@ impl AuditPipeline {
             AuditRing::with_drainer(config.queue_capacity, next_seq, true).paced(stall_limit),
         );
         let (ctrl, ctrl_rx) = mpsc::channel();
-        let inner = Arc::new(Mutex::new(inner));
+        let catalog = Arc::clone(&writer.catalog);
         let drainer = Drainer {
             ring: Arc::clone(&ring),
             ctrl: ctrl_rx,
-            inner: inner.clone(),
+            writer,
             counters: counters.clone(),
             next: next_seq,
             batch: Batch::default(),
@@ -422,7 +511,8 @@ impl AuditPipeline {
         Ok(AuditPipeline {
             ring,
             ctrl,
-            inner,
+            store,
+            catalog,
             counters,
             drainer: Mutex::new(Some(handle)),
         })
@@ -456,34 +546,47 @@ impl AuditPipeline {
         ack_rx.recv().map_err(|_| stopped())?
     }
 
+    /// Reads a segment as a catalog copy lists it: a sealed one whole,
+    /// the tail only up to its published length `len`, since the drainer
+    /// may be appending past it.
+    fn read_segment(&self, name: &str, len: Option<u64>) -> io::Result<Vec<u8>> {
+        let mut bytes = self.store.read(name)?;
+        if let Some(len) = len {
+            bytes.truncate(len as usize);
+        }
+        Ok(bytes)
+    }
+
     /// Runs a bounded, filtered query over the persisted log (sealed
     /// segments and the active tail). Call [`flush`](AuditPipeline::flush)
-    /// first to include everything recorded so far.
+    /// first to include everything recorded so far. Reads a copy of the
+    /// catalog, so the drainer keeps appending meanwhile.
     pub fn query(&self, query: &AuditQuery) -> io::Result<QueryResult> {
-        let inner = self.inner.lock();
+        let catalog = self.catalog.lock().clone();
+        let tail = catalog.tail;
+        let tail_name = segment_name(tail.start);
+        let sealed = catalog
+            .sealed
+            .iter()
+            .map(|s| (s.name.as_str(), s.first_seq, s.last_seq, None));
+        let active = (tail.entries > 0).then(|| {
+            (
+                tail_name.as_str(),
+                tail.start,
+                tail.next - 1,
+                Some(tail.len),
+            )
+        });
         let limit = query.effective_limit();
         let mut result = QueryResult::default();
-        let mut segments: Vec<(String, u64, u64)> = inner
-            .manifest
-            .segments
-            .iter()
-            .map(|s| (s.name.clone(), s.first_seq, s.last_seq))
-            .collect();
-        if inner.active_entries > 0 {
-            segments.push((
-                inner.active_name.clone(),
-                inner.active_first,
-                inner.active_next - 1,
-            ));
-        }
-        'segments: for (name, first, last) in segments {
+        'segments: for (name, first, last, len) in sealed.chain(active) {
             if last < query.seq_min {
                 continue;
             }
             if query.seq_max.is_some_and(|max| first > max) {
                 break;
             }
-            let bytes = inner.store.read(&name)?;
+            let bytes = self.read_segment(name, len)?;
             // Damage is surfaced by `verify`; a query returns whatever
             // prefix still chains.
             let scan = scan_segment(&bytes, None);
@@ -510,30 +613,31 @@ impl AuditPipeline {
             }
         }
         if !result.truncated {
-            result.next_seq = inner.active_next.max(query.seq_min);
+            result.next_seq = tail.next.max(query.seq_min);
         }
         Ok(result)
     }
 
     /// Re-derives the whole chain and reports per-segment integrity.
     /// Never panics on damage — a flipped byte, torn tail, missing blob,
-    /// or resealed file each map to a typed [`SegmentStatus`].
+    /// or resealed file each map to a typed [`SegmentStatus`]. Reads a
+    /// copy of the catalog, so the drainer keeps appending meanwhile.
     pub fn verify(&self) -> io::Result<VerifyReport> {
         let started = Instant::now();
-        let inner = self.inner.lock();
+        let catalog = self.catalog.lock().clone();
         let mut report = VerifyReport {
             ok: true,
             segments: Vec::new(),
             chain_head: hash_hex(&GENESIS),
             next_seq: 0,
+            omitted: 0,
         };
         let mut chain = GENESIS;
         let mut expect_seq: Option<u64> = None;
-        for seg in &inner.manifest.segments {
+        for seg in &catalog.sealed {
             let (seg_report, end) = Self::verify_segment(
-                &*inner.store,
                 &seg.name,
-                true,
+                self.store.read(&seg.name),
                 &chain,
                 Some(&seg.end_hash),
                 &mut expect_seq,
@@ -548,11 +652,12 @@ impl AuditPipeline {
             report.ok &= seg_report.status.is_ok();
             report.segments.push(seg_report);
         }
-        if inner.active_entries > 0 || inner.manifest.segments.is_empty() {
+        let tail = catalog.tail;
+        if tail.entries > 0 || catalog.sealed.is_empty() {
+            let name = segment_name(tail.start);
             let (seg_report, end) = Self::verify_segment(
-                &*inner.store,
-                &inner.active_name,
-                false,
+                &name,
+                self.read_segment(&name, Some(tail.len)),
                 &chain,
                 None,
                 &mut expect_seq,
@@ -564,8 +669,7 @@ impl AuditPipeline {
             report.segments.push(seg_report);
         }
         report.chain_head = hash_hex(&chain);
-        report.next_seq = expect_seq.unwrap_or(inner.active_next);
-        drop(inner);
+        report.next_seq = expect_seq.unwrap_or(tail.next);
         self.counters.verify_calls.fetch_add(1, Ordering::Relaxed);
         self.counters
             .verify_ns
@@ -573,28 +677,26 @@ impl AuditPipeline {
         Ok(report)
     }
 
+    /// Verifies one segment's bytes (`sealed_end` is the manifest's end
+    /// hash for a sealed one, `None` for the tail).
     fn verify_segment(
-        store: &dyn Store,
         name: &str,
-        sealed: bool,
+        bytes: io::Result<Vec<u8>>,
         anchor: &ChainHash,
         sealed_end: Option<&str>,
         expect_seq: &mut Option<u64>,
     ) -> (SegmentReport, Option<ChainHash>) {
         let mut report = SegmentReport {
             name: name.to_owned(),
-            sealed,
+            sealed: sealed_end.is_some(),
             first_seq: 0,
             last_seq: 0,
             entries: 0,
             status: SegmentStatus::Ok,
         };
-        let bytes = match store.read(name) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                report.status = SegmentStatus::Missing;
-                return (report, None);
-            }
+        let Ok(bytes) = bytes else {
+            report.status = SegmentStatus::Missing;
+            return (report, None);
         };
         let scan = scan_segment(&bytes, Some(anchor));
         report.entries = scan.entries.len() as u64;
@@ -631,7 +733,6 @@ impl AuditPipeline {
     /// Snapshots the pipeline counters.
     pub fn stats(&self) -> PipelineStats {
         let c = &self.counters;
-        let active_bytes = self.inner.lock().active_len;
         let shed = self.ring.shed();
         let late_dropped = self.ring.late_dropped();
         let enqueued = self.ring.issued().saturating_sub(shed);
@@ -651,7 +752,7 @@ impl AuditPipeline {
             verify_ns: c.verify_ns.load(Ordering::Relaxed),
             next_seq: c.next_seq.load(Ordering::Relaxed),
             queue_depth: enqueued.saturating_sub(persisted_events + late_dropped),
-            active_bytes,
+            active_bytes: c.active_bytes.load(Ordering::Relaxed),
             running: self.is_running(),
         }
     }
@@ -784,7 +885,7 @@ impl Batch {
 struct Drainer {
     ring: Arc<AuditRing>,
     ctrl: mpsc::Receiver<Ctrl>,
-    inner: Arc<Mutex<Inner>>,
+    writer: Writer,
     counters: Arc<Counters>,
     /// The next sequence number to read; everything below is persisted,
     /// staged, or declared lost.
@@ -926,10 +1027,7 @@ impl Drainer {
         if self.batch.entries.is_empty() && !durable {
             return Ok(());
         }
-        let outcome = self
-            .inner
-            .lock()
-            .persist(&self.batch, &self.counters, durable);
+        let outcome = self.writer.persist(&self.batch, &self.counters, durable);
         self.batch.clear();
         if outcome.is_err() {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -969,6 +1067,58 @@ mod tests {
     /// Records `record(seq)` and checks the ring handed out `seq`.
     fn put(pipeline: &AuditPipeline, seq: u64) {
         assert_eq!(pipeline.ring().append(&record(seq)), seq);
+    }
+
+    /// An in-memory store whose appends wait while `gate` is held,
+    /// counting the appends waiting in `blocked`.
+    #[derive(Default)]
+    struct Gated {
+        blobs: MemStore,
+        gate: Arc<Mutex<()>>,
+        blocked: Arc<AtomicU64>,
+    }
+
+    impl Store for Gated {
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.blobs.list()
+        }
+
+        fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+            self.blobs.read(name)
+        }
+
+        fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.blocked.fetch_add(1, Ordering::SeqCst);
+            let open = self.gate.lock();
+            self.blocked.fetch_sub(1, Ordering::SeqCst);
+            drop(open);
+            self.blobs.append(name, bytes)
+        }
+
+        fn sync(&self, name: &str) -> io::Result<()> {
+            self.blobs.sync(name)
+        }
+
+        fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+            self.blobs.truncate(name, len)
+        }
+
+        fn size(&self, name: &str) -> io::Result<u64> {
+            self.blobs.size(name)
+        }
+
+        fn remove(&self, name: &str) -> io::Result<()> {
+            self.blobs.remove(name)
+        }
+    }
+
+    /// A pipeline over a [`Gated`] store, with the store's gate and
+    /// waiting-append count.
+    fn gated(config: PipelineConfig) -> (AuditPipeline, Arc<Mutex<()>>, Arc<AtomicU64>) {
+        let store = Gated::default();
+        let (gate, blocked) = (Arc::clone(&store.gate), Arc::clone(&store.blocked));
+        let pipeline = AuditPipeline::open(Box::new(store), config).unwrap();
+        (pipeline, gate, blocked)
     }
 
     fn commit(pipeline: &AuditPipeline, seq: u64) {
@@ -1075,12 +1225,12 @@ mod tests {
     #[test]
     fn burst_larger_than_the_ring_is_shed_and_declared() {
         const BURST: u64 = 5_000;
-        let pipeline = AuditPipeline::in_memory(PipelineConfig {
+        let (pipeline, gate, _) = gated(PipelineConfig {
             queue_capacity: 64,
             ..PipelineConfig::default()
         });
         {
-            let _held = pipeline.inner.lock();
+            let _held = gate.lock();
             for seq in 0..BURST {
                 put(&pipeline, seq);
             }
@@ -1100,6 +1250,42 @@ mod tests {
         let result = pipeline.query(&AuditQuery::default()).unwrap();
         assert!(result.records.iter().all(|r| *r == record(r.seq)));
         assert_eq!(result.records.last().map(|r| r.seq), Some(BURST - 1));
+    }
+
+    /// Query, verify and stats answer from what the drainer last
+    /// published while the drainer is stuck inside a store append.
+    #[test]
+    fn admin_reads_do_not_wait_for_the_drainers_io() {
+        let (pipeline, gate, blocked) = gated(PipelineConfig::default());
+        for seq in 0..100 {
+            put(&pipeline, seq);
+        }
+        pipeline.flush().unwrap();
+        let held = gate.lock();
+        for seq in 100..200 {
+            put(&pipeline, seq);
+        }
+        while blocked.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let result = pipeline.query(&AuditQuery::default()).unwrap();
+        assert_eq!(result.records, (0..100).map(record).collect::<Vec<_>>());
+        assert_eq!(result.next_seq, 100);
+        let report = pipeline.verify().unwrap();
+        assert!(report.ok, "{report:?}");
+        assert_eq!(report.next_seq, 100);
+        assert_eq!(pipeline.stats().persisted_events, 100);
+        drop(held);
+        pipeline.flush().unwrap();
+        assert_eq!(pipeline.verify().unwrap().next_seq, 200);
+        assert_eq!(
+            pipeline
+                .query(&AuditQuery::default())
+                .unwrap()
+                .records
+                .len(),
+            200
+        );
     }
 
     #[test]

@@ -169,6 +169,29 @@ pub struct VerifyReport {
     pub chain_head: String,
     /// The first sequence number beyond everything persisted.
     pub next_seq: u64,
+    /// Verified segments whose verdicts `segments` leaves out, so that
+    /// the report fits a wire frame (see
+    /// [`cap_segments`](VerifyReport::cap_segments)); 0 in process.
+    pub omitted: u64,
+}
+
+impl VerifyReport {
+    /// Keeps at most `max` verdicts in `segments`, dropping intact ones
+    /// first, oldest first, and then, if the damaged ones alone exceed
+    /// `max`, the newest damaged ones. Counts the dropped verdicts in
+    /// `omitted`; `ok`, `chain_head` and `next_seq` still describe the
+    /// whole log.
+    pub fn cap_segments(&mut self, max: usize) {
+        let before = self.segments.len();
+        let mut excess = before.saturating_sub(max);
+        self.segments.retain(|s| {
+            let drop = excess > 0 && s.status.is_ok();
+            excess -= usize::from(drop);
+            !drop
+        });
+        self.segments.truncate(max);
+        self.omitted += (before - self.segments.len()) as u64;
+    }
 }
 
 #[cfg(test)]
@@ -214,6 +237,37 @@ mod tests {
         assert!(!q.matches(&record(7, 4, Outcome::MacFlow, "/svc/fs/secret")));
         assert!(!q.matches(&record(7, 3, Outcome::Allow, "/svc/fs/secret")));
         assert!(!q.matches(&record(7, 3, Outcome::MacFlow, "/svc/net/secret")));
+    }
+
+    #[test]
+    fn capped_reports_keep_every_damaged_verdict_they_can() {
+        let verdict = |i: u64, status: SegmentStatus| SegmentReport {
+            name: format!("s{i}"),
+            sealed: true,
+            first_seq: i,
+            last_seq: i,
+            entries: 1,
+            status,
+        };
+        let mut report = VerifyReport {
+            ok: false,
+            segments: (0..10)
+                .map(|i| match i {
+                    3 | 7 => verdict(i, SegmentStatus::Missing),
+                    _ => verdict(i, SegmentStatus::Ok),
+                })
+                .collect(),
+            chain_head: String::new(),
+            next_seq: 10,
+            omitted: 0,
+        };
+        report.cap_segments(4);
+        let names: Vec<&str> = report.segments.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["s3", "s7", "s8", "s9"]);
+        assert_eq!(report.omitted, 6);
+        report.cap_segments(1);
+        assert_eq!(report.segments[0].name, "s3");
+        assert_eq!(report.omitted, 9);
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //!
 //! The header's *anchor* is the chain hash the segment starts from — the
 //! previous segment's end hash, or [`GENESIS`] for the log's first
-//! segment — so segments verify independently and splice together. Sealed
-//! segments are listed in `manifest.json` (written atomically: temp +
-//! fsync + rename + directory fsync) with their covered sequence range
-//! and start/end hashes; at most one segment — the *active* one — is ever
-//! absent from the manifest, and startup recovery re-derives its chain
-//! from the anchor, truncating a torn tail back to the last valid entry.
+//! segment — so segments verify independently and splice together. Each
+//! seal appends one fsync'd JSON line to the manifest log
+//! (`manifest.log`) naming the segment, its covered sequence range and
+//! its start/end hashes; a log written before the manifest became
+//! append-only keeps its earlier seals in `manifest.json`, read as the
+//! base. At most one segment — the *active* one — is ever absent from the
+//! manifest, and startup recovery re-derives its chain from the anchor,
+//! truncating a torn tail back to the last valid entry (and a torn last
+//! manifest line back to the last complete one).
 
 use crate::record::{chain_next, ChainHash, DecodeError, Entry, GENESIS, MAX_ENTRY_LEN};
 use serde::{Deserialize, Serialize};
@@ -26,8 +29,11 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"ALG1";
 pub const SEGMENT_VERSION: u8 = 1;
 /// Byte length of the segment header.
 pub const SEGMENT_HEADER_LEN: usize = 4 + 1 + 32;
-/// Name of the manifest blob.
+/// Name of the manifest blob written before the manifest became
+/// append-only; recovery reads it as the base of the manifest log.
 pub const MANIFEST_NAME: &str = "manifest.json";
+/// Name of the manifest log: one JSON [`SealedSegment`] line per seal.
+pub const MANIFEST_LOG_NAME: &str = "manifest.log";
 
 /// Builds the canonical file name for a segment whose first covered
 /// sequence number is `first_seq`.
@@ -35,10 +41,11 @@ pub fn segment_name(first_seq: u64) -> String {
     format!("seg-{first_seq:016x}.alog")
 }
 
-/// Parses a name produced by [`segment_name`].
+/// Parses a name produced by [`segment_name`] (and only such a name, so
+/// `segment_name` gives it back).
 pub fn parse_segment_name(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("seg-")?.strip_suffix(".alog")?;
-    if hex.len() != 16 {
+    if hex.len() != 16 || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
         return None;
     }
     u64::from_str_radix(hex, 16).ok()
@@ -70,7 +77,8 @@ pub struct SealedSegment {
     pub end_hash: String,
 }
 
-/// The durable index of sealed segments.
+/// The sealed-segment index as `manifest.json` held it before the
+/// manifest became append-only.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Manifest {
     /// Manifest format version.
@@ -80,16 +88,6 @@ pub struct Manifest {
     pub head: String,
     /// Sealed segments, oldest first.
     pub segments: Vec<SealedSegment>,
-}
-
-impl Default for Manifest {
-    fn default() -> Self {
-        Manifest {
-            version: 1,
-            head: crate::record::hash_hex(&GENESIS),
-            segments: Vec::new(),
-        }
-    }
 }
 
 /// Why a segment scan stopped before the end of the file.
@@ -307,6 +305,8 @@ mod tests {
         );
         assert_eq!(parse_segment_name("manifest.json"), None);
         assert_eq!(parse_segment_name("seg-xyz.alog"), None);
+        assert_eq!(parse_segment_name("seg-00000000DEADBEEF.alog"), None);
+        assert_eq!(parse_segment_name("seg-+00000000000000a.alog"), None);
     }
 
     #[test]

@@ -1,19 +1,22 @@
-//! Storage backends for segments and the manifest.
+//! Storage backends for segments and the manifest log.
 //!
 //! The chain/segment logic is written against the small [`Store`] trait so
 //! the same pipeline runs on a real directory ([`DiskStore`]) or entirely
 //! in memory ([`MemStore`] — used by the campaign explorer's invariant
 //! probes and fast tests, where filesystem I/O would dominate).
 
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// A flat namespace of append-only blobs plus one atomically-replaced
-/// manifest blob. Only the drainer and admin (query/verify) paths touch a
-/// store; the check path never does.
-pub trait Store: Send {
+/// A flat namespace of append-only blobs. Only the drainer and the admin
+/// (query/verify) paths touch a store; the check path never does. The
+/// drainer appends and syncs (recovery also truncates and removes) while
+/// the admin paths read, so a read must see every byte of each append
+/// that returned before the read began.
+pub trait Store: Send + Sync {
     /// Lists blob names (unordered).
     fn list(&self) -> io::Result<Vec<String>>;
 
@@ -21,31 +24,59 @@ pub trait Store: Send {
     fn read(&self, name: &str) -> io::Result<Vec<u8>>;
 
     /// Appends bytes to a blob, creating it if absent.
-    fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()>;
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()>;
 
-    /// Durably flushes a blob's appended bytes.
-    fn sync(&mut self, name: &str) -> io::Result<()>;
-
-    /// Atomically replaces a blob's contents and makes the replacement
-    /// durable (write-to-temp, fsync, rename, fsync directory on disk).
-    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()>;
+    /// Durably flushes a blob's appended bytes, and the directory entry of
+    /// every blob created since the last sync.
+    fn sync(&self, name: &str) -> io::Result<()>;
 
     /// Truncates a blob to `len` bytes (used by torn-tail recovery).
-    fn truncate(&mut self, name: &str, len: u64) -> io::Result<()>;
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()>;
 
     /// Current size of a blob in bytes.
     fn size(&self, name: &str) -> io::Result<u64>;
 
     /// Removes a blob (used by recovery to discard unrecoverable empty
     /// tails). Removing a missing blob is an error.
-    fn remove(&mut self, name: &str) -> io::Result<()>;
+    fn remove(&self, name: &str) -> io::Result<()>;
 }
 
-/// A directory-backed store. One file per blob; the active segment's
-/// handle is cached so sustained appends do not reopen per batch.
+/// A directory-backed store. One file per blob; the last appended blob's
+/// handle is cached so sustained appends do not reopen per batch. Reads
+/// open their own handle and never wait for an append.
 pub struct DiskStore {
     dir: PathBuf,
-    active: Option<(String, File)>,
+    append: Mutex<Appender>,
+}
+
+#[derive(Default)]
+struct Appender {
+    cached: Option<(String, File)>,
+    /// A blob was created since the directory was last fsync'd.
+    dir_dirty: bool,
+}
+
+impl Appender {
+    fn file(&mut self, dir: &Path, name: &str) -> io::Result<&mut File> {
+        if self
+            .cached
+            .as_ref()
+            .is_none_or(|(cached, _)| cached != name)
+        {
+            let path = dir.join(name);
+            self.dir_dirty |= !path.exists();
+            let file = OpenOptions::new().create(true).append(true).open(path)?;
+            self.cached = Some((name.to_owned(), file));
+        }
+        Ok(&mut self.cached.as_mut().expect("cached handle").1)
+    }
+
+    /// Drops the cached handle if it is `name`'s.
+    fn forget(&mut self, name: &str) {
+        if matches!(&self.cached, Some((cached, _)) if cached == name) {
+            self.cached = None;
+        }
+    }
 }
 
 impl DiskStore {
@@ -53,7 +84,10 @@ impl DiskStore {
     pub fn open(dir: impl AsRef<Path>) -> io::Result<DiskStore> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        Ok(DiskStore { dir, active: None })
+        Ok(DiskStore {
+            dir,
+            append: Mutex::default(),
+        })
     }
 
     /// The backing directory.
@@ -63,26 +97,6 @@ impl DiskStore {
 
     fn path(&self, name: &str) -> PathBuf {
         self.dir.join(name)
-    }
-
-    fn open_append(&mut self, name: &str) -> io::Result<&mut File> {
-        let stale = match &self.active {
-            Some((cached, _)) => cached != name,
-            None => true,
-        };
-        if stale {
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.path(name))?;
-            self.active = Some((name.to_owned(), file));
-        }
-        Ok(&mut self.active.as_mut().expect("cached handle").1)
-    }
-
-    fn sync_dir(&self) -> io::Result<()> {
-        // Make the rename itself durable, not just the file contents.
-        File::open(&self.dir)?.sync_all()
     }
 }
 
@@ -106,58 +120,44 @@ impl Store for DiskStore {
         Ok(bytes)
     }
 
-    fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        self.open_append(name)?.write_all(bytes)
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.append.lock().file(&self.dir, name)?.write_all(bytes)
     }
 
-    fn sync(&mut self, name: &str) -> io::Result<()> {
-        self.open_append(name)?.sync_all()
-    }
-
-    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        let tmp = self.path(&format!("{name}.tmp"));
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(bytes)?;
-            file.sync_all()?;
+    fn sync(&self, name: &str) -> io::Result<()> {
+        let mut append = self.append.lock();
+        append.file(&self.dir, name)?.sync_all()?;
+        if append.dir_dirty {
+            // Make the new files' directory entries durable, not just
+            // their contents.
+            File::open(&self.dir)?.sync_all()?;
+            append.dir_dirty = false;
         }
-        std::fs::rename(&tmp, self.path(name))?;
-        self.sync_dir()
+        Ok(())
     }
 
-    fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
-        if matches!(&self.active, Some((cached, _)) if cached == name) {
-            self.active = None;
-        }
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        self.append.lock().forget(name);
         let file = OpenOptions::new().write(true).open(self.path(name))?;
         file.set_len(len)?;
         file.sync_all()
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
-        if let Some((cached, file)) = &self.active {
-            if cached == name {
-                // The cached append handle may hold unflushed metadata;
-                // its own metadata is authoritative.
-                return Ok(file.metadata()?.len());
-            }
-        }
         Ok(std::fs::metadata(self.path(name))?.len())
     }
 
-    fn remove(&mut self, name: &str) -> io::Result<()> {
-        if matches!(&self.active, Some((cached, _)) if cached == name) {
-            self.active = None;
-        }
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.append.lock().forget(name);
         std::fs::remove_file(self.path(name))
     }
 }
 
-/// An in-memory store: a map of named byte vectors. `sync` and the
-/// atomicity of `write_atomic` are trivially satisfied.
+/// An in-memory store: a map of named byte vectors behind one lock, held
+/// only for the copy in or out. `sync` is trivially satisfied.
 #[derive(Default)]
 pub struct MemStore {
-    blobs: HashMap<String, Vec<u8>>,
+    blobs: Mutex<HashMap<String, Vec<u8>>>,
 }
 
 impl MemStore {
@@ -167,60 +167,57 @@ impl MemStore {
     }
 }
 
+fn no_blob(name: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, format!("no blob {name}"))
+}
+
 impl Store for MemStore {
     fn list(&self) -> io::Result<Vec<String>> {
-        Ok(self.blobs.keys().cloned().collect())
+        Ok(self.blobs.lock().keys().cloned().collect())
     }
 
     fn read(&self, name: &str) -> io::Result<Vec<u8>> {
         self.blobs
+            .lock()
             .get(name)
             .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no blob {name}")))
+            .ok_or_else(|| no_blob(name))
     }
 
-    fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         self.blobs
+            .lock()
             .entry(name.to_owned())
             .or_default()
             .extend_from_slice(bytes);
         Ok(())
     }
 
-    fn sync(&mut self, _name: &str) -> io::Result<()> {
+    fn sync(&self, _name: &str) -> io::Result<()> {
         Ok(())
     }
 
-    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        self.blobs.insert(name.to_owned(), bytes.to_vec());
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        let mut blobs = self.blobs.lock();
+        let blob = blobs.get_mut(name).ok_or_else(|| no_blob(name))?;
+        blob.truncate(len as usize);
         Ok(())
-    }
-
-    fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
-        match self.blobs.get_mut(name) {
-            Some(blob) => {
-                blob.truncate(len as usize);
-                Ok(())
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no blob {name}"),
-            )),
-        }
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
         self.blobs
+            .lock()
             .get(name)
             .map(|b| b.len() as u64)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no blob {name}")))
+            .ok_or_else(|| no_blob(name))
     }
 
-    fn remove(&mut self, name: &str) -> io::Result<()> {
+    fn remove(&self, name: &str) -> io::Result<()> {
         self.blobs
+            .lock()
             .remove(name)
             .map(|_| ())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no blob {name}")))
+            .ok_or_else(|| no_blob(name))
     }
 }
 
@@ -228,7 +225,7 @@ impl Store for MemStore {
 mod tests {
     use super::*;
 
-    fn exercise(store: &mut dyn Store) {
+    fn exercise(store: &dyn Store) {
         store.append("a", b"hello ").unwrap();
         store.append("a", b"world").unwrap();
         store.sync("a").unwrap();
@@ -236,9 +233,10 @@ mod tests {
         assert_eq!(store.size("a").unwrap(), 11);
         store.truncate("a", 5).unwrap();
         assert_eq!(store.read("a").unwrap(), b"hello");
-        store.write_atomic("m", b"{}").unwrap();
-        store.write_atomic("m", b"{\"v\":1}").unwrap();
-        assert_eq!(store.read("m").unwrap(), b"{\"v\":1}");
+        store.append("m", b"line\n").unwrap();
+        store.sync("m").unwrap();
+        store.append("a", b"!").unwrap();
+        assert_eq!(store.read("a").unwrap(), b"hello!");
         let mut names = store.list().unwrap();
         names.sort();
         assert_eq!(names, ["a", "m"]);
@@ -247,11 +245,29 @@ mod tests {
         store.remove("gone").unwrap();
         assert!(store.read("gone").is_err());
         assert!(store.remove("gone").is_err());
+
+        // A read while another thread appends sees a prefix of what the
+        // appends build, never bytes out of place.
+        let expect: Vec<u8> = (0..2_000u32).flat_map(|i| i.to_le_bytes()).collect();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for chunk in expect.chunks(4) {
+                    store.append("grow", chunk).unwrap();
+                }
+            });
+            let mut seen = 0;
+            while seen < expect.len() {
+                let bytes = store.read("grow").unwrap_or_default();
+                assert!(bytes.len() >= seen, "a read went backwards");
+                assert_eq!(bytes, expect[..bytes.len()]);
+                seen = bytes.len();
+            }
+        });
     }
 
     #[test]
     fn mem_store_contract() {
-        exercise(&mut MemStore::new());
+        exercise(&MemStore::new());
     }
 
     #[test]
@@ -264,9 +280,7 @@ mod tests {
                 .unwrap()
                 .as_nanos()
         ));
-        let mut store = DiskStore::open(&dir).unwrap();
-        exercise(&mut store);
-        drop(store);
+        exercise(&DiskStore::open(&dir).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * the F1 tail-grant shape (256 filler ACL entries, audit off),
 //!   single-threaded, and
-//! * the F9 parallel workload (per-thread principals on one hot node),
+//! * a parallel workload (per-thread principals on one hot node),
 //!   to show enabled telemetry does not reintroduce the shared-cache-line
 //!   serialization the lock-free read path removed.
 //!
@@ -75,8 +75,8 @@ fn tail_grant_world(len: usize) -> (Arc<ReferenceMonitor>, Subject) {
     (monitor, subject)
 }
 
-/// The F9 fixture: `/svc/fs/op` granting execute to one principal per
-/// thread.
+/// The parallel fixture: `/svc/fs/op` granting execute to one principal
+/// per thread.
 fn parallel_world(threads: usize) -> (Arc<ReferenceMonitor>, Vec<Subject>) {
     let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
     let mut builder = MonitorBuilder::new(lattice);
@@ -124,7 +124,7 @@ fn time_checks(monitor: &ReferenceMonitor, subject: &Subject, path: &NsPath, ite
     start.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-/// Aggregate checks/sec over `threads` threads (the F9 measurement).
+/// Aggregate checks/sec over `threads` threads.
 fn aggregate_throughput(
     monitor: &Arc<ReferenceMonitor>,
     subjects: &[Subject],
@@ -226,7 +226,7 @@ fn report_overhead_table(single_iters: u32, parallel_iters: u64) {
     );
     println!(
         "{:<28} {:>10.2e} c/s {:>10.2e} c/s {:>+8.1}%  ({} threads)",
-        "f9-parallel",
+        "parallel",
         rate[0],
         rate[1],
         // Throughput: overhead is the rate *lost* when enabling.

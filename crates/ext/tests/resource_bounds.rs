@@ -8,9 +8,10 @@ use extsec_ext::{ExtError, ExtRuntime, ExtensionManifest, HealthConfig, HealthSt
 use extsec_mac::{Lattice, SecurityClass};
 use extsec_namespace::{NodeKind, NsPath, Protection};
 use extsec_refmon::{ExtFault, MonitorBuilder, ReferenceMonitor, Subject};
-use extsec_vm::{asm, EpochTicker, MachineLimits, Trap};
+use extsec_vm::{asm, verify, EpochClock, EpochTicker, Machine, MachineLimits, NullHost, Trap};
+use std::hint::black_box;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn p(s: &str) -> NsPath {
     s.parse().unwrap()
@@ -298,12 +299,99 @@ export good = good
 export bad = bad
 "#;
 
+/// About 40k instructions of loop and arithmetic: the workload of the
+/// limits-on/off interpreter line.
+const SPIN_40K_SRC: &str = r#"
+module spin
+func main() -> int
+  locals i: int
+  push_int 0
+  store_local i
+  label loop
+  load_local i
+  push_int 1
+  add
+  store_local i
+  load_local i
+  push_int 5000
+  lt
+  jump_if loop
+  load_local i
+  ret
+end
+export main = main
+"#;
+
+/// Routed calls per timed loop of the printed churn row.
+const CALLS: u32 = 200;
+
+/// Mean µs of one routed `call`, each answered by a healthy `good`,
+/// timed after one untimed call.
+fn routed_call_us(f: &Fixture, alice: &Subject, path: &NsPath) -> f64 {
+    assert_eq!(
+        f.runtime.call(alice, path, &[]).unwrap(),
+        Some(extsec_vm::Value::Int(7))
+    );
+    let start = Instant::now();
+    for _ in 0..CALLS {
+        assert_eq!(
+            f.runtime.call(alice, path, &[]).unwrap(),
+            Some(extsec_vm::Value::Int(7))
+        );
+    }
+    start.elapsed().as_secs_f64() * 1e6 / f64::from(CALLS)
+}
+
+/// Prints µs per run of the same program on one machine with the epoch
+/// deadline and byte budget unarmed, then armed (live ticker, deadline
+/// never reached). Both legs get an inexhaustible fuel tank, since fuel
+/// accrues across runs of a reused machine.
+fn print_interpreter_line(runs: u32) {
+    let verified = verify(asm::assemble(SPIN_40K_SRC).unwrap()).unwrap();
+    let time_runs = |machine: &mut Machine| {
+        let start = Instant::now();
+        for _ in 0..runs {
+            black_box(machine.run("main", &[], &mut NullHost).unwrap());
+        }
+        start.elapsed().as_secs_f64() * 1e6 / f64::from(runs)
+    };
+    let mut off = Machine::with_limits(
+        &verified,
+        MachineLimits {
+            fuel: u64::MAX / 2,
+            memory_bytes: u64::MAX / 2,
+            ..MachineLimits::default()
+        },
+    );
+    let off_us = time_runs(&mut off);
+    let clock = EpochClock::new();
+    let _ticker = EpochTicker::spawn(clock.clone(), Duration::from_millis(1));
+    let mut on = Machine::with_limits(
+        &verified,
+        MachineLimits {
+            fuel: u64::MAX / 2,
+            memory_bytes: 64 * 1024,
+            epoch_check_interval: 128,
+            ..MachineLimits::default()
+        },
+    );
+    on.set_epoch(clock, u64::MAX);
+    let on_us = time_runs(&mut on);
+    println!(
+        "interpreter ({runs} runs of ~40k instructions): limits off {off_us:.1} µs/run, \
+         limits on {on_us:.1} µs/run ({:+.1}%)",
+        (on_us / off_us - 1.0) * 100.0
+    );
+}
+
 /// Quarantine churn at scale with limits enabled: `n` installed
 /// extensions, a seventh of them registered on one interface, a third
 /// of them tripped into quarantine — dispatch must keep routing the
 /// earliest healthy specialization, the allocation-light ledger
 /// accessors must agree with the full report, and probation must
-/// readmit after the cooldown.
+/// readmit after the cooldown. Prints one row of timings for the
+/// population (install, routed call before and after the churn, trips,
+/// `quarantined_count`) and the limits-on/off interpreter line.
 fn churn_at_scale(n: usize) {
     let _guard = exclusive();
     let f = fixture();
@@ -317,6 +405,7 @@ fn churn_at_scale(n: usize) {
     f.runtime.set_epoch_slice(1_000_000);
     let _ticker = EpochTicker::spawn(f.runtime.epoch().clone(), Duration::from_millis(1));
 
+    let install = Instant::now();
     let ids: Vec<_> = (0..n)
         .map(|i| load(&f, &format!("e{i}"), FLAKY_SRC))
         .collect();
@@ -324,20 +413,24 @@ fn churn_at_scale(n: usize) {
     for id in ids.iter().step_by(7) {
         f.runtime.extend(*id, &path, "good").unwrap();
     }
-    assert_eq!(
-        f.runtime.call(&alice, &path, &[]).unwrap(),
-        Some(extsec_vm::Value::Int(7))
-    );
+    let install = install.elapsed();
+    let healthy_us = routed_call_us(&f, &alice, &path);
 
     // Trip every third extension (fault budget 3).
+    let churn = Instant::now();
     for id in ids.iter().step_by(3) {
         for _ in 0..3 {
             let e = f.runtime.run(*id, "bad", &[], &alice).unwrap_err();
             assert!(matches!(e, ExtError::Trap(_)), "got {e:?}");
         }
     }
+    let churn = churn.elapsed();
     let expected = ids.iter().step_by(3).count();
-    assert_eq!(f.runtime.health().quarantined_count(), expected);
+    let qcount = Instant::now();
+    for _ in 0..CALLS {
+        assert_eq!(black_box(f.runtime.health().quarantined_count()), expected);
+    }
+    let qcount_ns = qcount.elapsed().as_secs_f64() * 1e9 / f64::from(CALLS);
     assert_eq!(f.runtime.health().quarantined().len(), expected);
     for (i, id) in ids.iter().enumerate() {
         let state = f.runtime.health_state(*id);
@@ -353,10 +446,13 @@ fn churn_at_scale(n: usize) {
 
     // ids[0] is registered AND quarantined, so it is unrouted; the call
     // falls through to the earliest still-healthy registration (ids[7]).
-    assert_eq!(
-        f.runtime.call(&alice, &path, &[]).unwrap(),
-        Some(extsec_vm::Value::Int(7))
+    let churned_us = routed_call_us(&f, &alice, &path);
+    println!(
+        "churn: {n} installed in {install:.2?}, healthy call {healthy_us:.2} µs, \
+         {:.0} trips/s, churned call {churned_us:.2} µs, quarantined_count {qcount_ns:.0} ns",
+        (3 * expected) as f64 / churn.as_secs_f64()
     );
+    print_interpreter_line(20);
 
     // Cooldown over: a probation trial on the good export readmits.
     f.runtime.health().advance(Duration::from_secs(6));

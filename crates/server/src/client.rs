@@ -354,7 +354,7 @@ impl Client {
                             break;
                         }
                     }
-                    FrameScan::Partial => {
+                    FrameScan::Partial { .. } => {
                         // Reclaim the consumed prefix, then try the wire.
                         if conn.rpos > 0 {
                             conn.rbuf.copy_within(conn.rpos.., 0);

@@ -319,7 +319,7 @@ impl Conn {
                 return Parsed::Paused;
             }
             match proto::scan_frame(&self.rbuf[self.rpos..], ctx.config.max_frame) {
-                Ok(FrameScan::Partial) => {
+                Ok(FrameScan::Partial { .. }) => {
                     self.compact(ctx);
                     return Parsed::NeedMore;
                 }
@@ -703,10 +703,13 @@ fn handle(opcode: u8, payload: &[u8], ctx: &Ctx<'_>) -> Result<Response, ProtoEr
             Err(e) => audit_error(&e),
         },
         Request::AuditVerify => match monitor.audit_verify() {
-            Ok(report) => match serde_json::to_string(&report) {
-                Ok(json) => Response::AuditReport(json),
-                Err(e) => error(ErrorCode::Internal, e.to_string()),
-            },
+            Ok(mut report) => {
+                report.cap_segments(proto::MAX_AUDIT_SEGMENTS);
+                match serde_json::to_string(&report) {
+                    Ok(json) => Response::AuditReport(json),
+                    Err(e) => error(ErrorCode::Internal, e.to_string()),
+                }
+            }
             Err(e) => audit_error(&e),
         },
     })

@@ -72,7 +72,7 @@ pub mod telemetry;
 pub use client::{Client, ClientConfig, ClientError, ClientStats};
 pub use proto::{
     BatchItem, ErrorCode, Frame, FrameError, Opcode, ProtoError, Request, Response, MAX_AUDIT_GAPS,
-    MAX_AUDIT_RECORDS, MAX_BATCH, MAX_FRAME, VERSION,
+    MAX_AUDIT_RECORDS, MAX_AUDIT_SEGMENTS, MAX_BATCH, MAX_FRAME, VERSION,
 };
 pub use server::{Server, ServerConfig};
 pub use telemetry::{HistStat, OpcodeCount, ServerTelemetry, ServerTelemetrySnapshot};

@@ -94,6 +94,12 @@ pub const MAX_AUDIT_RECORDS: usize = 4096;
 /// is generous without admitting a length bomb.
 pub const MAX_AUDIT_GAPS: usize = 1 << 16;
 
+/// Ceiling on the segment verdicts one verify answer lists, which keeps
+/// the answer inside [`MAX_FRAME`] however many segments the log holds;
+/// the report counts the verdicts it leaves out (see
+/// `VerifyReport::cap_segments`).
+pub const MAX_AUDIT_SEGMENTS: usize = 2048;
+
 /// Request opcodes. Values are the wire bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -1173,83 +1179,54 @@ pub struct Frame {
 /// What reading a frame can produce besides a frame.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The peer closed the connection cleanly between frames.
-    Eof,
-    /// The read timed out *between* frames — no bytes consumed; the
-    /// caller may poll a shutdown flag and try again.
-    Idle,
-    /// The transport failed (including timeouts mid-frame).
+    /// The transport failed.
     Io(io::Error),
-    /// The bytes violate the protocol.
+    /// The bytes violate the protocol, or the stream ended mid-frame
+    /// ([`ProtoError::Truncated`]).
     Proto(ProtoError),
 }
 
 impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FrameError::Eof => write!(f, "connection closed"),
-            FrameError::Idle => write!(f, "idle (no frame before the read timeout)"),
             FrameError::Io(e) => write!(f, "io: {e}"),
             FrameError::Proto(e) => write!(f, "protocol: {e}"),
         }
     }
 }
 
-fn is_timeout(kind: io::ErrorKind) -> bool {
-    matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-}
-
-/// Reads one frame.
-///
-/// The first header byte is read on its own so a clean close ([`Eof`])
-/// and an idle timeout ([`Idle`]) are distinguishable from a peer that
-/// dies mid-frame (an [`Io`] or [`Proto`] error). The length prefix is
-/// validated against `max_frame` before the payload is allocated.
-///
-/// [`Eof`]: FrameError::Eof
-/// [`Idle`]: FrameError::Idle
-/// [`Io`]: FrameError::Io
-/// [`Proto`]: FrameError::Proto
+/// Reads one frame from a blocking byte stream: an adapter over
+/// [`scan_frame`] that reads exactly as far as the scan asks, so it
+/// refuses a bad version byte before reading the rest of the header,
+/// and an unknown opcode or an oversize length before reading (or
+/// allocating) the payload. A stream that ends before the frame does is
+/// [`ProtoError::Truncated`].
 pub fn read_frame(reader: &mut impl Read, max_frame: u32) -> Result<Frame, FrameError> {
-    let mut first = [0u8; 1];
+    let mut buf = Vec::new();
     loop {
-        match reader.read(&mut first) {
-            Ok(0) => return Err(FrameError::Eof),
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(e.kind()) => return Err(FrameError::Idle),
-            Err(e) => return Err(FrameError::Io(e)),
+        match scan_frame(&buf, max_frame).map_err(FrameError::Proto)? {
+            FrameScan::Complete {
+                opcode,
+                payload_start,
+                ..
+            } => {
+                buf.drain(..payload_start);
+                return Ok(Frame {
+                    opcode,
+                    payload: buf,
+                });
+            }
+            FrameScan::Partial { needed } => {
+                let have = buf.len();
+                buf.resize(needed, 0);
+                reader
+                    .read_exact(&mut buf[have..])
+                    .map_err(|e| match e.kind() {
+                        io::ErrorKind::UnexpectedEof => FrameError::Proto(ProtoError::Truncated),
+                        _ => FrameError::Io(e),
+                    })?;
+            }
         }
-    }
-    if first[0] != VERSION {
-        return Err(FrameError::Proto(ProtoError::BadVersion(first[0])));
-    }
-    let mut rest = [0u8; 5];
-    read_exact_frame(reader, &mut rest)?;
-    let opcode = rest[0];
-    // An unknown opcode is refused at the header — before the payload is
-    // allocated or read — so it cannot silently desynchronize the stream.
-    if !known_opcode(opcode) {
-        return Err(FrameError::Proto(ProtoError::BadOpcode(opcode)));
-    }
-    let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]);
-    if len > max_frame {
-        return Err(FrameError::Proto(ProtoError::Oversize(u64::from(len))));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_frame(reader, &mut payload)?;
-    Ok(Frame { opcode, payload })
-}
-
-/// `read_exact` with mid-frame errors mapped: a peer that stops mid-frame
-/// is a protocol violation ([`ProtoError::Truncated`]), not a clean EOF.
-fn read_exact_frame(reader: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
-    match reader.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-            Err(FrameError::Proto(ProtoError::Truncated))
-        }
-        Err(e) => Err(FrameError::Io(e)),
     }
 }
 
@@ -1274,28 +1251,32 @@ pub enum FrameScan {
         consumed: usize,
     },
     /// The buffer holds a prefix of a frame; more bytes are needed.
-    Partial,
+    Partial {
+        /// The buffer length at which the scan can decide more: the
+        /// version byte, then the whole header, then the whole frame.
+        needed: usize,
+    },
 }
 
 /// Scans the front of `buf` for one complete frame without consuming or
-/// copying anything — the non-blocking counterpart of [`read_frame`],
-/// with the identical validation order: version byte first (so a bad
+/// copying anything. The validation order: version byte first (so a bad
 /// peer is refused on its first byte), then the opcode byte, then the
 /// length prefix against `max_frame` — all *before* the payload is
-/// awaited.
+/// awaited. The reactor, the client and [`read_frame`] all read frames
+/// through it.
 pub fn scan_frame(buf: &[u8], max_frame: u32) -> Result<FrameScan, ProtoError> {
     let Some(&version) = buf.first() else {
-        return Ok(FrameScan::Partial);
+        return Ok(FrameScan::Partial { needed: 1 });
     };
     if version != VERSION {
         return Err(ProtoError::BadVersion(version));
     }
     if buf.len() < HEADER_LEN {
-        return Ok(FrameScan::Partial);
+        return Ok(FrameScan::Partial { needed: HEADER_LEN });
     }
     let opcode = buf[1];
-    // Same discipline as `read_frame`: an unknown opcode is refused at
-    // the header, before any payload byte is awaited.
+    // An unknown opcode is refused at the header, before any payload
+    // byte is awaited, so it cannot silently desynchronize the stream.
     if !known_opcode(opcode) {
         return Err(ProtoError::BadOpcode(opcode));
     }
@@ -1305,7 +1286,7 @@ pub fn scan_frame(buf: &[u8], max_frame: u32) -> Result<FrameScan, ProtoError> {
     }
     let consumed = HEADER_LEN + len as usize;
     if buf.len() < consumed {
-        return Ok(FrameScan::Partial);
+        return Ok(FrameScan::Partial { needed: consumed });
     }
     Ok(FrameScan::Complete {
         opcode,
@@ -1488,9 +1469,9 @@ mod tests {
 
     #[test]
     fn unknown_opcode_is_refused_at_the_header() {
-        // 0x3F names no request; 0xA0 names no response. Both scanners
-        // must answer with the typed error carrying the byte, before any
-        // payload is read.
+        // 0x3F names no request; 0xA0 names no response. The scan, and
+        // the blocking reader over it, answer with the typed error
+        // carrying the byte, before any payload is read.
         for bad in [0x3Fu8, 0xA0] {
             let frame = frame(bad, &[]);
             match read_frame(&mut &frame[..], MAX_FRAME) {
@@ -1576,46 +1557,6 @@ mod tests {
             Err(ProtoError::TooMany(_)) => {}
             other => panic!("expected too-many, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn scan_frame_agrees_with_read_frame() {
-        // Complete frame at the front: the scan names the same opcode and
-        // payload bytes the blocking reader would produce.
-        let frame = Request::Ping.encode();
-        let mut buf = frame.clone();
-        buf.extend_from_slice(&frame); // a second pipelined frame behind it
-        match scan_frame(&buf, MAX_FRAME).unwrap() {
-            FrameScan::Complete {
-                opcode,
-                payload_start,
-                consumed,
-            } => {
-                let read = read_frame(&mut &frame[..], MAX_FRAME).unwrap();
-                assert_eq!(opcode, read.opcode);
-                assert_eq!(&buf[payload_start..consumed], &read.payload[..]);
-                assert_eq!(consumed, frame.len());
-            }
-            other => panic!("expected a complete frame, got {other:?}"),
-        }
-        // Every strict prefix scans as partial.
-        for cut in 0..frame.len() {
-            assert_eq!(
-                scan_frame(&frame[..cut], MAX_FRAME).unwrap(),
-                FrameScan::Partial
-            );
-        }
-        // Bad version refused on the first byte, oversize on the header.
-        assert!(matches!(
-            scan_frame(&[9u8], MAX_FRAME),
-            Err(ProtoError::BadVersion(9))
-        ));
-        let mut oversize = vec![VERSION, Opcode::Ping as u8];
-        oversize.extend_from_slice(&(256u32 << 20).to_le_bytes());
-        assert!(matches!(
-            scan_frame(&oversize, MAX_FRAME),
-            Err(ProtoError::Oversize(_))
-        ));
     }
 
     #[test]

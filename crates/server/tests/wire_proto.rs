@@ -1,6 +1,7 @@
 //! Property tests for the wire protocol: encode → decode is the
-//! identity on every frame type, truncation at any point is a refusal
-//! (never a panic), and the decoder is total on garbage and corruption.
+//! identity on every frame type, every proper prefix of a frame scans as
+//! partial (never as a frame, never a panic), and the frame scan and
+//! decoders are total on garbage and corruption.
 
 use extsec_acl::{AccessMode, PrincipalId};
 use extsec_mac::{CategoryId, CategorySet, SecurityClass, TrustLevel};
@@ -9,7 +10,7 @@ use extsec_refmon::{
     AuditQuery, AuditRecord, BundleId, Decision, DenyReason, GapRange, Generation, Outcome,
     QueryResult, Subject, ThreadId,
 };
-use extsec_server::proto::{read_frame, FrameError, ProtoError};
+use extsec_server::proto::{scan_frame, FrameScan, ProtoError};
 use extsec_server::{BatchItem, ErrorCode, Request, Response, MAX_FRAME};
 use proptest::prelude::*;
 
@@ -201,53 +202,59 @@ fn arb_response() -> impl Strategy<Value = Response> {
     ]
 }
 
+/// The frame `scan_frame` finds at the front of `bytes`, if a whole one
+/// is there: its opcode and payload.
+fn scan(bytes: &[u8]) -> Result<Option<(u8, &[u8])>, ProtoError> {
+    Ok(match scan_frame(bytes, MAX_FRAME)? {
+        FrameScan::Complete {
+            opcode,
+            payload_start,
+            consumed,
+        } => Some((opcode, &bytes[payload_start..consumed])),
+        FrameScan::Partial { .. } => None,
+    })
+}
+
 proptest! {
     /// encode → decode is the identity on every request frame type.
     #[test]
     fn requests_round_trip(request in arb_request()) {
         let bytes = request.encode();
-        let frame = read_frame(&mut &bytes[..], MAX_FRAME).expect("own frames parse");
-        prop_assert_eq!(frame.opcode, request.opcode() as u8);
-        prop_assert_eq!(Request::decode(frame.opcode, &frame.payload), Ok(request));
+        let (opcode, payload) = scan(&bytes).expect("own frames scan").expect("a whole frame");
+        prop_assert_eq!(opcode, request.opcode() as u8);
+        prop_assert_eq!(Request::decode(opcode, payload), Ok(request));
     }
 
     /// encode → decode is the identity on every response frame type.
     #[test]
     fn responses_round_trip(response in arb_response()) {
         let bytes = response.encode();
-        let frame = read_frame(&mut &bytes[..], MAX_FRAME).expect("own frames parse");
-        prop_assert_eq!(frame.opcode, response.opcode());
-        prop_assert_eq!(Response::decode(frame.opcode, &frame.payload), Ok(response));
+        let (opcode, payload) = scan(&bytes).expect("own frames scan").expect("a whole frame");
+        prop_assert_eq!(opcode, response.opcode());
+        prop_assert_eq!(Response::decode(opcode, payload), Ok(response));
     }
 
-    /// Truncating a valid frame at *any* prefix length is a refusal —
-    /// EOF, truncation, or idle for a zero-length read — never a panic
-    /// and never a successful parse of a shorter structure.
+    /// Every proper prefix of a valid frame scans as partial, asking for
+    /// more than it holds — never as a frame, never as an error.
     #[test]
-    fn truncation_at_every_prefix_is_refused(request in arb_request()) {
+    fn truncation_at_every_prefix_is_partial(request in arb_request()) {
         let bytes = request.encode();
         for len in 0..bytes.len() {
-            match read_frame(&mut &bytes[..len], MAX_FRAME) {
-                Ok(frame) => {
-                    // The header parsed because the payload length fit
-                    // the prefix; the payload itself must then refuse.
-                    prop_assert!(
-                        Request::decode(frame.opcode, &frame.payload) != Ok(request.clone()),
-                        "prefix of {len} bytes decoded as the full request"
-                    );
+            match scan_frame(&bytes[..len], MAX_FRAME) {
+                Ok(FrameScan::Partial { needed }) => {
+                    prop_assert!(needed > len && needed <= bytes.len(), "prefix {len} asks for {needed}");
                 }
-                Err(FrameError::Eof | FrameError::Proto(_)) => {}
-                Err(other) => prop_assert!(false, "unexpected error: {other:?}"),
+                other => prop_assert!(false, "prefix of {len} bytes scanned as {other:?}"),
             }
         }
     }
 
-    /// The frame reader and payload decoders are total on garbage.
+    /// The frame scan and payload decoders are total on garbage.
     #[test]
     fn decode_total_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        if let Ok(frame) = read_frame(&mut &bytes[..], MAX_FRAME) {
-            let _ = Request::decode(frame.opcode, &frame.payload);
-            let _ = Response::decode(frame.opcode, &frame.payload);
+        if let Ok(Some((opcode, payload))) = scan(&bytes) {
+            let _ = Request::decode(opcode, payload);
+            let _ = Response::decode(opcode, payload);
         }
     }
 
@@ -262,8 +269,8 @@ proptest! {
             let n = bytes.len();
             bytes[pos % n] = value;
         }
-        if let Ok(frame) = read_frame(&mut &bytes[..], MAX_FRAME) {
-            let _ = Request::decode(frame.opcode, &frame.payload);
+        if let Ok(Some((opcode, payload))) = scan(&bytes) {
+            let _ = Request::decode(opcode, payload);
         }
     }
 
@@ -273,9 +280,9 @@ proptest! {
     #[test]
     fn unknown_opcode_bytes_are_refused(opcode in any::<u8>()) {
         let bytes = [extsec_server::VERSION, opcode, 0, 0, 0, 0];
-        match read_frame(&mut &bytes[..], MAX_FRAME) {
-            Ok(frame) => prop_assert_eq!(frame.opcode, opcode),
-            Err(FrameError::Proto(ProtoError::BadOpcode(byte))) => {
+        match scan(&bytes) {
+            Ok(Some((scanned, _))) => prop_assert_eq!(scanned, opcode),
+            Err(ProtoError::BadOpcode(byte)) => {
                 prop_assert_eq!(byte, opcode);
                 prop_assert!(Request::decode(opcode, &[]).is_err());
                 prop_assert!(Response::decode(opcode, &[]).is_err());
@@ -284,14 +291,14 @@ proptest! {
         }
     }
 
-    /// A length prefix larger than the reader's limit is refused before
-    /// any payload is read, whatever the claimed size.
+    /// A length prefix larger than the limit is refused at the header,
+    /// before any payload arrives, whatever the claimed size.
     #[test]
     fn oversize_length_prefix_is_refused(len in (MAX_FRAME + 1)..=u32::MAX) {
         let mut bytes = vec![extsec_server::VERSION, 0x00];
         bytes.extend_from_slice(&len.to_le_bytes());
-        match read_frame(&mut &bytes[..], MAX_FRAME) {
-            Err(FrameError::Proto(ProtoError::Oversize(claimed))) => {
+        match scan(&bytes) {
+            Err(ProtoError::Oversize(claimed)) => {
                 prop_assert_eq!(claimed, u64::from(len));
             }
             other => prop_assert!(false, "expected oversize refusal, got {other:?}"),

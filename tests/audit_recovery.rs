@@ -1,10 +1,13 @@
 //! Crash recovery and tamper reporting for the persisted audit
 //! pipeline: a drainer killed mid-segment, a tail torn at an arbitrary
-//! byte offset, and damaged or missing sealed segments must all come
-//! back as *reported* conditions — a recovered prefix, a truncated
-//! tail, a failed verify — never as a panic and never as a silently
-//! wrong chain.
+//! byte offset, a torn last manifest line, and damaged or missing sealed
+//! segments must all come back as *reported* conditions — a recovered
+//! prefix, a truncated tail, a failed verify — never as a panic and
+//! never as a silently wrong chain. A directory whose seals are all in
+//! the `manifest.json` of the format before the append-only manifest
+//! recovers whole.
 
+use extsec_auditlog::{Manifest, SealedSegment, MANIFEST_LOG_NAME, MANIFEST_NAME};
 use extsec_core::{AuditPipeline, AuditQuery, AuditRecord, Outcome, PipelineConfig, SegmentStatus};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -100,14 +103,7 @@ fn crashed_drainer_recovers_a_prefix_and_the_chain_continues() {
 /// Builds a multi-segment chain, shuts down cleanly, and returns the
 /// names of the sealed segments (oldest first).
 fn build_chain(dir: &Path) -> Vec<String> {
-    let pipeline = AuditPipeline::open_dir(
-        dir,
-        PipelineConfig {
-            segment_max_bytes: 512,
-            ..PipelineConfig::default()
-        },
-    )
-    .unwrap();
+    let pipeline = AuditPipeline::open_dir(dir, small_segments()).unwrap();
     for seq in 0..150 {
         assert_eq!(pipeline.ring().append(&record(seq)), seq);
     }
@@ -123,6 +119,91 @@ fn build_chain(dir: &Path) -> Vec<String> {
     assert!(sealed.len() >= 2, "expected several sealed segments");
     pipeline.shutdown();
     sealed
+}
+
+fn small_segments() -> PipelineConfig {
+    PipelineConfig {
+        segment_max_bytes: 512,
+        ..PipelineConfig::default()
+    }
+}
+
+/// Reopens `dir` and checks it resumes at `fed` with a verified chain
+/// holding every record below it.
+fn assert_recovers_whole(dir: &Path, fed: u64) -> AuditPipeline {
+    let reopened = AuditPipeline::open_dir(dir, small_segments()).unwrap();
+    assert_eq!(reopened.next_seq(), fed);
+    let report = reopened.verify().unwrap();
+    assert!(report.ok, "recovered chain failed verify: {report:?}");
+    assert_eq!(report.next_seq, fed);
+    assert_eq!(all_seqs(&reopened), (0..fed).collect::<Vec<_>>());
+    reopened
+}
+
+/// A directory in the format before the manifest became append-only —
+/// every seal in one `manifest.json`, no manifest log — recovers whole,
+/// and seals made after it land in the manifest log on top of it.
+#[test]
+fn a_json_manifest_directory_recovers_whole() {
+    let dir = scratch_dir("json-manifest");
+    let sealed = build_chain(&dir);
+    let log = dir.join(MANIFEST_LOG_NAME);
+    let segments: Vec<SealedSegment> = std::fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    assert_eq!(
+        segments.iter().map(|s| &s.name).collect::<Vec<_>>(),
+        sealed.iter().collect::<Vec<_>>()
+    );
+    let manifest = Manifest {
+        version: 1,
+        head: segments.last().unwrap().end_hash.clone(),
+        segments,
+    };
+    std::fs::write(
+        dir.join(MANIFEST_NAME),
+        serde_json::to_string(&manifest).unwrap(),
+    )
+    .unwrap();
+    std::fs::remove_file(&log).unwrap();
+
+    let reopened = assert_recovers_whole(&dir, 150);
+    for seq in 150..200 {
+        assert_eq!(reopened.ring().append(&record(seq)), seq);
+    }
+    reopened.shutdown();
+    assert!(log.exists(), "the new seals went to the manifest log");
+    assert_recovers_whole(&dir, 200).shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A seal that crashed while appending its manifest line leaves a torn
+/// last line: recovery cuts it off, the segment it named recovers as
+/// unsealed, and nothing is lost.
+#[test]
+fn a_torn_last_manifest_line_is_cut_and_its_segment_recovers() {
+    let dir = scratch_dir("torn-manifest");
+    build_chain(&dir);
+    let log = dir.join(MANIFEST_LOG_NAME);
+    let bytes = std::fs::read(&log).unwrap();
+    let last_line = bytes[..bytes.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    let cut = last_line + (bytes.len() - last_line) / 2;
+    std::fs::write(&log, &bytes[..cut]).unwrap();
+
+    let reopened = assert_recovers_whole(&dir, 150);
+    assert_eq!(
+        reopened.stats().recovered_truncated_bytes,
+        (cut - last_line) as u64
+    );
+    reopened.shutdown();
+    assert_eq!(std::fs::read(&log).unwrap().last(), Some(&b'\n'));
+    assert_recovers_whole(&dir, 150).shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Damage to a *sealed* segment — byte flips anywhere, truncation, or
@@ -161,14 +242,8 @@ fn sealed_segment_damage_is_reported_and_recording_continues() {
             Hurt::Delete => std::fs::remove_file(&victim).unwrap(),
         }
 
-        let reopened = AuditPipeline::open_dir(
-            &dir,
-            PipelineConfig {
-                segment_max_bytes: 512,
-                ..PipelineConfig::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{tag}: reopen refused: {e}"));
+        let reopened = AuditPipeline::open_dir(&dir, small_segments())
+            .unwrap_or_else(|e| panic!("{tag}: reopen refused: {e}"));
         let report = reopened.verify().unwrap();
         assert!(!report.ok, "{tag}: verify missed the damage");
         let bad = report

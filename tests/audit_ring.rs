@@ -1,7 +1,8 @@
 //! The audit ring as the monitor uses it: attaching a pipeline, the
 //! in-memory view after wraparound, a check path that allocates nothing
 //! once the ring has wrapped, and writers that wait for a live drainer
-//! rather than overwrite what it has not read.
+//! rather than overwrite what it has not read, also while an admin
+//! verifies the log.
 //!
 //! A counting global allocator watches only the thread that sets its
 //! `WATCHED` flag, so the pipeline's drainer (which allocates while it
@@ -9,16 +10,16 @@
 //! count.
 
 use extsec_core::{
-    AccessMode, Acl, AclEntry, AuditPipeline, AuditQuery, Decision, GapRange, Lattice, ModeSet,
-    MonitorBuilder, NodeKind, NsPath, PipelineConfig, Protection, ReferenceMonitor, SecurityClass,
-    Subject,
+    AccessMode, Acl, AclEntry, AuditPipeline, AuditQuery, AuditRecord, Decision, GapRange, Lattice,
+    ModeSet, MonitorBuilder, NodeKind, NsPath, Outcome, PipelineConfig, Protection,
+    ReferenceMonitor, SecurityClass, Subject,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct CountingAllocator;
 
@@ -260,4 +261,69 @@ fn a_burst_far_larger_than_the_ring_loses_nothing_to_a_live_drainer() {
     assert_eq!(stats.next_seq, 2 * PER_THREAD, "{stats:?}");
     assert_eq!(stats.shed, 0, "{stats:?}");
     assert_eq!(stats.persisted_events, stats.next_seq, "{stats:?}");
+}
+
+/// An admin verify no longer stops the drainer: two threads run audited
+/// checks while the main thread verifies, again and again, a log that
+/// takes five stall periods to re-hash, and not one record is shed.
+#[test]
+fn verifying_a_long_log_during_a_check_burst_sheds_nothing() {
+    const SLOTS: usize = 1024;
+    const PER_THREAD: u64 = 16 * SLOTS as u64;
+    let (monitor, subject) = world();
+    let pipeline = attach(&monitor, SLOTS);
+    let stall = PipelineConfig::default().idle_flush * 2;
+
+    // Double the log, a ring's worth between flushes so the filler never
+    // waits for the drainer, until one verify takes five stall periods in
+    // the build this runs in.
+    let record = AuditRecord {
+        seq: 0,
+        principal: 0,
+        generation: 1,
+        mode: 0,
+        outcome: Outcome::Allow,
+        path: "/svc/fs/read".to_owned(),
+    };
+    loop {
+        for _ in 0..pipeline.next_seq().max(1).div_ceil(SLOTS as u64) {
+            for _ in 0..SLOTS {
+                pipeline.ring().append(&record);
+            }
+            pipeline.flush().unwrap();
+        }
+        let started = Instant::now();
+        assert!(monitor.audit_verify().unwrap().ok);
+        if started.elapsed() >= 5 * stall {
+            break;
+        }
+    }
+
+    let prefill = pipeline.next_seq();
+    let checkers_done = AtomicU64::new(0);
+    let paths = [p("/svc/fs/read"), p("/svc/fs/stat")];
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for i in 0..PER_THREAD {
+                    let path = &paths[i as usize % 2];
+                    assert!(monitor.check(&subject, path, AccessMode::Execute).allowed());
+                }
+                checkers_done.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        // Verify at least once, and for as long as the checkers run.
+        loop {
+            assert!(monitor.audit_verify().unwrap().ok);
+            if checkers_done.load(Ordering::Relaxed) == 2 {
+                break;
+            }
+        }
+    });
+    monitor.audit_flush().unwrap();
+    let stats = pipeline.stats();
+    assert_eq!(stats.next_seq, prefill + 2 * PER_THREAD, "{stats:?}");
+    assert_eq!(stats.shed, 0, "{stats:?}");
+    assert_eq!(stats.enqueued, stats.persisted_events + stats.late_dropped);
+    assert_eq!(stats.persisted_events + stats.gap_missing, stats.next_seq);
 }

@@ -7,6 +7,7 @@ use extsec::{
     AccessMode, Acl, AclEntry, Lattice, ModeSet, MonitorBuilder, NodeKind, NsPath, Protection,
     ReferenceMonitor, SecurityClass, Subject,
 };
+use std::time::{Duration, Instant};
 
 #[test]
 fn thousands_of_nodes_and_principals() {
@@ -82,17 +83,25 @@ fn thousands_of_nodes_and_principals() {
     );
 }
 
+/// Resident set size in KiB, best effort (Linux `/proc/self/statm`).
+fn rss_kib() -> Option<u64> {
+    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
+    let pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
+    Some(pages * 4)
+}
+
 /// Exercises a generator-built world at a given principal count:
 /// build, then a deterministic probe sweep plus one admin-guarded
 /// revocation, asserting the monitor answers (and agrees with its
-/// reference evaluation) at population.
+/// reference evaluation) at population. Prints one row: build time,
+/// nodes, resident-set growth over the build (other tests running in
+/// the same process grow it too), mean `check` time over the sweep, and
+/// the guarded `set_acl` time.
 fn generated_world_at(principals: usize, seed: u64) {
+    let rss_before = rss_kib().unwrap_or(0);
     let spec = WorldSpec::scaled(Profile::Campus, principals, seed);
     let (world, stats) = World::build_timed(&spec);
-    println!(
-        "scale: {} principals, {} nodes, built in {:?}",
-        stats.principals, stats.nodes, stats.build
-    );
+    let rss_delta_mib = rss_kib().unwrap_or(rss_before).saturating_sub(rss_before) as f64 / 1024.0;
     assert_eq!(world.principals.len(), principals);
     assert!(world.leaves.len() >= principals / 20);
 
@@ -102,11 +111,14 @@ fn generated_world_at(principals: usize, seed: u64) {
     let lstride = (world.leaves.len() / 32).max(1);
     let mut granted = 0usize;
     let mut probes = 0usize;
+    let mut checking = Duration::ZERO;
     for pi in (0..principals).step_by(pstride) {
         let subject = world.subject(pi);
         for li in (0..world.leaves.len()).step_by(lstride) {
             let path = &world.leaves[li];
+            let started = Instant::now();
             let decision = world.monitor.check(&subject, path, AccessMode::Read);
+            checking += started.elapsed();
             let oracle = world
                 .monitor
                 .check_unmemoized(&subject, path, AccessMode::Read);
@@ -126,10 +138,21 @@ fn generated_world_at(principals: usize, seed: u64) {
     let path = world.leaves[leaf].clone();
     let prot = world.monitor.protection_of(&path).unwrap();
     let admin = world.admin_subject(&prot.label);
+    let started = Instant::now();
     world
         .monitor
         .set_acl(&admin, &path, prot.acl.clone())
         .expect("admin-guarded set_acl at scale");
+    let set_acl = started.elapsed();
+    println!(
+        "scale: {} principals, {} nodes, built in {:.2?}, rss +{rss_delta_mib:.1} MiB, \
+         check {:.2} µs over {probes} probes, guarded set_acl {:.1} µs",
+        stats.principals,
+        stats.nodes,
+        stats.build,
+        checking.as_secs_f64() * 1e6 / probes as f64,
+        set_acl.as_secs_f64() * 1e6
+    );
 }
 
 #[test]
