@@ -29,7 +29,10 @@
 //! whole store — anchoring the manifest head externally is out of
 //! scope here.
 
-#![forbid(unsafe_code)]
+// The crate's one `unsafe` block is the call into the SHA-NI digest,
+// made after CPU feature detection (`sha256.rs`).
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod pipeline;

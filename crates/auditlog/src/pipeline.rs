@@ -186,6 +186,9 @@ struct Writer {
     /// frames are appended, their manifest lines are not.
     filled: Vec<SealedSegment>,
     segment_max: u64,
+    /// The frames of one append, kept across rounds so its capacity is
+    /// reused.
+    frames: Vec<u8>,
 }
 
 impl Writer {
@@ -230,6 +233,7 @@ impl Writer {
             tail,
             filled: Vec::new(),
             segment_max,
+            frames: Vec::new(),
         };
         let mut have_tail = false;
         for (i, &start) in unsealed.iter().enumerate() {
@@ -284,10 +288,9 @@ impl Writer {
     /// consistent with the bytes that actually landed, and a seal that
     /// failed is retried by the next commit.
     fn persist(&mut self, batch: &Batch, counters: &Counters, durable: bool) -> io::Result<()> {
-        let mut buf = Vec::new();
         let mut i = 0;
         while i < batch.entries.len() {
-            buf.clear();
+            self.frames.clear();
             let mut chain = self.chain_head;
             let mut next = self.tail.next;
             let mut count = 0u64;
@@ -296,11 +299,11 @@ impl Writer {
             let mut gap_missing = 0u64;
             while let Some(entry) = batch.entries.get(i) {
                 if self.tail.entries + count > 0
-                    && self.tail.len + buf.len() as u64 >= self.segment_max
+                    && self.tail.len + self.frames.len() as u64 >= self.segment_max
                 {
                     break;
                 }
-                chain = push_payload_frame(&mut buf, &chain, batch.payload(i));
+                chain = push_payload_frame(&mut self.frames, &chain, batch.payload(i));
                 next = entry.last + 1;
                 count += 1;
                 if entry.gap {
@@ -312,8 +315,9 @@ impl Writer {
                 i += 1;
             }
             if count > 0 {
-                self.store.append(&segment_name(self.tail.start), &buf)?;
-                self.tail.len += buf.len() as u64;
+                self.store
+                    .append(&segment_name(self.tail.start), &self.frames)?;
+                self.tail.len += self.frames.len() as u64;
                 self.tail.entries += count;
                 self.tail.next = next;
                 self.chain_head = chain;

@@ -99,10 +99,21 @@ struct Slot {
     event: RingEvent,
 }
 
-/// One slot on its own cache lines, so writers of neighbouring sequence
-/// numbers on different cores do not share a line.
-#[repr(align(64))]
-struct Cell(Mutex<Slot>);
+/// A value alone on a 128-byte-aligned span: two 64-byte cache lines,
+/// since x86 cores fetch lines in adjacent pairs. The slots are padded so
+/// writers of neighbouring sequence numbers on different cores share no
+/// line, and so are the writers' cursor and the drainer's read position,
+/// each written once per record from a different core.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// What the drainer found in a slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,12 +150,12 @@ pub(crate) enum Take {
 /// assert_eq!(ring.evicted(), 1);
 /// ```
 pub struct AuditRing {
-    cells: Box<[Cell]>,
+    cells: Box<[Padded<Mutex<Slot>>]>,
     capacity: u64,
     /// `capacity - 1` when the capacity is a power of two.
     mask: Option<u64>,
     /// The next sequence number to hand out.
-    cursor: AtomicU64,
+    cursor: Padded<AtomicU64>,
     /// The cursor's value when the ring was made.
     origin: u64,
     /// Numbers jumped over by [`advance_to`](AuditRing::advance_to).
@@ -156,7 +167,7 @@ pub struct AuditRing {
     drained: bool,
     /// The drainer's read position: every number below it has been read
     /// or declared lost.
-    read_to: AtomicU64,
+    read_to: Padded<AtomicU64>,
     /// `read_to` when a writer last gave up waiting for the drainer;
     /// while the drainer has not moved past it, writers shed at once.
     stalled_at: AtomicU64,
@@ -179,7 +190,7 @@ impl AuditRing {
         let capacity = capacity.max(1);
         let cells = (0..capacity)
             .map(|_| {
-                Cell(Mutex::new(Slot {
+                Padded(Mutex::new(Slot {
                     seq: 0,
                     state: State::Empty,
                     event: RingEvent::default(),
@@ -191,12 +202,12 @@ impl AuditRing {
             cells,
             capacity,
             mask: capacity.is_power_of_two().then_some(capacity - 1),
-            cursor: AtomicU64::new(first_seq),
+            cursor: Padded(AtomicU64::new(first_seq)),
             origin: first_seq,
             skipped: AtomicU64::new(0),
             floor: AtomicU64::new(first_seq),
             drained,
-            read_to: AtomicU64::new(first_seq),
+            read_to: Padded(AtomicU64::new(first_seq)),
             stalled_at: AtomicU64::new(u64::MAX),
             stall_limit: Duration::ZERO,
             shed: AtomicU64::new(0),
@@ -216,7 +227,7 @@ impl AuditRing {
             Some(mask) => seq & mask,
             None => seq % self.capacity,
         };
-        &self.cells[index as usize].0
+        &self.cells[index as usize]
     }
 
     /// The number of slots.
@@ -513,6 +524,16 @@ mod tests {
         put(&ring, "/d"); // overwrites the drained 1: no loss
         assert_eq!(ring.shed(), 1);
         assert_eq!(ring.take(4, false, |_| {}), Take::Pending);
+    }
+
+    #[test]
+    fn the_cursor_and_the_read_position_share_no_line() {
+        let cursor = std::mem::offset_of!(AuditRing, cursor);
+        let read_to = std::mem::offset_of!(AuditRing, read_to);
+        assert!(
+            cursor.abs_diff(read_to) >= 128,
+            "cursor at byte {cursor}, read_to at byte {read_to}"
+        );
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! `start` returns `None` when disabled so the disabled path never
 //! touches the clock.
 
+#![forbid(unsafe_code)]
+
 mod counter;
 mod histogram;
 mod sink;
