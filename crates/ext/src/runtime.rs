@@ -482,7 +482,9 @@ impl ExtRuntime {
         self.monitor
             .telemetry()
             .count_dispatch(DispatchOutcome::Base);
-        let op = path.components()[prefix.depth()..].join("/");
+        let op = path
+            .strip_prefix(&prefix)
+            .expect("a service prefix is an ancestor-or-self of the path");
         let reenter = RuntimeReenter {
             runtime: self,
             depth,
@@ -492,7 +494,7 @@ impl ExtRuntime {
             monitor: &self.monitor,
             reenter: Some(&reenter),
         };
-        service.invoke(&ctx, &op, args).map_err(ExtError::Service)
+        service.invoke(&ctx, op, args).map_err(ExtError::Service)
     }
 
     /// Runs an exported function of a loaded extension directly (e.g. an

@@ -41,6 +41,6 @@ pub mod query;
 pub mod tree;
 
 pub use node::{Node, NodeId, NodeKind, Protection};
-pub use path::{NsPath, PathError};
+pub use path::{Components, NsPath, PathError};
 pub use query::Glob;
 pub use tree::{NameSpace, NsError};

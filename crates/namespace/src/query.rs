@@ -110,15 +110,23 @@ impl Glob {
         Self::match_from(&self.segments, path.components())
     }
 
-    fn match_from(pattern: &[Segment], components: &[String]) -> bool {
+    fn match_from<'a>(
+        pattern: &[Segment],
+        mut components: impl Iterator<Item = &'a str> + Clone,
+    ) -> bool {
         match pattern.split_first() {
-            None => components.is_empty(),
-            Some((Segment::Glob, rest)) => {
-                // `**` consumes zero or more components.
-                (0..=components.len()).any(|skip| Self::match_from(rest, &components[skip..]))
-            }
-            Some((seg, rest)) => match components.split_first() {
-                Some((name, tail)) => seg.matches(name) && Self::match_from(rest, tail),
+            None => components.next().is_none(),
+            // `**` consumes zero or more components.
+            Some((Segment::Glob, rest)) => loop {
+                if Self::match_from(rest, components.clone()) {
+                    return true;
+                }
+                if components.next().is_none() {
+                    return false;
+                }
+            },
+            Some((seg, rest)) => match components.next() {
+                Some(name) => seg.matches(name) && Self::match_from(rest, components),
                 None => false,
             },
         }

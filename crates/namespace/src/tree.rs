@@ -151,7 +151,7 @@ impl NameSpace {
             return Err(NsError::Fault(fault.to_string()));
         }
         let mut current = start;
-        for (i, name) in path.components().iter().enumerate().skip(from) {
+        for (i, name) in path.components().enumerate().skip(from) {
             let node = self.node(current)?;
             if !node.kind.is_container() {
                 return Err(NsError::NotAContainer(path.prefix(i)));
@@ -275,7 +275,7 @@ impl NameSpace {
             let node = self.node(current)?;
             match node.parent {
                 Some(parent) => {
-                    components.push(node.name.clone());
+                    components.push(node.name.as_str());
                     current = parent;
                 }
                 None => break,

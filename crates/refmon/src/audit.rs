@@ -211,7 +211,7 @@ impl AuditLog {
                         | DenyReason::NotVisibleMac(prefix)
                         | DenyReason::NotFound(prefix),
                     ) => {
-                        if path.components().starts_with(prefix.components()) {
+                        if path.starts_with(prefix) {
                             e.detail_index = prefix.depth() as u64;
                         } else {
                             render(prefix, &mut e.detail);
@@ -276,18 +276,12 @@ impl AuditLog {
     }
 }
 
-/// Writes `path`'s display form into `out`, reusing its capacity (and
-/// growing it to the exact length when it is too small).
+/// Copies `path`'s text into `out`, reusing its capacity (and growing it
+/// to the exact length when it is too small).
 fn render(path: &NsPath, out: &mut String) {
     out.clear();
-    out.reserve_exact(path.components().iter().map(|c| 1 + c.len()).sum());
-    if path.components().is_empty() {
-        out.push('/');
-    }
-    for component in path.components() {
-        out.push('/');
-        out.push_str(component);
-    }
+    out.reserve_exact(path.as_str().len());
+    out.push_str(path.as_str());
 }
 
 /// Rebuilds the event a slot holds (`None` for bytes no monitor writes).
@@ -297,7 +291,9 @@ fn rebuild(seq: u64, e: &RingEvent) -> Option<AuditEvent> {
     // The refusing prefix: spelled out in `detail`, or the path's first
     // `detail_index` components.
     let prefix = || match e.detail.is_empty() {
-        true => NsPath::from_components(path.components().get(..e.detail_index as usize)?).ok(),
+        true => {
+            (e.detail_index <= path.depth() as u64).then(|| path.prefix(e.detail_index as usize))
+        }
         false => parse(&e.detail),
     };
     let decision = match e.outcome {

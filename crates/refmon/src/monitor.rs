@@ -1141,15 +1141,11 @@ impl ReferenceMonitor {
                         .map_err(|e| fail(op, e))?;
                 }
                 CompiledOp::RelabelSubtree(path, class) => {
-                    let base = path.components();
                     let targets: Vec<NodeId> = state
                         .namespace
                         .walk()
                         .into_iter()
-                        .filter(|(_, node_path)| {
-                            let comps = node_path.components();
-                            comps.len() >= base.len() && comps[..base.len()] == *base
-                        })
+                        .filter(|(_, node_path)| node_path.starts_with(path))
                         .map(|(id, _)| id)
                         .collect();
                     for id in targets {
@@ -1400,24 +1396,21 @@ impl ViewRef<'_> {
         }
 
         let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_unstable_by(|&a, &b| items[a].0.components().cmp(items[b].0.components()));
+        order.sort_unstable_by(|&a, &b| items[a].0.cmp(&items[b].0));
         let mut chain = Vec::new();
-        let mut prev: Option<&[String]> = None;
+        let mut prev: Option<&NsPath> = None;
         let mut end = Ok(NodeId::ROOT);
         let mut visible: HashSet<NodeId> = HashSet::new();
         let mut decided: HashMap<(NodeId, AccessMode), Decision> = HashMap::new();
         let mut decisions: Vec<Option<Decision>> = vec![None; items.len()];
         for idx in order {
             let (path, mode) = &items[idx];
-            let comps = path.components();
-            if prev != Some(comps) {
-                let shared = prev.map_or(0, |prev| {
-                    prev.iter().zip(comps).take_while(|(a, b)| a == b).count()
-                });
+            if prev != Some(path) {
+                let shared = prev.map_or(0, |prev| prev.shared_depth(path));
                 let resolve_t = tele.start();
                 end = state.namespace.resolve_chain(path, shared, &mut chain);
                 tele.finish(Stage::Resolve, resolve_t);
-                prev = Some(comps);
+                prev = Some(path);
             }
             let walk = Walk {
                 path,

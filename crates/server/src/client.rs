@@ -147,10 +147,12 @@ pub struct ClientStats {
 }
 
 /// One live connection: the socket (non-blocking), the poller that
-/// waits on it, and the read-side reassembly buffer.
+/// waits on it with its event buffer, and the read-side reassembly
+/// buffer.
 struct Transport {
     stream: TcpStream,
     poller: Poller,
+    events: Events,
     rbuf: Vec<u8>,
     rpos: usize,
     reg_writable: bool,
@@ -169,6 +171,7 @@ impl Transport {
         Ok(Transport {
             stream,
             poller,
+            events: Events::new(),
             rbuf: Vec::new(),
             rpos: 0,
             reg_writable: true,
@@ -301,7 +304,6 @@ impl Client {
         }
         let mut opos = 0;
         let mut responses = Vec::with_capacity(requests.len());
-        let mut events = Events::new();
         // The timeout is on *progress*, not on the whole pipeline: any
         // byte moved in either direction resets the clock.
         let mut last_progress = Instant::now();
@@ -396,10 +398,10 @@ impl Client {
             }
             if progressed {
                 last_progress = Instant::now();
-                continue;
             }
-            // Both directions blocked: wait for readiness, bounded by
-            // the progress timeout.
+            // Both directions are blocked: the read above returned
+            // `WouldBlock`, and the writes either finished or blocked.
+            // Wait for readiness, bounded by the progress timeout.
             let budget = if opos < out.len() {
                 self.config.read_timeout.min(self.config.write_timeout)
             } else {
@@ -413,7 +415,7 @@ impl Client {
                 )));
             }
             conn.want_writable(opos < out.len())?;
-            conn.poller.wait(&mut events, Some(budget - waited))?;
+            conn.poller.wait(&mut conn.events, Some(budget - waited))?;
         }
         Ok(responses)
     }

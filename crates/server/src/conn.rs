@@ -203,42 +203,40 @@ impl Conn {
         self.rbuf.len() - self.rpos
     }
 
-    /// One readiness turn: flush what the socket will take, consume what
-    /// it offers, dispatch every complete frame, and recompute the
-    /// posture. Never blocks.
+    /// One readiness turn: flush a backlog the socket can take again,
+    /// consume what it offers, dispatch every complete frame, flush the
+    /// replies, and recompute the posture. Never blocks.
+    ///
+    /// Replies leave in the turn that queued them, so write interest is
+    /// registered only while the socket refuses bytes: a request costs
+    /// one wait, one read and one write.
     pub(crate) fn drive(&mut self, readable: bool, writable: bool, ctx: &Ctx<'_>) -> Turn {
         let mut wrote = false;
-        if writable || self.pending_write() > 0 {
-            match self.flush(ctx, &mut wrote) {
-                Ok(()) => {}
-                Err(()) => return Turn::Close,
-            }
+        if writable && self.pending_write() > 0 && self.flush(ctx, &mut wrote).is_err() {
+            return Turn::Close;
         }
         let mut read_any = false;
         let turn = match self.phase {
             Phase::Serving => self.serve_input(readable, ctx, &mut read_any, &mut wrote),
-            Phase::Flushing => {
-                if self.pending_write() == 0 {
-                    Turn::Close
-                } else {
-                    Turn::Keep
-                }
-            }
+            Phase::Flushing => Turn::Keep,
             Phase::Draining { .. } => self.drain_input(readable),
         };
         if turn == Turn::Close {
             return Turn::Close;
         }
-        // A refusal mid-parse queued a final reply: push it toward the
-        // peer in the same turn (it usually completes here, arming the
-        // drain window immediately).
-        if matches!(self.phase, Phase::Draining { .. })
-            && self.pending_write() > 0
-            && self.flush(ctx, &mut wrote).is_err()
-        {
+        // Send what this turn queued. A final refusal usually completes
+        // here, arming the drain window at once.
+        if self.pending_write() > 0 && self.flush(ctx, &mut wrote).is_err() {
             return Turn::Close;
         }
-        if matches!(self.phase, Phase::Draining { .. }) && self.eof && self.pending_write() == 0 {
+        // Done once the last reply is out after the peer's EOF: neither
+        // phase registers interest that would bring another turn.
+        let finished = match self.phase {
+            Phase::Serving => false,
+            Phase::Flushing => true,
+            Phase::Draining { .. } => self.eof,
+        };
+        if finished && self.pending_write() == 0 {
             return Turn::Close;
         }
         self.posture(read_any, wrote);
@@ -290,6 +288,12 @@ impl Conn {
                     self.rbuf.truncate(len + n);
                     budget = budget.saturating_sub(n);
                     *read_any = true;
+                    // A short read took everything the socket held; the
+                    // next read would only block. Level-triggered polling
+                    // reports whatever arrives later.
+                    if n < READ_CHUNK {
+                        readable = false;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     self.rbuf.truncate(len);

@@ -44,7 +44,7 @@
 
 use extsec_acl::{AccessMode, PrincipalId};
 use extsec_mac::{CategoryId, CategorySet, SecurityClass, TrustLevel};
-use extsec_namespace::NsPath;
+use extsec_namespace::{NsPath, PathError};
 use extsec_refmon::{
     AuditQuery, AuditRecord, BundleId, Decision, DenyReason, GapRange, Generation, Outcome,
     QueryResult, Subject, ThreadId,
@@ -771,6 +771,27 @@ impl WireMessage for Response {
 // ---------------------------------------------------------------------
 // Payload codec: the shared combinators behind every WireMessage.
 
+/// Rewrites a copy of a non-root path's text (`/c1/…/cn`) into its wire
+/// components by replacing each `/` with the length of the component
+/// after it. Returns the component count, or `None` (leaving `text`
+/// partly rewritten) when a length or the count needs a second ULEB128
+/// byte.
+fn slashes_to_lengths(text: &mut [u8]) -> Option<u8> {
+    let mut count = 0u8;
+    let mut slash = 0;
+    while slash < text.len() {
+        let rest = &text[slash + 1..];
+        let len = rest.iter().position(|&b| b == b'/').unwrap_or(rest.len());
+        if len >= 0x80 || count == 0x7f {
+            return None;
+        }
+        text[slash] = len as u8;
+        count += 1;
+        slash += len + 1;
+    }
+    Some(count)
+}
+
 /// Wraps an already-encoded payload in a frame header.
 fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -828,10 +849,26 @@ impl<'a> Enc<'a> {
         }
     }
 
+    /// A path: its component count, then each component's length and
+    /// bytes. While every length and the count fit one ULEB128 byte
+    /// (under 128), that is the path's text, copied once, with each `/`
+    /// replaced by the length of the component after it; a loop that
+    /// copies component by component encodes a batch about half as
+    /// fast, so it serves only the longer cases.
     fn path(&mut self, path: &NsPath) {
-        let components = path.components();
-        self.uleb(components.len() as u64);
-        for component in components {
+        let start = self.buf.len();
+        self.buf.push(0);
+        if path.is_root() {
+            return;
+        }
+        self.buf.extend_from_slice(path.as_str().as_bytes());
+        if let Some(count) = slashes_to_lengths(&mut self.buf[start + 1..]) {
+            self.buf[start] = count;
+            return;
+        }
+        self.buf.truncate(start);
+        self.uleb(path.depth() as u64);
+        for component in path.components() {
             self.str(component);
         }
     }
@@ -976,13 +1013,24 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    fn str(&mut self, max: usize) -> Result<String, ProtoError> {
+    /// A length-prefixed run of at most `max` bytes, borrowed from the
+    /// payload.
+    fn blob(&mut self, max: usize) -> Result<&'a [u8], ProtoError> {
         let len = self.uleb()?;
         if len > max as u64 {
             return Err(ProtoError::Oversize(len));
         }
-        let bytes = self.bytes(len as usize)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadUtf8)
+        self.bytes(len as usize)
+    }
+
+    /// A length-prefixed UTF-8 string of at most `max` bytes, borrowed
+    /// from the payload.
+    fn str_ref(&mut self, max: usize) -> Result<&'a str, ProtoError> {
+        std::str::from_utf8(self.blob(max)?).map_err(|_| ProtoError::BadUtf8)
+    }
+
+    fn str(&mut self, max: usize) -> Result<String, ProtoError> {
+        self.str_ref(max).map(str::to_owned)
     }
 
     fn mode(&mut self) -> Result<AccessMode, ProtoError> {
@@ -1032,13 +1080,37 @@ impl<'a> Dec<'a> {
         ))
     }
 
+    /// A path: its component count, then each component. The first pass
+    /// reads and judges every component, refusing a short or malformed
+    /// payload as such before a bad component; the second copies them
+    /// into one allocation of the text's exact size.
     fn path(&mut self) -> Result<NsPath, ProtoError> {
+        let bad_path = |e: PathError| ProtoError::BadPath(e.to_string());
         let count = self.count(MAX_COMPONENTS)?;
-        let mut components = Vec::with_capacity(count);
+        let start = self.pos;
+        let mut len = 0;
+        let mut bad = None;
         for _ in 0..count {
-            components.push(self.str(MAX_STR)?);
+            let component = self.str_ref(MAX_STR)?;
+            if bad.is_none() && !NsPath::valid_component(component) {
+                bad = Some(component);
+            }
+            len += 1 + component.len();
         }
-        NsPath::from_components(components).map_err(|e| ProtoError::BadPath(e.to_string()))
+        if let Some(component) = bad {
+            return Err(bad_path(PathError::BadComponent(component.to_string())));
+        }
+        let mut again = Dec::new(&self.buf[start..self.pos]);
+        let mut text = Vec::with_capacity(len.max(1));
+        for _ in 0..count {
+            text.push(b'/');
+            text.extend_from_slice(again.blob(MAX_STR)?);
+        }
+        if text.is_empty() {
+            text.push(b'/');
+        }
+        let text = String::from_utf8(text).map_err(|_| ProtoError::BadUtf8)?;
+        NsPath::try_from(text).map_err(bad_path)
     }
 
     /// An optional unsigned integer: a strict presence flag, then the

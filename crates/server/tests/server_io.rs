@@ -346,3 +346,81 @@ fn shutdown_is_graceful_and_idempotent_accounting_holds() {
     assert_eq!(stats.accepted, stats.closed);
     assert_eq!(stats.accepted, 1);
 }
+
+#[test]
+fn sequential_checks_cost_one_poll_each() {
+    let (monitor, alice, _) = fixture();
+    let server = spawn(&monitor, ServerConfig::default());
+    let mut client = client(&server);
+    client.ping().unwrap();
+    let svc = p("/svc");
+    let before = server.telemetry().snapshot().polls;
+    for _ in 0..1_000 {
+        client.check(&alice, &svc, AccessMode::List).unwrap();
+    }
+    let polls = server.telemetry().snapshot().polls - before;
+    // One readiness turn per request: the reply leaves in the turn that
+    // read the request, so no second wait for write readiness.
+    assert!(
+        polls <= 1_050,
+        "1 000 sequential checks took {polls} server polls"
+    );
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_burst_then_half_close_gets_every_reply_and_eof() {
+    let (monitor, alice, _) = fixture();
+    let server = spawn(&monitor, ServerConfig::default());
+    let check = |path: NsPath| {
+        Request::Check {
+            subject: alice.clone(),
+            path,
+            mode: AccessMode::Read,
+        }
+        .encode()
+    };
+    // A burst of exactly one 16 KiB read chunk, so the server can read
+    // the EOF in the turn that queued the replies: every queued reply
+    // must still go out, and the connection must then close.
+    const BURST: usize = 16 * 1024;
+    let frame = check(p("/svc/fs/read"));
+    let mut burst = Vec::new();
+    let mut sent = 0;
+    while burst.len() + frame.len() + 64 <= BURST {
+        burst.extend_from_slice(&frame);
+        sent += 1;
+    }
+    let pad = BURST - burst.len();
+    let filler = (1..128)
+        .map(|k| p(&format!("/{}", "x".repeat(k))))
+        .find(|path| check(path.clone()).len() == pad)
+        .expect("a filler path of the missing size");
+    burst.extend_from_slice(&check(filler.clone()));
+    sent += 1;
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(&burst).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    for i in 0..sent {
+        let frame = proto::read_frame(&mut stream, MAX_FRAME).unwrap();
+        let reply = Response::decode(frame.opcode, &frame.payload).unwrap();
+        let want = if i + 1 < sent {
+            monitor.check(&alice, &p("/svc/fs/read"), AccessMode::Read)
+        } else {
+            Decision::Deny(DenyReason::NotFound(filler.clone()))
+        };
+        assert_eq!(reply, Response::Decision(want), "reply {i}");
+    }
+    let mut probe = [0u8; 1];
+    assert!(
+        matches!(stream.read(&mut probe), Ok(0)),
+        "clean EOF after the last reply"
+    );
+    wait_for_balanced_accounting(&server);
+    server.shutdown();
+}

@@ -5,13 +5,13 @@
 
 use extsec_acl::{AccessMode, PrincipalId};
 use extsec_mac::{CategoryId, CategorySet, SecurityClass, TrustLevel};
-use extsec_namespace::NsPath;
+use extsec_namespace::{NsPath, PathError};
 use extsec_refmon::{
     AuditQuery, AuditRecord, BundleId, Decision, DenyReason, GapRange, Generation, Outcome,
     QueryResult, Subject, ThreadId,
 };
-use extsec_server::proto::{scan_frame, FrameScan, ProtoError};
-use extsec_server::{BatchItem, ErrorCode, Request, Response, MAX_FRAME};
+use extsec_server::proto::{scan_frame, FrameScan, ProtoError, MAX_COMPONENTS, MAX_STR};
+use extsec_server::{BatchItem, ErrorCode, Opcode, Request, Response, MAX_FRAME};
 use proptest::prelude::*;
 
 fn arb_mode() -> impl Strategy<Value = AccessMode> {
@@ -304,4 +304,155 @@ proptest! {
             other => prop_assert!(false, "expected oversize refusal, got {other:?}"),
         }
     }
+}
+
+/// Principal 300 on thread 9 at rank 2 with categories {1, 200}.
+fn golden_subject() -> Subject {
+    Subject::on_thread(
+        PrincipalId::from_raw(300),
+        SecurityClass::new(
+            TrustLevel::from_rank(2),
+            CategorySet::from_ids([CategoryId::from_index(1), CategoryId::from_index(200)]),
+        ),
+        ThreadId::from_raw(9),
+    )
+}
+
+/// `golden_subject`'s encoding: principal, thread, rank, category count,
+/// categories, each a ULEB128.
+const GOLDEN_SUBJECT: &[u8] = &[172, 2, 9, 2, 2, 1, 200, 1];
+
+fn path(s: &str) -> NsPath {
+    s.parse().expect("valid path")
+}
+
+/// Encoded `Check` and `BatchCheck` frames, byte for byte. A path goes
+/// on the wire as its component count, then each component's length and
+/// UTF-8 bytes, whatever form the path takes in memory.
+#[test]
+fn check_and_batch_frames_are_byte_stable() {
+    let check = Request::Check {
+        subject: golden_subject(),
+        path: path("/svc/fs.read/x-1"),
+        mode: AccessMode::Write,
+    };
+    let mut want = vec![3, 1, 26, 0, 0, 0];
+    want.extend_from_slice(GOLDEN_SUBJECT);
+    want.extend_from_slice(b"\x03\x03svc\x07fs.read\x03x-1\x01");
+    assert_eq!(check.encode(), want);
+
+    let long = "x".repeat(130);
+    let batch = Request::BatchCheck {
+        subject: golden_subject(),
+        items: vec![
+            BatchItem {
+                path: NsPath::root(),
+                mode: AccessMode::Read,
+            },
+            BatchItem {
+                path: path("/a b/!x/é"),
+                mode: AccessMode::List,
+            },
+            BatchItem {
+                path: path("/svc/日本/-."),
+                mode: AccessMode::Execute,
+            },
+            BatchItem {
+                path: path(&format!("/{long}")),
+                mode: AccessMode::Read,
+            },
+        ],
+    };
+    let mut want = vec![3, 2, 173, 0, 0, 0];
+    want.extend_from_slice(GOLDEN_SUBJECT);
+    want.extend_from_slice(b"\x04\x00\x00");
+    want.extend_from_slice(b"\x03\x03a b\x02!x\x02\xc3\xa9\x07");
+    want.extend_from_slice(b"\x03\x03svc\x06\xe6\x97\xa5\xe6\x9c\xac\x02-.\x03");
+    want.extend_from_slice(b"\x01\x82\x01");
+    want.extend_from_slice(long.as_bytes());
+    want.push(0);
+    assert_eq!(batch.encode(), want);
+
+    // More components than one count byte holds (only the decoder caps
+    // the count).
+    let deep = Request::Check {
+        subject: golden_subject(),
+        path: NsPath::from_components(["a"; 130]).expect("valid"),
+        mode: AccessMode::Read,
+    };
+    let mut want = vec![3, 1, 15, 1, 0, 0];
+    want.extend_from_slice(GOLDEN_SUBJECT);
+    want.extend_from_slice(b"\x82\x01");
+    want.extend_from_slice(&b"\x01a".repeat(130));
+    want.push(0);
+    assert_eq!(deep.encode(), want);
+}
+
+fn uleb(mut value: u64, out: &mut Vec<u8>) {
+    loop {
+        let byte = (value & 0x7f) as u8;
+        value >>= 7;
+        if value == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// A `Check` payload for principal 1 at rank 0 whose path is `count`
+/// as the component count followed by `components`, then mode `Read`.
+fn check_payload(count: usize, components: &[&[u8]]) -> Vec<u8> {
+    let mut payload = vec![1, 0, 0, 0];
+    uleb(count as u64, &mut payload);
+    for component in components {
+        uleb(component.len() as u64, &mut payload);
+        payload.extend_from_slice(component);
+    }
+    payload.push(0);
+    payload
+}
+
+/// Wire paths the name space cannot hold are refused, each with the
+/// error it has always had: a component check comes only after every
+/// component has been read, so a short payload is `Truncated` even
+/// when an earlier component is bad.
+#[test]
+fn malformed_wire_paths_are_refused() {
+    let bad = |c: &str| ProtoError::BadPath(PathError::BadComponent(c.to_string()).to_string());
+    let decode = |payload: Vec<u8>| Request::decode(Opcode::Check as u8, &payload);
+    for (components, want) in [
+        (&[&b"a"[..], b""][..], bad("")),
+        (&[b"."], bad(".")),
+        (&[b"a", b".."], bad("..")),
+        (&[b"a/b"], bad("a/b")),
+        (&[b"ok", b"x/", b"."], bad("x/")),
+        (&[b"a", b"\xff"], ProtoError::BadUtf8),
+        (&[b"\xc3"], ProtoError::BadUtf8),
+    ] {
+        assert_eq!(
+            decode(check_payload(components.len(), components)),
+            Err(want),
+            "{components:?}"
+        );
+    }
+    // A bad component followed by a truncated one.
+    assert_eq!(
+        decode(check_payload(2, &[b""])[..6].to_vec()),
+        Err(ProtoError::Truncated)
+    );
+    let many: Vec<&[u8]> = vec![b"a"; MAX_COMPONENTS + 1];
+    assert_eq!(
+        decode(check_payload(many.len(), &many)),
+        Err(ProtoError::TooMany(MAX_COMPONENTS as u64 + 1))
+    );
+    let most: Vec<&[u8]> = vec![b"a"; MAX_COMPONENTS];
+    assert!(decode(check_payload(most.len(), &most)).is_ok());
+    let huge = vec![b'a'; MAX_STR + 1];
+    assert_eq!(
+        decode(check_payload(1, &[&huge])),
+        Err(ProtoError::Oversize(MAX_STR as u64 + 1))
+    );
+    let widest = vec![b'a'; MAX_STR];
+    assert!(decode(check_payload(1, &[&widest])).is_ok());
 }
