@@ -128,13 +128,13 @@ pub fn is_injected_denial(decision: &Decision) -> bool {
 /// Batch coherence: against one pinned snapshot, one batch asking `path`
 /// in each of `modes` — and, when that is one mode, in a contrasting one
 /// (write, or read for a write) — must decide every item exactly as a
-/// single check of that item does. The batch's memos — one walk per
-/// distinct path, one decision per distinct node and mode — may change
-/// how fast it decides, never what; asked two modes of one node, a memo
-/// that mixed them up would show. Returns the single checks' decisions
-/// for `modes`, in order. Under a storm (`storm = true`) the two
-/// evaluations meet independent injected faults, so a disagreement is
-/// tolerated exactly when the denying side names an injected fault.
+/// single check of that item does. A batch is one check per item against
+/// one snapshot, so a shortcut taken across its items — one decision
+/// shared by two modes of one node, say — would show here. Returns the
+/// single checks' decisions for `modes`, in order. Under a storm
+/// (`storm = true`) the two evaluations meet independent injected
+/// faults, so a disagreement is tolerated exactly when the denying side
+/// names an injected fault.
 pub fn coherent(
     monitor: &ReferenceMonitor,
     subject: &Subject,

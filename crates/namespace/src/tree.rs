@@ -105,53 +105,32 @@ impl NameSpace {
 
     /// Resolves `path` to a node id, performing no checks of its own.
     pub fn resolve(&self, path: &NsPath) -> Result<NodeId, NsError> {
-        self.descend(path, 0, NodeId::ROOT, |_| {})
+        self.descend(path, |_| {})
     }
 
     /// Resolves `path` like [`NameSpace::resolve`], recording the node
     /// every prefix names: afterwards `chain[k]` is the node of the first
     /// `k` components, through the final node — or, when resolution
     /// fails, through the last node reached (empty after a fault).
-    ///
-    /// The walk resumes from an earlier one: the first `shared`
-    /// components are taken as `chain` already records them, which the
-    /// caller guarantees by passing the length of the prefix this path
-    /// shares with the one last walked into `chain` on this same name
-    /// space (0 walks afresh). Only the remaining components are looked
-    /// up.
-    pub fn resolve_chain(
-        &self,
-        path: &NsPath,
-        shared: usize,
-        chain: &mut Vec<NodeId>,
-    ) -> Result<NodeId, NsError> {
-        let keep = shared.min(path.depth()).min(chain.len().saturating_sub(1));
-        chain.truncate(keep + 1);
-        if chain.is_empty() {
-            chain.push(NodeId::ROOT);
-        }
-        let walked = self.descend(path, keep, chain[keep], |id| chain.push(id));
+    pub fn resolve_chain(&self, path: &NsPath, chain: &mut Vec<NodeId>) -> Result<NodeId, NsError> {
+        chain.clear();
+        chain.push(NodeId::ROOT);
+        let walked = self.descend(path, |id| chain.push(id));
         if matches!(walked, Err(NsError::Fault(_))) {
             chain.clear();
         }
         walked
     }
 
-    /// The one resolution loop: descends from `start` (the node of the
-    /// first `from` components) through the rest of `path`, handing each
-    /// node reached to `record`. Hosts the `ns.resolve` fault point.
-    fn descend(
-        &self,
-        path: &NsPath,
-        from: usize,
-        start: NodeId,
-        mut record: impl FnMut(NodeId),
-    ) -> Result<NodeId, NsError> {
+    /// The one resolution loop: descends from the root through `path`,
+    /// handing each node reached to `record`. Hosts the `ns.resolve`
+    /// fault point.
+    fn descend(&self, path: &NsPath, mut record: impl FnMut(NodeId)) -> Result<NodeId, NsError> {
         if let Some(fault) = extsec_faults::fire("ns.resolve") {
             return Err(NsError::Fault(fault.to_string()));
         }
-        let mut current = start;
-        for (i, name) in path.components().enumerate().skip(from) {
+        let mut current = NodeId::ROOT;
+        for (i, name) in path.components().enumerate() {
             let node = self.node(current)?;
             if !node.kind.is_container() {
                 return Err(NsError::NotAContainer(path.prefix(i)));
@@ -481,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn chain_records_every_level_and_resumes() {
+    fn chain_records_every_level() {
         let mut ns = build();
         ns.insert(
             &p("/svc"),
@@ -497,26 +476,26 @@ mod tests {
                 .collect()
         };
         let mut chain = Vec::new();
-        let read = ns.resolve_chain(&p("/svc/fs/read"), 0, &mut chain).unwrap();
+        let read = ns.resolve_chain(&p("/svc/fs/read"), &mut chain).unwrap();
         assert_eq!(read, ns.resolve(&p("/svc/fs/read")).unwrap());
         assert_eq!(names(&ns, &chain), ["", "svc", "fs", "read"]);
-        // Resuming after the shared `/svc` re-walks only the suffix.
-        let net = ns.resolve_chain(&p("/svc/net"), 1, &mut chain).unwrap();
+        // A second walk replaces the first one's record.
+        let net = ns.resolve_chain(&p("/svc/net"), &mut chain).unwrap();
         assert_eq!(chain, [NodeId::ROOT, chain[1], net]);
         assert_eq!(names(&ns, &chain), ["", "svc", "net"]);
         // Failures keep the nodes reached and name the failing prefix.
         assert_eq!(
-            ns.resolve_chain(&p("/svc/fs/gone/x"), 1, &mut chain),
+            ns.resolve_chain(&p("/svc/fs/gone/x"), &mut chain),
             Err(NsError::NotFound(p("/svc/fs/gone")))
         );
         assert_eq!(names(&ns, &chain), ["", "svc", "fs"]);
         assert_eq!(
-            ns.resolve_chain(&p("/svc/fs/read/x/y"), 3, &mut chain),
+            ns.resolve_chain(&p("/svc/fs/read/x/y"), &mut chain),
             Err(NsError::NotAContainer(p("/svc/fs/read")))
         );
         assert_eq!(names(&ns, &chain), ["", "svc", "fs", "read"]);
         // The root alone.
-        assert_eq!(ns.resolve_chain(&p("/"), 0, &mut chain), Ok(NodeId::ROOT));
+        assert_eq!(ns.resolve_chain(&p("/"), &mut chain), Ok(NodeId::ROOT));
         assert_eq!(chain, [NodeId::ROOT]);
     }
 

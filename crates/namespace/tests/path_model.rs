@@ -80,9 +80,6 @@ proptest! {
         let (pa, pb) = (path(&a), path(&b));
         let starts = b.len() <= a.len() && a[..b.len()] == b[..];
         prop_assert_eq!(pa.starts_with(&pb), starts, "{} starts with {}", pa, pb);
-        let shared = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
-        prop_assert_eq!(pa.shared_depth(&pb), shared, "{} and {}", pa, pb);
-        prop_assert_eq!(pb.shared_depth(&pa), shared);
         let rest = a.get(b.len()..).map(|rest| rest.join("/"));
         prop_assert_eq!(pa.strip_prefix(&pb).map(str::to_string), rest.filter(|_| starts));
         prop_assert_eq!(pa.join_path(&pb), path(&[a.clone(), b.clone()].concat()));
@@ -128,7 +125,6 @@ fn a_component_prefix_is_not_a_path_prefix() {
     let p: NsPath = "/a/bc".parse().unwrap();
     let q: NsPath = "/a/b".parse().unwrap();
     assert!(!p.starts_with(&q));
-    assert_eq!(p.shared_depth(&q), 1);
     assert_eq!(p.strip_prefix(&q), None);
     assert!(q < p);
     // `-` sorts below `/` as a byte, but `/a` (a shorter list) still

@@ -29,7 +29,7 @@ use extsec_namespace::{NameSpace, NodeId, NodeKind, NsError, NsPath, Protection}
 use extsec_telemetry::{AuditSnapshot, Stage, Telemetry, TelemetrySnapshot};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -115,7 +115,7 @@ impl State {
     ) -> (R, Result<NodeId, NsError>) {
         let mut chain = CHAIN.with(Cell::take);
         let resolve_t = tele.start();
-        let end = self.namespace.resolve_chain(path, 0, &mut chain);
+        let end = self.namespace.resolve_chain(path, &mut chain);
         tele.finish(Stage::Resolve, resolve_t);
         let result = f(&Walk {
             path,
@@ -138,7 +138,7 @@ impl State {
     ) -> Decision {
         let off = Telemetry::disabled();
         self.walk(path, off, |walk| {
-            self.decide(subject, walk, mode, None, off, steps)
+            self.decide(subject, walk, mode, off, steps)
         })
         .0
     }
@@ -148,18 +148,16 @@ impl State {
     /// resolved, and its final node must grant `mode` under its ACL and
     /// permit the flow the mode induces. Every decision the monitor makes
     /// or explains comes from here. The final node's halves are timed
-    /// under [`Stage::Acl`] and [`Stage::Mac`]. `visible` is a batch's
-    /// memo of interior nodes already proven visible.
+    /// under [`Stage::Acl`] and [`Stage::Mac`].
     fn decide(
         &self,
         subject: &Subject,
         walk: &Walk<'_>,
         mode: AccessMode,
-        visible: Option<&mut HashSet<NodeId>>,
         tele: &Telemetry,
         steps: &mut impl Steps,
     ) -> Decision {
-        if let Err(hidden) = self.interior_visibility(subject, walk, visible, tele, steps) {
+        if let Err(hidden) = self.interior_visibility(subject, walk, tele, steps) {
             return Decision::Deny(hidden);
         }
         let node = match walk.end {
@@ -213,7 +211,6 @@ impl State {
         &self,
         subject: &Subject,
         walk: &Walk<'_>,
-        mut visible: Option<&mut HashSet<NodeId>>,
         tele: &Telemetry,
         steps: &mut S,
     ) -> Result<(), DenyReason> {
@@ -229,9 +226,6 @@ impl State {
         };
         let climb_t = tele.start();
         for (depth, id) in interior.iter().enumerate() {
-            if visible.as_ref().is_some_and(|memo| memo.contains(id)) {
-                continue;
-            }
             let Ok(node) = self.namespace.node(*id) else {
                 return Err(DenyReason::Structure("stale node id".to_string()));
             };
@@ -260,9 +254,6 @@ impl State {
             }
             if checked && !mac {
                 return Err(DenyReason::NotVisibleMac(walk.path.prefix(depth)));
-            }
-            if let Some(memo) = visible.as_deref_mut() {
-                memo.insert(*id);
             }
         }
         tele.finish(Stage::Resolve, climb_t);
@@ -294,10 +285,9 @@ thread_local! {
     /// keeps one superseded state alive per thread at worst; it is
     /// replaced the next time the thread touches any monitor.
     static PINNED: RefCell<Option<PinnedSnapshot>> = const { RefCell::new(None) };
-    /// The buffer this thread's single-path walks record into, kept
-    /// between checks so a warm check allocates nothing. Taken out for
-    /// the length of one walk, so a reentrant walk simply gets a fresh
-    /// one.
+    /// The buffer this thread's walks record into, kept between checks
+    /// so a warm check allocates nothing. Taken out for the length of
+    /// one walk, so a reentrant walk simply gets a fresh one.
     static CHAIN: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
 }
 
@@ -569,10 +559,10 @@ impl ReferenceMonitor {
         })
     }
 
-    /// Checks a whole batch against one pinned snapshot with shared-work
-    /// vectorization (see [`MonitorView::check_batch`]). Decision-for-
-    /// decision equivalent to calling [`ReferenceMonitor::check`] per
-    /// item, except that every item sees the same snapshot.
+    /// Checks a whole batch against one pinned snapshot (see
+    /// [`MonitorView::check_batch`]): one [`ReferenceMonitor::check`] per
+    /// item, in item order, except that every item sees the same
+    /// snapshot.
     pub fn check_batch(&self, subject: &Subject, items: &[(NsPath, AccessMode)]) -> Vec<Decision> {
         self.with_snapshot(|state| {
             ViewRef {
@@ -612,7 +602,7 @@ impl ReferenceMonitor {
     ) -> (Decision, Result<NodeId, NsError>) {
         let tele = &self.telemetry;
         let (decision, end) = state.walk(path, tele, |walk| {
-            state.decide(subject, walk, mode, None, tele, &mut ())
+            state.decide(subject, walk, mode, tele, &mut ())
         });
         if state.config.audit {
             let audit_t = tele.start();
@@ -1372,97 +1362,14 @@ impl ViewRef<'_> {
         decision
     }
 
-    /// The vectorized batch check: one snapshot, one sorted pass.
-    ///
-    /// The item list is walked in path-sorted order so identical paths
-    /// and shared prefixes are adjacent, and each distinct path is walked
-    /// once, resuming the previous path's chain at their longest shared
-    /// prefix, so only the differing suffix is looked up in the directory
-    /// B-trees. On top of that sit two batch-local memos — interior nodes
-    /// proven visible, and one decision per distinct `(node, mode)`,
-    /// each from one evaluation of the rule. Decisions are written back
-    /// in item order,
-    /// and audit records are emitted in item order afterwards, so the
-    /// result is indistinguishable from the sequential per-item path
-    /// except in speed: every decision comes from the same rule against
-    /// the same snapshot.
+    /// The batch check: every item is one ordinary [`ViewRef::check`] —
+    /// audit record and shadow evaluation included — against this one
+    /// snapshot, in item order.
     fn check_batch(&self, subject: &Subject, items: &[(NsPath, AccessMode)]) -> Vec<Decision> {
-        let monitor = self.monitor;
-        let state = self.state;
-        let tele = &monitor.telemetry;
-        let whole = tele.start();
-        for (_, mode) in items {
-            tele.count_mode(*mode);
-        }
-
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_unstable_by(|&a, &b| items[a].0.cmp(&items[b].0));
-        let mut chain = Vec::new();
-        let mut prev: Option<&NsPath> = None;
-        let mut end = Ok(NodeId::ROOT);
-        let mut visible: HashSet<NodeId> = HashSet::new();
-        let mut decided: HashMap<(NodeId, AccessMode), Decision> = HashMap::new();
-        let mut decisions: Vec<Option<Decision>> = vec![None; items.len()];
-        for idx in order {
-            let (path, mode) = &items[idx];
-            if prev != Some(path) {
-                let shared = prev.map_or(0, |prev| prev.shared_depth(path));
-                let resolve_t = tele.start();
-                end = state.namespace.resolve_chain(path, shared, &mut chain);
-                tele.finish(Stage::Resolve, resolve_t);
-                prev = Some(path);
-            }
-            let walk = Walk {
-                path,
-                chain: &chain,
-                end: &end,
-            };
-            let mut decide =
-                || state.decide(subject, &walk, *mode, Some(&mut visible), tele, &mut ());
-            decisions[idx] = Some(match end {
-                Ok(node) => {
-                    // Mutant point, scripted-only: a fired
-                    // `refmon.batch.memo_mode` keys the memo on the node
-                    // alone, so a later item asking another mode of the
-                    // same node gets the first item's decision — the
-                    // planted memo bug the campaign's batch-coherence
-                    // invariant must catch. Random fault storms never
-                    // reach it, and release builds compile it to nothing.
-                    let key_mode = match extsec_faults::fire_mutant("refmon.batch.memo_mode") {
-                        Some(_) => AccessMode::Read,
-                        None => *mode,
-                    };
-                    decided
-                        .entry((node, key_mode))
-                        .or_insert_with(decide)
-                        .clone()
-                }
-                Err(_) => decide(),
-            });
-        }
-
-        let decisions: Vec<Decision> = decisions
-            .into_iter()
-            .map(|d| d.expect("every batch item gets a decision"))
-            .collect();
-        if state.config.audit {
-            let audit_t = tele.start();
-            for ((path, mode), decision) in items.iter().zip(&decisions) {
-                monitor
-                    .audit
-                    .record(subject, path, *mode, decision, state.generation.raw());
-            }
-            tele.finish(Stage::Audit, audit_t);
-        }
-        tele.finish(Stage::Check, whole);
-        // Shadow mode: dual-evaluate every item of the batch against the
-        // staged policy pinned in this same snapshot.
-        if let Some(shadow) = state.shadow.as_deref() {
-            for ((path, mode), decision) in items.iter().zip(&decisions) {
-                monitor.record_shadow(shadow, subject, path, *mode, decision);
-            }
-        }
-        decisions
+        items
+            .iter()
+            .map(|(path, mode)| self.check(subject, path, *mode))
+            .collect()
     }
 
     fn require(
@@ -1529,14 +1436,11 @@ impl MonitorView<'_> {
         self.as_view_ref().check(subject, path, mode)
     }
 
-    /// Checks a whole batch against this snapshot in one vectorized pass:
-    /// items are walked in path-sorted order so shared prefixes resolve
-    /// once, visibility of interior nodes is proven once per node, and
-    /// each distinct `(node, mode)` pair is decided once.
-    /// Returns one decision per item, in item order; audit records are
-    /// also emitted in item order. Decision-for-decision identical to
-    /// calling [`MonitorView::check`] on each item in sequence (the
-    /// permutation-equivalence property is proptested in
+    /// Checks a whole batch against this snapshot: each item is one
+    /// [`MonitorView::check`], in item order, so the batch returns one
+    /// decision per item and emits its audit records in item order.
+    /// Decision-for-decision identical to checking the items in
+    /// sequence, in any order (proptested in
     /// `tests/batch_equivalence.rs`).
     pub fn check_batch(&self, subject: &Subject, items: &[(NsPath, AccessMode)]) -> Vec<Decision> {
         for _ in items {

@@ -611,9 +611,8 @@ fn handle(opcode: u8, payload: &[u8], ctx: &Ctx<'_>) -> Result<Response, ProtoEr
             }
             let started = Instant::now();
             // The point of batching: one snapshot pin, one subject
-            // validation, then the whole batch answered from the same
-            // immutable policy state by the monitor's vectorized path
-            // (sorted shared-prefix resolution, one cache-probe loop).
+            // validation, then every item checked, in order, against the
+            // same immutable policy state.
             let view = monitor.view();
             if let Some(refusal) = validate_subject(&view, &subject) {
                 return Ok(refusal);

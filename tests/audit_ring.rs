@@ -1,13 +1,13 @@
 //! The audit ring as the monitor uses it: attaching a pipeline, the
 //! in-memory view after wraparound, a check path that allocates nothing
-//! once the ring has wrapped, and writers that wait for a live drainer
-//! rather than overwrite what it has not read, also while an admin
-//! verifies the log.
+//! and a batch that allocates only its result once the ring has wrapped,
+//! and writers that wait for a live drainer rather than overwrite what
+//! it has not read, also while an admin verifies the log.
 //!
-//! A counting global allocator watches only the thread that sets its
-//! `WATCHED` flag, so the pipeline's drainer (which allocates while it
-//! encodes and persists) and other tests running in parallel do not
-//! count.
+//! A counting global allocator counts, per thread, only while that
+//! thread's `WATCHED` flag is set, so the pipeline's drainer (which
+//! allocates while it encodes and persists) and other tests running in
+//! parallel do not count.
 
 use extsec_core::{
     AccessMode, Acl, AclEntry, AuditPipeline, AuditQuery, AuditRecord, Decision, GapRange, Lattice,
@@ -26,15 +26,24 @@ struct CountingAllocator;
 thread_local! {
     /// Whether this thread's allocations are counted.
     static WATCHED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while watched.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
-
-/// Allocations made by watched threads.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 fn count() {
     if WATCHED.with(Cell::get) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
     }
+}
+
+/// Runs `f` with this thread watched; returns the heap allocations it
+/// made.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    WATCHED.with(|w| w.set(true));
+    f();
+    WATCHED.with(|w| w.set(false));
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
@@ -210,14 +219,14 @@ fn audited_checks_allocate_nothing_after_one_lap() {
     }
     let first = pipeline.ring().next_seq();
 
-    WATCHED.with(|w| w.set(true));
-    for i in 0..CHECKS {
-        let path = &paths[i as usize % 2];
-        black_box(monitor.check(black_box(&subject), path, AccessMode::Execute));
-    }
-    WATCHED.with(|w| w.set(false));
+    let allocations = allocations_in(|| {
+        for i in 0..CHECKS {
+            let path = &paths[i as usize % 2];
+            black_box(monitor.check(black_box(&subject), path, AccessMode::Execute));
+        }
+    });
 
-    assert_eq!(ALLOCATIONS.load(Ordering::Relaxed), 0);
+    assert_eq!(allocations, 0);
     assert_eq!(
         pipeline.ring().next_seq() - first,
         CHECKS,
@@ -227,6 +236,42 @@ fn audited_checks_allocate_nothing_after_one_lap() {
     let stats = pipeline.stats();
     assert_eq!(stats.enqueued, stats.persisted_events + stats.late_dropped);
     assert_eq!(stats.persisted_events + stats.gap_missing, stats.next_seq);
+}
+
+/// Once the ring has wrapped, a warm audited batch makes exactly one
+/// heap allocation on the checking thread: the `Vec` of its decisions.
+/// Each item is an ordinary check, so a batch needs no scratch memory of
+/// its own.
+#[test]
+fn audited_batches_allocate_only_their_result_after_one_lap() {
+    const SLOTS: usize = 1024;
+    const BATCHES: u64 = 500;
+    const ITEMS: usize = 16;
+    let (monitor, subject) = world();
+    let pipeline = attach(&monitor, SLOTS);
+    // Equal lengths, so a slot's path buffer fits either.
+    let paths = [p("/svc/fs/read"), p("/svc/fs/stat")];
+    let items: Vec<(NsPath, AccessMode)> = (0..ITEMS)
+        .map(|i| (paths[i % 2].clone(), AccessMode::Execute))
+        .collect();
+    for _ in 0..=2 * SLOTS / ITEMS {
+        let decisions = monitor.check_batch(&subject, &items);
+        assert!(decisions.iter().all(Decision::allowed));
+    }
+    let first = pipeline.ring().next_seq();
+
+    let allocations = allocations_in(|| {
+        for _ in 0..BATCHES {
+            black_box(monitor.check_batch(black_box(&subject), &items));
+        }
+    });
+
+    assert_eq!(allocations, BATCHES, "one allocation per batch");
+    assert_eq!(
+        pipeline.ring().next_seq() - first,
+        BATCHES * ITEMS as u64,
+        "every item audited"
+    );
 }
 
 /// Writers a whole ring ahead of a live drainer wait for it rather than

@@ -1,11 +1,10 @@
-//! Batch-check equivalence: the vectorized batch path may never change
-//! what the monitor decides — only how fast it decides it.
+//! Batch-check equivalence: a batch decides exactly what checking its
+//! items one by one decides.
 //!
-//! [`check_batch`](extsec::ReferenceMonitor::check_batch) sorts the
-//! batch to resolve shared path prefixes once, memoizes visibility and
-//! per-(node, mode) decisions batch-locally, and probes the decision
-//! cache in one loop. All of that is invisible by construction, and this
-//! suite holds it to that:
+//! [`check_batch`](extsec::ReferenceMonitor::check_batch) checks every
+//! item, in order, against one pinned snapshot, so its only observable
+//! difference from single checks is that no policy change lands between
+//! two of its items. This suite holds it to that:
 //!
 //! - against a pinned view, the batch decisions must be *byte-identical*
 //!   (full `Debug` form, not just the allow bit) to checking each item

@@ -188,9 +188,9 @@ fn apply(world: &World, op: &Op) -> String {
 proptest! {
     /// The instrumented pipeline is decision-equivalent to the
     /// uninstrumented one across random interleavings of checks and
-    /// policy mutations — through the cached path, the cache-bypassing
-    /// floating path, and one pinned view — and the enabled side counted
-    /// exactly what happened.
+    /// policy mutations — through single checks, the floating path, and
+    /// one pinned view's checks and batches — and the enabled side
+    /// counted exactly what happened, each batch item as one check.
     #[test]
     fn decisions_identical_with_telemetry_on_and_off(
         ops in vec(op_strategy(), 24..48),
@@ -221,7 +221,8 @@ proptest! {
                 prop_assert_eq!(apply(&on, op), apply(&off, op), "mutation diverged at op {}", i);
             }
         }
-        // One pinned view sweeping the whole surface on both monitors.
+        // One pinned view sweeping the whole surface on both monitors,
+        // item by item and then as one batch per path.
         {
             let v_on = on.monitor.view();
             let v_off = off.monitor.view();
@@ -235,6 +236,16 @@ proptest! {
                         );
                         checks += 1;
                         by_mode[m] += 1;
+                    }
+                    let items: Vec<(NsPath, AccessMode)> =
+                        MODES.iter().map(|mode| (p(path), *mode)).collect();
+                    prop_assert_eq!(
+                        v_on.check_batch(&on.subject(who, who), &items),
+                        v_off.check_batch(&off.subject(who, who), &items)
+                    );
+                    checks += items.len() as u64;
+                    for count in &mut by_mode {
+                        *count += 1;
                     }
                 }
             }
