@@ -8,8 +8,10 @@
 //! through nested groups; the closure computation is cycle-safe.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::Arc;
 
 /// Identifier of a principal (an individual subject identity).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -125,28 +127,22 @@ impl std::error::Error for DirectoryError {}
 /// // Membership is transitive through nesting.
 /// assert!(dir.is_member(alice, all));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Directory {
     principals: Vec<Principal>,
     groups: Vec<Group>,
-    /// Uniqueness index over principal names, kept out of the
-    /// serialized form (the manual impls below rebuild it).
-    /// Registration is append-only, so a `len` mismatch against
-    /// `principals` is the (only) sign the index is stale.
-    principal_names: HashSet<String>,
-}
-
-impl Clone for Directory {
-    fn clone(&self) -> Self {
-        Directory {
-            principals: self.principals.clone(),
-            groups: self.groups.clone(),
-            // Left empty: clones happen on the monitor's copy-on-write
-            // publish path, which never registers principals. The next
-            // `add_principal` on the clone rebuilds the index once.
-            principal_names: HashSet::new(),
-        }
-    }
+    /// Principal ids by the keyed hash of their names: the uniqueness
+    /// index and [`Directory::principal_by_name`]'s answer. It holds no
+    /// strings, so building and dropping it allocates nothing per
+    /// principal: a hit is confirmed against `principals`, and a name
+    /// whose hash an earlier name already holds is found by a scan.
+    /// Kept out of the serialized form (the manual impls below rebuild
+    /// it) and shared by clones, since the monitor's copy-on-write
+    /// publish clones the directory on every write and hardly ever
+    /// registers a principal.
+    principal_names: Arc<HashMap<u64, PrincipalId>>,
+    /// The key of those hashes; clones keep it.
+    name_hasher: RandomState,
 }
 
 impl Serialize for Directory {
@@ -165,10 +161,18 @@ impl Deserialize for Directory {
         })?;
         let principals: Vec<Principal> = serde::__field(map, "principals")?;
         let groups: Vec<Group> = serde::__field(map, "groups")?;
+        let name_hasher = RandomState::new();
+        let mut principal_names = HashMap::with_capacity(principals.len());
+        for p in &principals {
+            principal_names
+                .entry(name_hasher.hash_one(&p.name))
+                .or_insert(p.id);
+        }
         Ok(Directory {
-            principal_names: principals.iter().map(|p| p.name.clone()).collect(),
             principals,
             groups,
+            principal_names: Arc::new(principal_names),
+            name_hasher,
         })
     }
 }
@@ -188,13 +192,14 @@ impl Directory {
         if name.is_empty() {
             return Err(DirectoryError::EmptyName);
         }
-        if self.principal_names.len() != self.principals.len() {
-            self.principal_names = self.principals.iter().map(|p| p.name.clone()).collect();
-        }
-        if !self.principal_names.insert(name.clone()) {
+        let hash = self.name_hasher.hash_one(&name);
+        if self.find_principal(hash, &name).is_some() {
             return Err(DirectoryError::DuplicateName(name));
         }
         let id = PrincipalId(self.principals.len() as u32);
+        Arc::make_mut(&mut self.principal_names)
+            .entry(hash)
+            .or_insert(id);
         self.principals.push(Principal { id, name });
         Ok(id)
     }
@@ -318,6 +323,16 @@ impl Directory {
 
     /// Looks a principal up by name.
     pub fn principal_by_name(&self, name: &str) -> Option<PrincipalId> {
+        self.find_principal(self.name_hasher.hash_one(name), name)
+    }
+
+    /// Looks up `name`, whose keyed hash is `hash`, in the name index.
+    fn find_principal(&self, hash: u64, name: &str) -> Option<PrincipalId> {
+        let &id = self.principal_names.get(&hash)?;
+        if self.principal(id).is_some_and(|p| p.name == name) {
+            return Some(id);
+        }
+        // Another name holds this hash.
         self.principals
             .iter()
             .find(|p| p.name == name)
@@ -501,6 +516,68 @@ mod tests {
         assert_eq!(dir.principal_by_name("bob"), None);
         assert_eq!(dir.principal_name(a), "alice");
         assert_eq!(dir.principal_name(PrincipalId::from_raw(7)), "p7");
+    }
+
+    #[test]
+    fn a_clone_looks_names_up() {
+        let mut dir = Directory::new();
+        let a = dir.add_principal("alice").unwrap();
+        let copy = dir.clone();
+        assert_eq!(copy.principal_by_name("alice"), Some(a));
+        assert_eq!(copy.principal_by_name("bob"), None);
+    }
+
+    #[test]
+    fn a_registration_on_a_clone_stays_on_the_clone() {
+        let mut dir = Directory::new();
+        dir.add_principal("alice").unwrap();
+        let mut copy = dir.clone();
+        let b = copy.add_principal("bob").unwrap();
+        assert_eq!(copy.principal_by_name("bob"), Some(b));
+        assert_eq!(dir.principal_by_name("bob"), None);
+        // The original can take the same name for its own principal.
+        assert_eq!(dir.add_principal("bob"), Ok(b));
+    }
+
+    #[test]
+    fn a_clone_refuses_a_duplicate() {
+        let mut dir = Directory::new();
+        dir.add_principal("alice").unwrap();
+        let mut copy = dir.clone();
+        assert_eq!(
+            copy.add_principal("alice"),
+            Err(DirectoryError::DuplicateName("alice".to_string()))
+        );
+        assert_eq!(copy.principal_count(), 1);
+    }
+
+    #[test]
+    fn a_hash_held_by_another_name_falls_back_to_a_scan() {
+        let mut dir = Directory::new();
+        let alice = dir.add_principal("alice").unwrap();
+        let bob = dir.add_principal("bob").unwrap();
+        // As if "alice" had registered first under "bob"'s hash.
+        let bob_hash = dir.name_hasher.hash_one("bob");
+        Arc::make_mut(&mut dir.principal_names).insert(bob_hash, alice);
+        assert_eq!(dir.principal_by_name("bob"), Some(bob));
+        assert_eq!(dir.principal_by_name("alice"), Some(alice));
+        assert_eq!(
+            dir.add_principal("bob"),
+            Err(DirectoryError::DuplicateName("bob".to_string()))
+        );
+        assert_eq!(dir.principal_by_name("carol"), None);
+    }
+
+    #[test]
+    fn a_deserialized_directory_looks_names_up() {
+        let mut dir = Directory::new();
+        let a = dir.add_principal("alice").unwrap();
+        let mut back = Directory::deserialize(&dir.serialize()).unwrap();
+        assert_eq!(back.principal_by_name("alice"), Some(a));
+        assert!(matches!(
+            back.add_principal("alice"),
+            Err(DirectoryError::DuplicateName(_))
+        ));
     }
 
     #[test]

@@ -187,6 +187,12 @@ impl NsPath {
         (0..=self.depth()).map(move |i| self.prefix(i))
     }
 
+    /// A path from text already in canonical form, such as the name
+    /// space builds from names it validated on insert.
+    pub(crate) fn from_canonical(text: String) -> NsPath {
+        NsPath { text: text.into() }
+    }
+
     /// A path from the canonical text of a non-root path, or the root
     /// from empty text (the text before a path's first `/`).
     fn of(text: &str) -> NsPath {

@@ -2,7 +2,7 @@
 
 use crate::node::{Node, NodeId, NodeKind, Protection};
 use crate::path::NsPath;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Errors from name-space operations.
@@ -45,10 +45,13 @@ impl std::error::Error for NsError {}
 /// The universal name space: a protected tree of named nodes.
 ///
 /// Stored as an arena with a free list; node ids stay stable across
-/// unrelated inserts and removals. The tree performs no access checks of
-/// its own — the reference monitor walks paths with
+/// unrelated inserts and removals. An index from every live node's
+/// canonical path text to its id answers a resolution in one hash probe;
+/// only a path that names no node is walked component by component, to
+/// find where it fails. The tree performs no access checks of its own —
+/// the reference monitor resolves paths with
 /// [`NameSpace::resolve_chain`] and enforces visibility on every node the
-/// walk records.
+/// chain records.
 ///
 /// # Examples
 ///
@@ -68,6 +71,12 @@ impl std::error::Error for NsError {}
 pub struct NameSpace {
     nodes: Vec<Option<Node>>,
     free: Vec<NodeId>,
+    /// Every live node's [`NsPath::as_str`] text to its id, kept by the
+    /// only structural edits, [`NameSpace::insert_at`] and
+    /// [`NameSpace::remove_id`]. Keyed by text, not `NsPath`, because a
+    /// path's component-wise order rules out `Borrow<str>`; std's keyed
+    /// hasher stays, since principals holding write choose names.
+    index: HashMap<Box<str>, NodeId>,
 }
 
 impl NameSpace {
@@ -85,6 +94,7 @@ impl NameSpace {
         NameSpace {
             nodes: vec![Some(root)],
             free: Vec::new(),
+            index: HashMap::from([("/".into(), NodeId::ROOT)]),
         }
     }
 
@@ -105,30 +115,45 @@ impl NameSpace {
 
     /// Resolves `path` to a node id, performing no checks of its own.
     pub fn resolve(&self, path: &NsPath) -> Result<NodeId, NsError> {
-        self.descend(path, |_| {})
+        match self.probe(path)? {
+            Some(id) => Ok(id),
+            None => self.descend(path, |_| {}),
+        }
     }
 
     /// Resolves `path` like [`NameSpace::resolve`], recording the node
     /// every prefix names: afterwards `chain[k]` is the node of the first
     /// `k` components, through the final node — or, when resolution
-    /// fails, through the last node reached (empty after a fault).
+    /// fails, through the last node reached (empty after a fault). A
+    /// path the index holds takes its chain from parent links.
     pub fn resolve_chain(&self, path: &NsPath, chain: &mut Vec<NodeId>) -> Result<NodeId, NsError> {
         chain.clear();
-        chain.push(NodeId::ROOT);
-        let walked = self.descend(path, |id| chain.push(id));
-        if matches!(walked, Err(NsError::Fault(_))) {
-            chain.clear();
+        let Some(id) = self.probe(path)? else {
+            chain.push(NodeId::ROOT);
+            return self.descend(path, |id| chain.push(id));
+        };
+        let mut next = Some(id);
+        while let Some(current) = next {
+            chain.push(current);
+            next = self.node(current)?.parent;
         }
-        walked
+        chain.reverse();
+        Ok(id)
     }
 
-    /// The one resolution loop: descends from the root through `path`,
-    /// handing each node reached to `record`. Hosts the `ns.resolve`
-    /// fault point.
-    fn descend(&self, path: &NsPath, mut record: impl FnMut(NodeId)) -> Result<NodeId, NsError> {
+    /// Consults the `ns.resolve` fault point, once per resolution, then
+    /// looks `path` up in the index.
+    fn probe(&self, path: &NsPath) -> Result<Option<NodeId>, NsError> {
         if let Some(fault) = extsec_faults::fire("ns.resolve") {
             return Err(NsError::Fault(fault.to_string()));
         }
+        Ok(self.index.get(path.as_str()).copied())
+    }
+
+    /// The walk behind an index miss: descends from the root through
+    /// `path`, handing each node reached to `record`, and names the
+    /// prefix where it fails.
+    fn descend(&self, path: &NsPath, mut record: impl FnMut(NodeId)) -> Result<NodeId, NsError> {
         let mut current = NodeId::ROOT;
         for (i, name) in path.components().enumerate() {
             let node = self.node(current)?;
@@ -192,6 +217,11 @@ impl NameSpace {
                 .unwrap_or_else(|_| NsPath::root());
             return Err(NsError::AlreadyExists(path));
         }
+        let mut key = self.text_of(parent)?;
+        if parent != NodeId::ROOT {
+            key.push('/');
+        }
+        key.push_str(name);
         let node = Node {
             name: name.to_string(),
             kind,
@@ -215,6 +245,7 @@ impl NameSpace {
             .expect("parent existed above")
             .children
             .insert(name.to_string(), id);
+        self.index.insert(key.into(), id);
         Ok(id)
     }
 
@@ -240,28 +271,37 @@ impl NameSpace {
         }
         let parent = node.parent.expect("non-root nodes have parents");
         let name = node.name.clone();
+        let key = self.text_of(id)?;
         self.node_mut(parent)?.children.remove(&name);
         self.nodes[id.0 as usize] = None;
         self.free.push(id);
+        self.index.remove(key.as_str());
         Ok(())
     }
 
     /// Reconstructs the absolute path of `id`.
     pub fn path_of(&self, id: NodeId) -> Result<NsPath, NsError> {
-        let mut components = Vec::new();
-        let mut current = id;
-        loop {
-            let node = self.node(current)?;
-            match node.parent {
-                Some(parent) => {
-                    components.push(node.name.as_str());
-                    current = parent;
-                }
-                None => break,
-            }
+        self.text_of(id).map(NsPath::from_canonical)
+    }
+
+    /// The canonical path text of `id`, from its parent links: the
+    /// stored names were checked on insert, so nothing is re-parsed.
+    fn text_of(&self, id: NodeId) -> Result<String, NsError> {
+        let mut names = Vec::new();
+        let mut current = self.node(id)?;
+        while let Some(parent) = current.parent {
+            names.push(current.name.as_str());
+            current = self.node(parent)?;
         }
-        components.reverse();
-        Ok(NsPath::from_components(components).expect("stored names are valid"))
+        if names.is_empty() {
+            return Ok("/".to_string());
+        }
+        let mut text = String::with_capacity(names.iter().map(|name| name.len() + 1).sum());
+        for name in names.iter().rev() {
+            text.push('/');
+            text.push_str(name);
+        }
+        Ok(text)
     }
 
     /// Replaces the protection record of the node at `id`.
@@ -297,7 +337,7 @@ impl NameSpace {
 
     /// Returns the number of live nodes (including the root).
     pub fn len(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
+        self.index.len()
     }
 
     /// Returns whether only the root exists.

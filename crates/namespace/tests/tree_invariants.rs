@@ -1,7 +1,7 @@
 //! Property tests: arbitrary operation sequences keep the name-space
 //! tree structurally sound.
 
-use extsec_namespace::{NameSpace, NodeKind, NsError, NsPath, Protection};
+use extsec_namespace::{NameSpace, NodeId, NodeKind, NsError, NsPath, Protection};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -17,6 +17,30 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..64).prop_map(|victim| Op::Remove { victim }),
         (0u8..4, 0u8..4).prop_map(|(a, b)| Op::Ensure { a, b }),
     ]
+}
+
+/// Every name an op can give a node.
+fn names() -> impl Iterator<Item = String> {
+    (0..6)
+        .map(|i| format!("n{i}"))
+        .chain((0..4).map(|i| format!("e{i}")))
+}
+
+/// Resolution the slow way, from `node().children()` alone: what
+/// `resolve_chain` must return and leave in its chain.
+fn walk_children(ns: &NameSpace, path: &NsPath) -> (Result<NodeId, NsError>, Vec<NodeId>) {
+    let mut chain = vec![NodeId::ROOT];
+    for (i, name) in path.components().enumerate() {
+        let node = ns.node(*chain.last().unwrap()).unwrap();
+        if !node.kind().is_container() {
+            return (Err(NsError::NotAContainer(path.prefix(i))), chain);
+        }
+        match node.children().get(name) {
+            Some(&child) => chain.push(child),
+            None => return (Err(NsError::NotFound(path.prefix(i + 1))), chain),
+        }
+    }
+    (Ok(*chain.last().unwrap()), chain)
 }
 
 /// Applies an op, choosing targets from the current population so most
@@ -78,6 +102,27 @@ proptest! {
                     prop_assert_eq!(child_node.parent(), Some(*id));
                     prop_assert_eq!(child_node.name(), name.as_str());
                 }
+            }
+
+            // Invariant 4: the index answers as a walk over the children
+            // does, on every live path, every name an op can create under
+            // every container (so every removed path whose parent lives)
+            // and one component past every leaf.
+            let mut probes = Vec::new();
+            for (id, path) in &walked {
+                probes.push(path.clone());
+                if ns.node(*id).unwrap().kind().is_container() {
+                    probes.extend(names().map(|name| path.join(&name).unwrap()));
+                } else {
+                    probes.push(path.join("n0").unwrap());
+                }
+            }
+            let mut chain = Vec::new();
+            for path in &probes {
+                let (end, expected) = walk_children(&ns, path);
+                prop_assert_eq!(&ns.resolve(path), &end, "resolve {}", path);
+                prop_assert_eq!(&ns.resolve_chain(path, &mut chain), &end, "resolve_chain {}", path);
+                prop_assert_eq!(&chain, &expected, "chain of {}", path);
             }
         }
     }

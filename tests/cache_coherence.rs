@@ -3,8 +3,8 @@
 //! produced it.
 //!
 //! The property: drive one monitor through a random interleaving of
-//! checks, ACL edits, relabels, node replacement (recycling node ids),
-//! group-membership edits, guarded edits and configuration flips. After
+//! checks, ACL edits, relabels, leaf removal, node replacement
+//! (recycling node ids), group-membership edits, guarded edits and configuration flips. After
 //! every operation — and in a final exhaustive sweep over every
 //! (principal, class, path, mode) combination — it must agree
 //! decision-for-decision, including the full
@@ -25,9 +25,9 @@ use std::sync::Arc;
 const PRINCIPALS: usize = 3;
 const CLASSES: usize = 4;
 
-/// The fixed path universe. The first four always exist; the leaves
-/// (indices 2, 3, 5) are replacement targets; index 6 never exists, so
-/// the not-found path stays covered.
+/// The fixed path universe. The interior nodes (indices 0, 1, 4) always
+/// exist; the leaves (indices 2, 3, 5) are removal and replacement
+/// targets; index 6 never exists, so the not-found path stays covered.
 const PATHS: [&str; 7] = [
     "/svc",
     "/svc/fs",
@@ -38,7 +38,7 @@ const PATHS: [&str; 7] = [
     "/svc/missing/leaf",
 ];
 
-/// Leaf paths that `Replace` may remove and re-insert.
+/// Leaf paths that `Remove` may remove and `Replace` re-insert.
 const LEAVES: [usize; 3] = [2, 3, 5];
 
 const MODES: [AccessMode; 6] = [
@@ -84,6 +84,9 @@ enum Op {
         who: usize,
         mode: usize,
     },
+    /// Remove a leaf and leave it removed: every check of its path must
+    /// find nothing there until a later `Replace` restores it.
+    Remove { leaf: usize },
     /// Remove a leaf and re-insert a same-named node with a fresh ACL:
     /// the arena recycles the slot, and the new node must decide alone.
     Replace {
@@ -112,6 +115,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 who,
                 mode
             }),
+        1 => (0..LEAVES.len()).prop_map(|leaf| Op::Remove { leaf }),
         1 => (0..LEAVES.len(), 0..PRINCIPALS, 0..MODES.len())
             .prop_map(|(leaf, who, mode)| Op::Replace { leaf, who, mode }),
         1 => proptest::bool::ANY.prop_map(Op::Visibility),
@@ -256,6 +260,13 @@ impl World {
                     AclEntry::allow_principal(self.principals[*who], MODES[*mode]),
                 ]);
                 self.monitor.set_acl(&subject, &p(PATHS[*path]), acl)
+            }
+            Op::Remove { leaf } => {
+                let target = p(PATHS[LEAVES[*leaf]]);
+                self.monitor.bootstrap(|ns| match ns.resolve(&target) {
+                    Ok(id) => ns.remove_id(id),
+                    Err(_) => Ok(()),
+                })
             }
             Op::Replace { leaf, who, mode } => {
                 let target = p(PATHS[LEAVES[*leaf]]);
