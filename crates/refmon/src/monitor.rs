@@ -283,7 +283,9 @@ struct PinnedSnapshot {
 thread_local! {
     /// The snapshot this thread last pinned. Holding a strong `Arc` here
     /// keeps one superseded state alive per thread at worst; it is
-    /// replaced the next time the thread touches any monitor.
+    /// replaced the next time the thread touches any monitor, and
+    /// released when its monitor is dropped on this thread (a pin other
+    /// threads hold waits for their next call on a monitor).
     static PINNED: RefCell<Option<PinnedSnapshot>> = const { RefCell::new(None) };
     /// The buffer this thread's walks record into, kept between checks
     /// so a warm check allocates nothing. Taken out for the length of
@@ -1519,6 +1521,21 @@ impl Drop for MonitorView<'_> {
     }
 }
 
+impl Drop for ReferenceMonitor {
+    /// Releases the dropping thread's pin on this monitor's snapshot, so
+    /// the monitor's last policy state is freed with the monitor, not
+    /// inside the thread's next call on another one.
+    fn drop(&mut self) {
+        let _ = PINNED.try_with(|cell| {
+            if let Ok(mut pin) = cell.try_borrow_mut() {
+                if pin.as_ref().is_some_and(|p| p.monitor == self.id) {
+                    *pin = None;
+                }
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1566,6 +1583,29 @@ mod tests {
             principal,
             monitor.lattice(|l| l.parse_class("low").unwrap()),
         )
+    }
+
+    #[test]
+    fn dropping_a_monitor_frees_this_threads_pinned_state() {
+        let (monitor, alice, _) = fixture();
+        monitor.check(
+            &low_subject(alice, &monitor),
+            &p("/svc/fs/read"),
+            AccessMode::Execute,
+        );
+        let id = monitor.id;
+        let state = PINNED.with(|cell| {
+            let pin = cell.borrow();
+            let pin = pin.as_ref().expect("the check pinned a snapshot");
+            assert_eq!(pin.monitor, id);
+            Arc::downgrade(&pin.state)
+        });
+        drop(monitor);
+        assert!(PINNED.with(|cell| cell.borrow().is_none()));
+        assert!(
+            state.upgrade().is_none(),
+            "the pinned state outlived its monitor"
+        );
     }
 
     #[test]

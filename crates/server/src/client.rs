@@ -31,8 +31,9 @@
 //! Every retry, reconnect, and backoff sleep is counted in
 //! [`ClientStats`].
 
+use crate::conn::{BUF_CLAMP, READ_CHUNK};
 use crate::proto::{
-    self, BatchItem, ErrorCode, FrameScan, ProtoError, Request, Response, MAX_FRAME,
+    self, ErrorCode, FrameScan, ProtoError, Request, Response, WireMessage, MAX_FRAME,
 };
 use extsec_acl::AccessMode;
 use extsec_namespace::NsPath;
@@ -153,8 +154,12 @@ struct Transport {
     stream: TcpStream,
     poller: Poller,
     events: Events,
+    /// Unparsed bytes live at `rbuf[rpos..rend]`. Its length is the part
+    /// already zeroed, which reads reuse, so a read zeroes nothing unless
+    /// the buffer grows.
     rbuf: Vec<u8>,
     rpos: usize,
+    rend: usize,
     reg_writable: bool,
 }
 
@@ -174,6 +179,7 @@ impl Transport {
             events: Events::new(),
             rbuf: Vec::new(),
             rpos: 0,
+            rend: 0,
             reg_writable: true,
         })
     }
@@ -188,6 +194,23 @@ impl Transport {
         }
         Ok(())
     }
+
+    /// Drops the consumed prefix, then reads what the socket offers into
+    /// the zeroed space behind the unparsed bytes, growing it to at least
+    /// one chunk first.
+    fn read_more(&mut self) -> io::Result<usize> {
+        if self.rpos > 0 {
+            self.rbuf.copy_within(self.rpos..self.rend, 0);
+            self.rend -= self.rpos;
+            self.rpos = 0;
+        }
+        if self.rbuf.len() < self.rend + READ_CHUNK {
+            self.rbuf.resize(self.rend + READ_CHUNK, 0);
+        }
+        let n = self.stream.read(&mut self.rbuf[self.rend..])?;
+        self.rend += n;
+        Ok(n)
+    }
 }
 
 /// A connected (or reconnecting) client for one server address.
@@ -196,6 +219,10 @@ pub struct Client {
     config: ClientConfig,
     conn: Option<Transport>,
     stats: ClientStats,
+    /// The frames of the exchange in progress, encoded in place and kept
+    /// for a retry; reused from call to call, clamped like the server's
+    /// buffers.
+    sbuf: Vec<u8>,
 }
 
 impl Client {
@@ -210,6 +237,7 @@ impl Client {
             config,
             conn: None,
             stats: ClientStats::default(),
+            sbuf: Vec::new(),
         };
         client.reconnect()?;
         Ok(client)
@@ -247,12 +275,30 @@ impl Client {
     /// between attempts so a fleet of shed clients does not return in
     /// lockstep.
     pub fn pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
+        let out = self.send_buffer();
+        for request in requests {
+            request.encode_into(out);
+        }
+        self.exchange(requests.len())
+    }
+
+    /// The send buffer, emptied for the next exchange; capacity a giant
+    /// one inflated is released.
+    fn send_buffer(&mut self) -> &mut Vec<u8> {
+        self.sbuf.clear();
+        self.sbuf.shrink_to(BUF_CLAMP);
+        &mut self.sbuf
+    }
+
+    /// [`pipeline`](Client::pipeline)'s exchange and retry loop for the
+    /// `count` frames in the send buffer.
+    fn exchange(&mut self, count: usize) -> Result<Vec<Response>, ClientError> {
         let mut attempt = 0;
         loop {
-            let retry_floor = match self.try_pipeline(requests) {
+            let retry_floor = match self.try_exchange(count) {
                 Ok(responses) => {
                     self.stats.pipelines += 1;
-                    self.stats.requests += requests.len() as u64;
+                    self.stats.requests += count as u64;
                     return Ok(responses);
                 }
                 Err(ClientError::Io(e))
@@ -283,7 +329,8 @@ impl Client {
         }
     }
 
-    fn try_pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
+    /// One attempt: writes the send buffer and reads `count` responses.
+    fn try_exchange(&mut self, count: usize) -> Result<Vec<Response>, ClientError> {
         if self.conn.is_none() {
             self.reconnect()?;
         }
@@ -298,16 +345,13 @@ impl Client {
             )));
         };
         // One contiguous request burst; flushed as the socket accepts it.
-        let mut out = Vec::new();
-        for request in requests {
-            out.extend_from_slice(&request.encode());
-        }
+        let out = &self.sbuf;
         let mut opos = 0;
-        let mut responses = Vec::with_capacity(requests.len());
+        let mut responses = Vec::with_capacity(count);
         // The timeout is on *progress*, not on the whole pipeline: any
         // byte moved in either direction resets the clock.
         let mut last_progress = Instant::now();
-        while responses.len() < requests.len() {
+        while responses.len() < count {
             let mut progressed = false;
             // Push pending requests while the socket takes them.
             while opos < out.len() {
@@ -329,7 +373,7 @@ impl Client {
             }
             // Consume whatever responses have already landed.
             loop {
-                match proto::scan_frame(&conn.rbuf[conn.rpos..], max_frame)
+                match proto::scan_frame(&conn.rbuf[conn.rpos..conn.rend], max_frame)
                     .map_err(ClientError::Proto)?
                 {
                     FrameScan::Complete {
@@ -352,48 +396,25 @@ impl Client {
                         }
                         responses.push(response);
                         progressed = true;
-                        if responses.len() == requests.len() {
+                        if responses.len() == count {
                             break;
                         }
                     }
-                    FrameScan::Partial { .. } => {
-                        // Reclaim the consumed prefix, then try the wire.
-                        if conn.rpos > 0 {
-                            conn.rbuf.copy_within(conn.rpos.., 0);
-                            let keep = conn.rbuf.len() - conn.rpos;
-                            conn.rbuf.truncate(keep);
-                            conn.rpos = 0;
+                    FrameScan::Partial { .. } => match conn.read_more() {
+                        Ok(0) => {
+                            return Err(ClientError::Io(io::Error::new(
+                                io::ErrorKind::UnexpectedEof,
+                                "server closed mid-pipeline",
+                            )));
                         }
-                        let len = conn.rbuf.len();
-                        conn.rbuf.resize(len + 16 * 1024, 0);
-                        match conn.stream.read(&mut conn.rbuf[len..]) {
-                            Ok(0) => {
-                                conn.rbuf.truncate(len);
-                                return Err(ClientError::Io(io::Error::new(
-                                    io::ErrorKind::UnexpectedEof,
-                                    "server closed mid-pipeline",
-                                )));
-                            }
-                            Ok(n) => {
-                                conn.rbuf.truncate(len + n);
-                                progressed = true;
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                conn.rbuf.truncate(len);
-                                break;
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                                conn.rbuf.truncate(len);
-                            }
-                            Err(e) => {
-                                conn.rbuf.truncate(len);
-                                return Err(ClientError::Io(e));
-                            }
-                        }
-                    }
+                        Ok(_) => progressed = true,
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => return Err(ClientError::Io(e)),
+                    },
                 }
             }
-            if responses.len() == requests.len() {
+            if responses.len() == count {
                 break;
             }
             if progressed {
@@ -421,7 +442,13 @@ impl Client {
     }
 
     fn one(&mut self, request: Request) -> Result<Response, ClientError> {
-        let mut responses = self.pipeline(std::slice::from_ref(&request))?;
+        request.encode_into(self.send_buffer());
+        self.exchange_one()
+    }
+
+    /// Exchanges the one frame in the send buffer for its response.
+    fn exchange_one(&mut self) -> Result<Response, ClientError> {
+        let mut responses = self.exchange(1)?;
         Ok(responses.remove(0))
     }
 
@@ -440,12 +467,8 @@ impl Client {
         path: &NsPath,
         mode: AccessMode,
     ) -> Result<Decision, ClientError> {
-        let request = Request::Check {
-            subject: subject.clone(),
-            path: path.clone(),
-            mode,
-        };
-        match self.one(request)? {
+        Request::encode_check_into(self.send_buffer(), subject, path, mode);
+        match self.exchange_one()? {
             Response::Decision(decision) => Ok(decision),
             other => Err(unexpected("Decision", &other)),
         }
@@ -458,17 +481,8 @@ impl Client {
         subject: &Subject,
         items: &[(NsPath, AccessMode)],
     ) -> Result<Vec<Decision>, ClientError> {
-        let request = Request::BatchCheck {
-            subject: subject.clone(),
-            items: items
-                .iter()
-                .map(|(path, mode)| BatchItem {
-                    path: path.clone(),
-                    mode: *mode,
-                })
-                .collect(),
-        };
-        match self.one(request)? {
+        Request::encode_batch_check_into(self.send_buffer(), subject, items);
+        match self.exchange_one()? {
             Response::Batch(decisions) => Ok(decisions),
             other => Err(unexpected("Batch", &other)),
         }
@@ -558,7 +572,8 @@ impl Client {
     /// failure here is an unknown outcome: consult
     /// [`bundle_status`](Client::bundle_status) before retrying by hand.
     pub fn rollback(&mut self) -> Result<Generation, ClientError> {
-        let mut responses = self.try_pipeline(&[Request::Rollback])?;
+        Request::Rollback.encode_into(self.send_buffer());
+        let mut responses = self.try_exchange(1)?;
         match responses.remove(0) {
             Response::BundleAck { generation } => Ok(generation),
             other => Err(unexpected("BundleAck", &other)),

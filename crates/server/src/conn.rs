@@ -29,7 +29,9 @@
 //! whatever the peer keeps sending is drained so the kernel does not
 //! destroy the in-flight reply with an RST.
 
-use crate::proto::{self, ErrorCode, FrameScan, ProtoError, Request, Response, HEADER_LEN};
+use crate::proto::{
+    self, ErrorCode, FrameScan, ProtoError, Request, Response, WireMessage, HEADER_LEN,
+};
 use crate::server::ServerConfig;
 use crate::telemetry::ServerTelemetry;
 use extsec_acl::AccessMode;
@@ -51,16 +53,18 @@ const WRITE_HIGH_WATER: usize = 256 * 1024;
 /// Capacity either per-connection buffer may keep across frames. The
 /// buffers are reused from frame to frame (no per-frame allocation);
 /// the clamp releases the memory a one-off giant frame or reply
-/// inflated, so it is not pinned for the connection's lifetime.
-const BUF_CLAMP: usize = 64 * 1024;
+/// inflated, so it is not pinned for the connection's lifetime. The
+/// client's send buffer keeps the same clamp.
+pub(crate) const BUF_CLAMP: usize = 64 * 1024;
 
 /// Bytes read from one connection per readiness turn. Level-triggered
 /// polling re-reports whatever remains, so this bounds how long one
 /// noisy connection can monopolize its shard — fairness, not a limit.
 const READ_BUDGET: usize = 256 * 1024;
 
-/// Read chunk size (the granularity the read buffer grows by).
-const READ_CHUNK: usize = 16 * 1024;
+/// Read chunk size (the granularity the read buffer grows by). The
+/// client reads in the same chunks.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// Hostile bytes drained after a final refusal before the RST is let
 /// through after all.
@@ -147,9 +151,12 @@ enum Parsed {
 /// shard mirrors into the poller and timer wheel.
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
-    /// Reassembly buffer; unparsed bytes live at `rbuf[rpos..]`.
+    /// Reassembly buffer; unparsed bytes live at `rbuf[rpos..rend]`.
+    /// Its length is the part already zeroed, which reads reuse, so a
+    /// read zeroes nothing unless the buffer grows.
     rbuf: Vec<u8>,
     rpos: usize,
+    rend: usize,
     /// Coalesced replies; unsent bytes live at `wbuf[wpos..]`.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -179,6 +186,7 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             rpos: 0,
+            rend: 0,
             wbuf: Vec::new(),
             wpos: 0,
             unflushed: 0,
@@ -200,7 +208,7 @@ impl Conn {
     }
 
     fn buffered_input(&self) -> usize {
-        self.rbuf.len() - self.rpos
+        self.rend - self.rpos
     }
 
     /// One readiness turn: flush a backlog the socket can take again,
@@ -263,11 +271,12 @@ impl Conn {
             if !readable || budget == 0 {
                 return Turn::Keep;
             }
-            let len = self.rbuf.len();
-            self.rbuf.resize(len + READ_CHUNK, 0);
-            match self.stream.read(&mut self.rbuf[len..]) {
+            let chunk = self.rend..self.rend + READ_CHUNK;
+            if self.rbuf.len() < chunk.end {
+                self.rbuf.resize(chunk.end, 0);
+            }
+            match self.stream.read(&mut self.rbuf[chunk]) {
                 Ok(0) => {
-                    self.rbuf.truncate(len);
                     self.eof = true;
                     return if self.buffered_input() > 0 {
                         // The peer died mid-frame: a protocol violation,
@@ -285,7 +294,7 @@ impl Conn {
                     };
                 }
                 Ok(n) => {
-                    self.rbuf.truncate(len + n);
+                    self.rend += n;
                     budget = budget.saturating_sub(n);
                     *read_any = true;
                     // A short read took everything the socket held; the
@@ -296,14 +305,10 @@ impl Conn {
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.rbuf.truncate(len);
                     readable = false;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    self.rbuf.truncate(len);
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    self.rbuf.truncate(len);
                     ctx.tele.count_io_error();
                     return Turn::Close;
                 }
@@ -322,7 +327,7 @@ impl Conn {
             if self.pending_write() >= WRITE_HIGH_WATER {
                 return Parsed::Paused;
             }
-            match proto::scan_frame(&self.rbuf[self.rpos..], ctx.config.max_frame) {
+            match proto::scan_frame(&self.rbuf[self.rpos..self.rend], ctx.config.max_frame) {
                 Ok(FrameScan::Partial { .. }) => {
                     self.compact(ctx);
                     return Parsed::NeedMore;
@@ -401,9 +406,9 @@ impl Conn {
         }
     }
 
-    /// Queue one encoded response behind the ones already pending.
+    /// Encode one response behind the ones already pending.
     fn enqueue(&mut self, response: &Response) {
-        self.wbuf.extend_from_slice(&response.encode());
+        response.encode_into(&mut self.wbuf);
         self.unflushed += 1;
     }
 
@@ -424,8 +429,8 @@ impl Conn {
     }
 
     fn discard_input(&mut self) {
-        self.rbuf.clear();
         self.rpos = 0;
+        self.rend = 0;
     }
 
     /// Read-and-discard during the post-refusal drain window.
@@ -510,15 +515,12 @@ impl Conn {
     /// capacity a giant frame pinned once the remainder fits the clamp.
     fn compact(&mut self, ctx: &Ctx<'_>) {
         if self.rpos > 0 {
-            if self.rpos == self.rbuf.len() {
-                self.rbuf.clear();
-            } else {
-                self.rbuf.copy_within(self.rpos.., 0);
-                self.rbuf.truncate(self.rbuf.len() - self.rpos);
-            }
+            self.rbuf.copy_within(self.rpos..self.rend, 0);
+            self.rend -= self.rpos;
             self.rpos = 0;
         }
-        if self.rbuf.capacity() > BUF_CLAMP && self.rbuf.len() <= BUF_CLAMP {
+        if self.rbuf.capacity() > BUF_CLAMP && self.rend <= BUF_CLAMP {
+            self.rbuf.truncate(BUF_CLAMP);
             self.rbuf.shrink_to(BUF_CLAMP);
             ctx.tele.count_buf_shrink();
         }

@@ -430,9 +430,9 @@ pub enum Request {
 
 /// The typed wire codec surface shared by [`Request`] and [`Response`]:
 /// an opcode byte plus a payload codec built from the module's shared
-/// ULEB128 and bounded-length combinators. `encode()` is provided — it
-/// frames the payload under the message's opcode — so a new message kind
-/// only ever supplies the three primitives.
+/// ULEB128 and bounded-length combinators. `encode_into()` and `encode()`
+/// are provided — they frame the payload under the message's opcode — so
+/// a new message kind only ever supplies the three primitives.
 pub trait WireMessage: Sized {
     /// The wire opcode byte this message is framed under.
     fn opcode_byte(&self) -> u8;
@@ -445,11 +445,17 @@ pub trait WireMessage: Sized {
     /// [`ProtoError::BadOpcode`] carrying the byte.
     fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Self, ProtoError>;
 
+    /// Appends the complete frame to `out`, leaving what `out` already
+    /// holds alone: the payload is encoded in place behind the header.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        framed(out, self.opcode_byte(), |buf| self.encode_payload(buf));
+    }
+
     /// Encodes the complete frame: header plus payload.
     fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        self.encode_payload(&mut payload);
-        frame(self.opcode_byte(), &payload)
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
     }
 }
 
@@ -476,6 +482,33 @@ impl Request {
     /// Encodes the complete frame: header plus payload.
     pub fn encode(&self) -> Vec<u8> {
         WireMessage::encode(self)
+    }
+
+    /// Appends the frame a [`Check`](Request::Check) of these fields
+    /// encodes to, encoding the borrowed fields themselves, so nothing is
+    /// cloned.
+    pub fn encode_check_into(
+        out: &mut Vec<u8>,
+        subject: &Subject,
+        path: &NsPath,
+        mode: AccessMode,
+    ) {
+        framed(out, Opcode::Check as u8, |buf| {
+            Enc::new(buf).check(subject, path, mode);
+        });
+    }
+
+    /// Appends the frame a [`BatchCheck`](Request::BatchCheck) of these
+    /// items encodes to, encoding the borrowed items themselves, so no
+    /// path is cloned.
+    pub fn encode_batch_check_into(
+        out: &mut Vec<u8>,
+        subject: &Subject,
+        items: &[(NsPath, AccessMode)],
+    ) {
+        framed(out, Opcode::BatchCheck as u8, |buf| {
+            Enc::new(buf).batch(subject, items.iter().map(|(path, mode)| (path, *mode)));
+        });
     }
 
     /// Decodes a request payload for `opcode`.
@@ -506,18 +539,9 @@ impl WireMessage for Request {
                 subject,
                 path,
                 mode,
-            } => {
-                enc.subject(subject);
-                enc.path(path);
-                enc.mode(*mode);
-            }
+            } => enc.check(subject, path, *mode),
             Request::BatchCheck { subject, items } => {
-                enc.subject(subject);
-                enc.uleb(items.len() as u64);
-                for item in items {
-                    enc.path(&item.path);
-                    enc.mode(item.mode);
-                }
+                enc.batch(subject, items.iter().map(|item| (&item.path, item.mode)));
             }
             Request::List { subject, path } => {
                 enc.subject(subject);
@@ -792,14 +816,26 @@ fn slashes_to_lengths(text: &mut [u8]) -> Option<u8> {
     Some(count)
 }
 
-/// Wraps an already-encoded payload in a frame header.
-fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.push(VERSION);
-    frame.push(opcode);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
+/// The inverse of [`slashes_to_lengths`] on a copy of a path's wire
+/// components, each length under 128: turns each length byte back into
+/// `/`.
+fn lengths_to_slashes(text: &mut [u8]) {
+    let mut slash = 0;
+    while slash < text.len() {
+        let len = usize::from(text[slash]);
+        text[slash] = b'/';
+        slash += len + 1;
+    }
+}
+
+/// Appends one frame to `out`: the header with a placeholder length,
+/// the payload `payload` writes behind it, then the length patched in.
+fn framed(out: &mut Vec<u8>, opcode: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[VERSION, opcode, 0, 0, 0, 0]);
+    payload(out);
+    let len = (out.len() - start - HEADER_LEN) as u32;
+    out[start + 2..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
 /// The encoding combinators, borrowing the caller's buffer so nested
@@ -842,10 +878,31 @@ impl<'a> Enc<'a> {
         self.uleb(u64::from(subject.principal.raw()));
         self.uleb(subject.thread.raw());
         self.uleb(u64::from(subject.class.level().rank()));
-        let cats: Vec<CategoryId> = subject.class.categories().iter().collect();
+        let cats = subject.class.categories();
         self.uleb(cats.len() as u64);
-        for cat in cats {
+        for cat in cats.iter() {
             self.uleb(u64::from(cat.index()));
+        }
+    }
+
+    /// The body `Check` and `Explain` share.
+    fn check(&mut self, subject: &Subject, path: &NsPath, mode: AccessMode) {
+        self.subject(subject);
+        self.path(path);
+        self.mode(mode);
+    }
+
+    /// A `BatchCheck` body: the subject, the item count, then each item.
+    fn batch<'p>(
+        &mut self,
+        subject: &Subject,
+        items: impl ExactSizeIterator<Item = (&'p NsPath, AccessMode)>,
+    ) {
+        self.subject(subject);
+        self.uleb(items.len() as u64);
+        for (path, mode) in items {
+            self.path(path);
+            self.mode(mode);
         }
     }
 
@@ -1080,11 +1137,60 @@ impl<'a> Dec<'a> {
         ))
     }
 
-    /// A path: its component count, then each component. The first pass
-    /// reads and judges every component, refusing a short or malformed
-    /// payload as such before a bad component; the second copies them
-    /// into one allocation of the text's exact size.
+    /// A path: its component count, then each component. A path in
+    /// [`Enc::path`]'s one-copy form is taken as a whole; any other is
+    /// read component by component, which is also what refuses a
+    /// malformed one, each with the error it has always had.
     fn path(&mut self) -> Result<NsPath, ProtoError> {
+        let start = self.pos;
+        match self.path_in_one_copy() {
+            Some(path) => Ok(path),
+            None => {
+                self.pos = start;
+                self.path_by_components()
+            }
+        }
+    }
+
+    /// A path in [`Enc::path`]'s one-copy form: the count and every
+    /// length in one ULEB128 byte, and no component empty. Its bytes are copied once, each length byte turns
+    /// back into `/`, and the text is checked as a whole, UTF-8 first.
+    /// `None`, with the position wherever it stopped, for any path this
+    /// cannot take as it is: one with a longer length or a `/` inside a
+    /// component, a name the name space refuses, bad UTF-8, or too few
+    /// bytes.
+    fn path_in_one_copy(&mut self) -> Option<NsPath> {
+        // Under the limit, a count byte is a whole ULEB128.
+        const { assert!(MAX_COMPONENTS < 0x80) };
+        let count = usize::from(self.u8().ok()?);
+        if count > MAX_COMPONENTS {
+            return None;
+        }
+        if count == 0 {
+            return Some(NsPath::root());
+        }
+        let start = self.pos;
+        for _ in 0..count {
+            let len = self.u8().ok()?;
+            if len == 0 || len >= 0x80 {
+                return None;
+            }
+            self.bytes(usize::from(len)).ok()?;
+        }
+        let mut text = self.buf[start..self.pos].to_vec();
+        lengths_to_slashes(&mut text);
+        // One `/` per component; any other came from inside a name.
+        if text.iter().filter(|&&b| b == b'/').count() != count {
+            return None;
+        }
+        NsPath::try_from(String::from_utf8(text).ok()?).ok()
+    }
+
+    /// A path read component by component: the first pass reads and
+    /// judges every component, refusing a short or malformed payload as
+    /// such before a bad component; the second copies them into one
+    /// allocation of the text's exact size.
+    fn path_by_components(&mut self) -> Result<NsPath, ProtoError> {
         let bad_path = |e: PathError| ProtoError::BadPath(e.to_string());
         let count = self.count(MAX_COMPONENTS)?;
         let start = self.pos;
@@ -1545,7 +1651,7 @@ mod tests {
         // the blocking reader over it, answer with the typed error
         // carrying the byte, before any payload is read.
         for bad in [0x3Fu8, 0xA0] {
-            let frame = frame(bad, &[]);
+            let frame = [VERSION, bad, 0, 0, 0, 0];
             match read_frame(&mut &frame[..], MAX_FRAME) {
                 Err(FrameError::Proto(ProtoError::BadOpcode(byte))) => assert_eq!(byte, bad),
                 other => panic!("expected bad opcode, got {other:?}"),

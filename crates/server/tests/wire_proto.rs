@@ -1,7 +1,8 @@
 //! Property tests for the wire protocol: encode → decode is the
 //! identity on every frame type, every proper prefix of a frame scans as
-//! partial (never as a frame, never a panic), and the frame scan and
-//! decoders are total on garbage and corruption.
+//! partial (never as a frame, never a panic), the frame scan and
+//! decoders are total on garbage and corruption, and the path decoder
+//! agrees with a plain reference decoder on hostile component lists.
 
 use extsec_acl::{AccessMode, PrincipalId};
 use extsec_mac::{CategoryId, CategorySet, SecurityClass, TrustLevel};
@@ -10,7 +11,9 @@ use extsec_refmon::{
     AuditQuery, AuditRecord, BundleId, Decision, DenyReason, GapRange, Generation, Outcome,
     QueryResult, Subject, ThreadId,
 };
-use extsec_server::proto::{scan_frame, FrameScan, ProtoError, MAX_COMPONENTS, MAX_STR};
+use extsec_server::proto::{
+    scan_frame, FrameScan, ProtoError, WireMessage, MAX_COMPONENTS, MAX_STR,
+};
 use extsec_server::{BatchItem, ErrorCode, Opcode, Request, Response, MAX_FRAME};
 use proptest::prelude::*;
 
@@ -386,6 +389,46 @@ fn check_and_batch_frames_are_byte_stable() {
     want.extend_from_slice(&b"\x01a".repeat(130));
     want.push(0);
     assert_eq!(deep.encode(), want);
+
+    // In place, behind bytes already held: those stay, and exactly the
+    // frame follows. The client encodes its borrowed arguments, the
+    // subject and paths it does not own, to the same bytes.
+    let held = b"held";
+    let after_held = |encode: &dyn Fn(&mut Vec<u8>)| {
+        let mut out = held.to_vec();
+        encode(&mut out);
+        assert_eq!(&out[..held.len()], held);
+        out.split_off(held.len())
+    };
+    for request in [&check, &batch, &deep] {
+        assert_eq!(
+            after_held(&|out| request.encode_into(out)),
+            request.encode()
+        );
+        match request {
+            Request::Check {
+                subject,
+                path,
+                mode,
+            } => {
+                let borrowed = |out: &mut Vec<u8>| {
+                    Request::encode_check_into(out, subject, path, *mode);
+                };
+                assert_eq!(after_held(&borrowed), request.encode());
+            }
+            Request::BatchCheck { subject, items } => {
+                let items: Vec<(NsPath, AccessMode)> = items
+                    .iter()
+                    .map(|item| (item.path.clone(), item.mode))
+                    .collect();
+                let borrowed = |out: &mut Vec<u8>| {
+                    Request::encode_batch_check_into(out, subject, &items);
+                };
+                assert_eq!(after_held(&borrowed), request.encode());
+            }
+            other => panic!("not a check: {other:?}"),
+        }
+    }
 }
 
 fn uleb(mut value: u64, out: &mut Vec<u8>) {
@@ -441,6 +484,12 @@ fn malformed_wire_paths_are_refused() {
         decode(check_payload(2, &[b""])[..6].to_vec()),
         Err(ProtoError::Truncated)
     );
+    // A non-UTF-8 component followed by a truncated one: each component
+    // is checked as it is read.
+    assert_eq!(
+        decode(check_payload(2, &[b"\xff", b"abc"])[..9].to_vec()),
+        Err(ProtoError::BadUtf8)
+    );
     let many: Vec<&[u8]> = vec![b"a"; MAX_COMPONENTS + 1];
     assert_eq!(
         decode(check_payload(many.len(), &many)),
@@ -455,4 +504,133 @@ fn malformed_wire_paths_are_refused() {
     );
     let widest = vec![b'a'; MAX_STR];
     assert!(decode(check_payload(1, &[&widest])).is_ok());
+}
+
+/// A valid name, now and then long enough that its length takes two
+/// ULEB128 bytes.
+fn arb_wire_name() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        10 => "[a-z0-9._-]{1,12}".prop_map(String::into_bytes),
+        1 => Just("日本".as_bytes().to_vec()),
+        2 => (100usize..=200).prop_map(|len| vec![b'n'; len]),
+    ]
+}
+
+/// A wire path component: mostly a valid name, else one of the kinds
+/// the decoder must refuse — `/`-bearing, `.`, `..`, empty, or (nearly
+/// always) non-UTF-8 bytes.
+fn arb_wire_component() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        16 => arb_wire_name(),
+        1 => "[a-z]{0,3}/[a-z]{0,3}".prop_map(String::into_bytes),
+        1 => Just(b".".to_vec()),
+        1 => Just(b"..".to_vec()),
+        1 => Just(Vec::new()),
+        1 => Just(b"\xc3".to_vec()),
+        1 => proptest::collection::vec(any::<u8>(), 1..6),
+    ]
+}
+
+/// The subject `check_payload` encodes.
+fn payload_subject() -> Subject {
+    Subject::on_thread(
+        PrincipalId::from_raw(1),
+        SecurityClass::new(TrustLevel::from_rank(0), CategorySet::from_ids([])),
+        ThreadId::from_raw(0),
+    )
+}
+
+/// A payload read front to back by the reference decoder.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, len: usize) -> Result<&'a [u8], ProtoError> {
+        if self.0.len() < len {
+            return Err(ProtoError::Truncated);
+        }
+        let (head, tail) = self.0.split_at(len);
+        self.0 = tail;
+        Ok(head)
+    }
+
+    /// A ULEB128 of at most a few bytes, as every one here is.
+    fn uleb(&mut self) -> Result<u64, ProtoError> {
+        let (mut value, mut shift) = (0u64, 0);
+        loop {
+            let byte = self.take(1)?[0];
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+            shift += 7;
+        }
+    }
+}
+
+/// A reference decoder for `check_payload`'s frames, stating the path
+/// rules plainly: per component a ULEB128 length, the bounds check, the
+/// bytes and `str::from_utf8`, stopping at the first framing or UTF-8
+/// error; once every component is read, the first name
+/// `NsPath::valid_component` refuses; then the mode.
+fn reference_check_decode(payload: &[u8]) -> Result<Request, ProtoError> {
+    let mut at = Cursor(payload);
+    // Principal 1, thread 0, rank 0, no categories: one byte each.
+    at.take(4)?;
+    let count = at.uleb()?;
+    if count > MAX_COMPONENTS as u64 {
+        return Err(ProtoError::TooMany(count));
+    }
+    let mut names = Vec::new();
+    for _ in 0..count {
+        let len = at.uleb()?;
+        if len > MAX_STR as u64 {
+            return Err(ProtoError::Oversize(len));
+        }
+        let name = std::str::from_utf8(at.take(len as usize)?).map_err(|_| ProtoError::BadUtf8)?;
+        names.push(name);
+    }
+    if let Some(bad) = names.iter().find(|name| !NsPath::valid_component(name)) {
+        let refusal = PathError::BadComponent(bad.to_string());
+        return Err(ProtoError::BadPath(refusal.to_string()));
+    }
+    let path = NsPath::from_components(&names).expect("every name is valid");
+    let mode = at.take(1)?[0];
+    let mode = *AccessMode::ALL
+        .get(usize::from(mode))
+        .ok_or(ProtoError::BadTag(mode))?;
+    if !at.0.is_empty() {
+        return Err(ProtoError::TrailingBytes(at.0.len()));
+    }
+    Ok(Request::Check {
+        subject: payload_subject(),
+        path,
+        mode,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// On component lists with every kind of bad name, lengths on both
+    /// sides of the one-byte boundary and counts past the limit, whole
+    /// or cut short, the decoder's path, or its refusal, is the
+    /// reference decoder's.
+    #[test]
+    fn path_decoding_matches_the_reference_decoder(
+        names in prop_oneof![
+            proptest::collection::vec(arb_wire_name(), 0..=MAX_COMPONENTS + 1),
+            proptest::collection::vec(arb_wire_component(), 0..=MAX_COMPONENTS + 1),
+        ],
+        cut in prop_oneof![3 => Just(None), 1 => any::<usize>().prop_map(Some)],
+    ) {
+        let names: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
+        let mut payload = check_payload(names.len(), &names);
+        if let Some(cut) = cut {
+            payload.truncate(cut % payload.len());
+        }
+        prop_assert_eq!(
+            Request::decode(Opcode::Check as u8, &payload),
+            reference_check_decode(&payload)
+        );
+    }
 }
