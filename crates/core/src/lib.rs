@@ -72,11 +72,10 @@ pub use extsec_namespace::{NameSpace, NodeKind, NsPath, Protection};
 pub use extsec_refmon::{
     AuditAccessError, AuditEvent, AuditLog, AuditPipeline, AuditQuery, AuditRecord, AuditRing,
     AuditSnapshot, AuditStats, CacheStats, Decision, DenyReason, DispatchOutcome, FloatingSubject,
-    GapRange, HistogramSnapshot, JsonSink, JsonSnapshot, JsonStage, LastSnapshotSink,
-    MacInteraction, MonitorBuilder, MonitorConfig, MonitorError, MonitorView, Outcome,
-    PipelineConfig, PipelineStats, PolicyEngine, QueryResult, ReferenceMonitor, SegmentReport,
-    SegmentStatus, ServiceKind, Stage, StageSnapshot, Subject, Telemetry, TelemetrySink,
-    TelemetrySnapshot, ThreadId, VerifyReport,
+    GapRange, HistogramSnapshot, JsonSnapshot, JsonStage, MacInteraction, MonitorBuilder,
+    MonitorConfig, MonitorError, MonitorView, Outcome, PipelineConfig, PipelineStats, PolicyEngine,
+    QueryResult, ReferenceMonitor, SegmentReport, SegmentStatus, ServiceKind, Stage, StageSnapshot,
+    Subject, Telemetry, TelemetrySnapshot, ThreadId, VerifyReport,
 };
 pub use extsec_services::{
     AppletService, ClockService, ConsoleService, FsService, MbufService, NetService, VfsService,

@@ -93,9 +93,8 @@ pub use extsec_auditlog::{
     PipelineStats, QueryResult, RingEvent, SegmentReport, SegmentStatus, VerifyReport,
 };
 pub use extsec_telemetry::{
-    AuditSnapshot, DispatchOutcome, ExtFault, HistogramSnapshot, JsonSink, JsonSnapshot, JsonStage,
-    LastSnapshotSink, ServiceKind, Stage, StageSnapshot, Telemetry, TelemetrySink,
-    TelemetrySnapshot,
+    AuditSnapshot, DispatchOutcome, ExtFault, HistogramSnapshot, JsonSnapshot, JsonStage,
+    ServiceKind, Stage, StageSnapshot, Telemetry, TelemetrySnapshot,
 };
 pub use floating::FloatingSubject;
 pub use monitor::{AuditAccessError, CacheStats, MonitorBuilder, MonitorView, ReferenceMonitor};

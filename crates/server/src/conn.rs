@@ -660,9 +660,6 @@ fn handle(opcode: u8, payload: &[u8], ctx: &Ctx<'_>) -> Result<Response, ProtoEr
             }
         }
         Request::Telemetry => {
-            // Feed the registered pull-path sinks, then ship the same
-            // shape (plus the server's own block) to the caller.
-            monitor.telemetry().publish();
             let document = WireTelemetry {
                 monitor: JsonSnapshot::from(&monitor.telemetry_snapshot()),
                 server: ctx.tele.snapshot(),

@@ -22,9 +22,8 @@
 //!   typed error frame and never a panic.
 //! - **Backpressure is accounted, not improvised.** A bounded accept
 //!   queue, per-connection timeouts, frame and batch ceilings — each
-//!   refusal increments a counter in [`ServerTelemetry`], surfaced
-//!   through the same pull-based sink path as the monitor's own
-//!   telemetry.
+//!   refusal increments a counter in [`ServerTelemetry`], shipped in
+//!   the wire telemetry document beside the monitor's own telemetry.
 //!
 //! **Trust model.** The server authenticates nothing: the client's
 //! claimed principal and class are taken at face value (the class is

@@ -5,7 +5,7 @@
 use extsec_acl::{AccessMode, Acl, AclEntry, ModeSet};
 use extsec_mac::{Lattice, SecurityClass};
 use extsec_namespace::{NodeKind, NsPath, Protection};
-use extsec_refmon::{Decision, DenyReason, JsonSink, MonitorBuilder, ReferenceMonitor, Subject};
+use extsec_refmon::{Decision, DenyReason, MonitorBuilder, ReferenceMonitor, Subject};
 use extsec_server::proto;
 use extsec_server::{
     Client, ClientConfig, ErrorCode, Opcode, Request, Response, Server, ServerConfig, MAX_FRAME,
@@ -86,8 +86,6 @@ fn wait_for_balanced_accounting(server: &Server) {
 fn full_request_set_over_tcp() {
     let (monitor, alice, bob) = fixture();
     monitor.telemetry().set_enabled(true);
-    let sink = Arc::new(JsonSink::new());
-    monitor.telemetry().add_sink(sink.clone());
 
     let server = spawn(&monitor, ServerConfig::default());
     let mut client = client(&server);
@@ -134,13 +132,10 @@ fn full_request_set_over_tcp() {
     assert_eq!(explanation.decision, Decision::Deny(DenyReason::DacNoEntry));
     assert!(!explanation.steps.is_empty());
 
-    // The telemetry pull feeds the registered sinks (the pull path) and
-    // ships a combined document.
-    assert_eq!(sink.last_json(), None);
+    // The telemetry pull ships a combined document.
     let document = client.telemetry().unwrap();
     assert!(document.contains("\"monitor\""));
     assert!(document.contains("\"server\""));
-    assert!(sink.last_json().is_some(), "publish reached the JSON sink");
 
     drop(client);
     let stats = server.shutdown();

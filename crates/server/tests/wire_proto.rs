@@ -3,6 +3,7 @@
 //! partial (never as a frame, never a panic), the frame scan and
 //! decoders are total on garbage and corruption, and the path decoder
 //! agrees with a plain reference decoder on hostile component lists.
+//! One printed row times a 64-item batch's encode and decode.
 
 use extsec_acl::{AccessMode, PrincipalId};
 use extsec_mac::{CategoryId, CategorySet, SecurityClass, TrustLevel};
@@ -16,6 +17,7 @@ use extsec_server::proto::{
 };
 use extsec_server::{BatchItem, ErrorCode, Opcode, Request, Response, MAX_FRAME};
 use proptest::prelude::*;
+use std::hint::black_box;
 
 fn arb_mode() -> impl Strategy<Value = AccessMode> {
     (0usize..AccessMode::ALL.len()).prop_map(|i| AccessMode::ALL[i])
@@ -429,6 +431,71 @@ fn check_and_batch_frames_are_byte_stable() {
             other => panic!("not a check: {other:?}"),
         }
     }
+}
+
+/// F11's codec row: a 64-item `BatchCheck` over 64 distinct depth-6
+/// paths, encoded in place the way the client sends it and decoded the
+/// way the server reads it. Prints each step's median time per batch
+/// over 9 rounds of at least 1 ms, and asserts only that the decode
+/// returns the encoded request. Timed optimized with
+/// `cargo test --release -p extsec-server --test wire_proto batch_codec_row -- --nocapture`.
+#[test]
+fn batch_codec_row() {
+    fn median_ns(mut op: impl FnMut()) -> f64 {
+        let mut round = |calls: u32| {
+            let started = std::time::Instant::now();
+            (0..calls).for_each(|_| op());
+            started.elapsed()
+        };
+        let mut calls = 1;
+        while round(calls) < std::time::Duration::from_millis(1) {
+            calls *= 2;
+        }
+        let mut per_call: Vec<f64> = (0..9)
+            .map(|_| round(calls).as_nanos() as f64 / f64::from(calls))
+            .collect();
+        per_call.sort_by(f64::total_cmp);
+        per_call[4]
+    }
+
+    let subject = golden_subject();
+    let items: Vec<(NsPath, AccessMode)> = (0..64)
+        .map(|i| {
+            let leaf = format!("/campus/dept{}/lab{}/proj/data/file{i}", i / 8, i % 8);
+            (path(&leaf), AccessMode::ALL[i % AccessMode::ALL.len()])
+        })
+        .collect();
+    let mut frame = Vec::new();
+    Request::encode_batch_check_into(&mut frame, &subject, &items);
+    let Ok(Some((opcode, payload))) = scan(&frame) else {
+        panic!("one whole frame");
+    };
+    let encoded = Request::BatchCheck {
+        subject: subject.clone(),
+        items: items
+            .iter()
+            .map(|(path, mode)| BatchItem {
+                path: path.clone(),
+                mode: *mode,
+            })
+            .collect(),
+    };
+    assert_eq!(Request::decode(opcode, payload), Ok(encoded));
+
+    let mut out = Vec::with_capacity(frame.len());
+    let encode_ns = median_ns(|| {
+        out.clear();
+        Request::encode_batch_check_into(black_box(&mut out), &subject, black_box(&items));
+    });
+    let decode_ns = median_ns(|| {
+        black_box(Request::decode(opcode, black_box(payload)).unwrap());
+    });
+    println!(
+        "codec: 64-item batch, {}-byte frame: client encode {:.0} ns, server decode {:.0} ns",
+        frame.len(),
+        encode_ns,
+        decode_ns
+    );
 }
 
 fn uleb(mut value: u64, out: &mut Vec<u8>) {

@@ -1,45 +1,9 @@
-//! Pluggable snapshot exporters.
+//! The JSON shape of a snapshot: the document the server's telemetry
+//! opcode ships.
 
 use crate::{AuditSnapshot, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
-
-/// A destination for telemetry snapshots.
-///
-/// Sinks are pulled, not pushed: the pipeline never calls a sink from the
-/// hot path. [`Telemetry::publish`](crate::Telemetry::publish) takes one
-/// snapshot and hands the same immutable value to every registered sink,
-/// so an expensive exporter costs the caller of `publish`, never a check.
-pub trait TelemetrySink: Send + Sync {
-    /// Exports one snapshot.
-    fn export(&self, snapshot: &TelemetrySnapshot);
-}
-
-/// A sink that keeps the most recent snapshot in memory, for tests and
-/// for polling-style exporters that want the latest value on demand.
-#[derive(Default)]
-pub struct LastSnapshotSink {
-    last: Mutex<Option<TelemetrySnapshot>>,
-}
-
-impl LastSnapshotSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        LastSnapshotSink::default()
-    }
-
-    /// The most recently published snapshot, if any.
-    pub fn last(&self) -> Option<TelemetrySnapshot> {
-        self.last.lock().expect("snapshot sink poisoned").clone()
-    }
-}
-
-impl TelemetrySink for LastSnapshotSink {
-    fn export(&self, snapshot: &TelemetrySnapshot) {
-        *self.last.lock().expect("snapshot sink poisoned") = Some(snapshot.clone());
-    }
-}
 
 /// One stage's distribution, flattened to the summary statistics worth
 /// shipping off-process (full bucket arrays stay in-memory).
@@ -154,40 +118,11 @@ impl From<&TelemetrySnapshot> for JsonSnapshot {
     }
 }
 
-/// A sink rendering every published snapshot to a JSON document — the
-/// bridge between the in-process pull path and anything file- or
-/// wire-shaped (the server's snapshot opcode ships exactly this form).
-#[derive(Default)]
-pub struct JsonSink {
-    last: Mutex<Option<String>>,
-}
-
-impl JsonSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        JsonSink::default()
-    }
-
-    /// The most recently exported JSON document, if any.
-    pub fn last_json(&self) -> Option<String> {
-        self.last.lock().expect("json sink poisoned").clone()
-    }
-}
-
-impl TelemetrySink for JsonSink {
-    fn export(&self, snapshot: &TelemetrySnapshot) {
-        let json = serde_json::to_string(&JsonSnapshot::from(snapshot))
-            .expect("telemetry snapshots always serialize");
-        *self.last.lock().expect("json sink poisoned") = Some(json);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{DispatchOutcome, ServiceKind, Stage, Telemetry};
     use extsec_acl::AccessMode;
-    use std::sync::Arc;
     use std::time::Duration;
 
     /// The JSON document round-trips (`to_string` → `from_str` is the
@@ -209,20 +144,5 @@ mod tests {
         assert_eq!(parsed.modes["execute"], 1);
         assert_eq!(parsed.services["fs"], 1);
         assert_eq!(parsed.dispatch["base"], 1);
-    }
-
-    #[test]
-    fn sink_exports_on_publish() {
-        let tele = Telemetry::new();
-        tele.set_enabled(true);
-        let sink = Arc::new(JsonSink::new());
-        tele.add_sink(sink.clone());
-        assert_eq!(sink.last_json(), None);
-        tele.record(Stage::Check, Duration::from_nanos(64));
-        tele.publish();
-        let json = sink.last_json().expect("publish reached the sink");
-        let parsed: JsonSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed.checks, 1);
-        assert!(parsed.enabled);
     }
 }

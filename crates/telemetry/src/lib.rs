@@ -27,12 +27,12 @@
 
 mod counter;
 mod histogram;
-mod sink;
+mod json;
 mod snapshot;
 
 pub use counter::ShardedCounter;
 pub use histogram::{HistogramSnapshot, LatencyHistogram, BUCKETS};
-pub use sink::{JsonSink, JsonSnapshot, JsonStage, LastSnapshotSink, TelemetrySink};
+pub use json::{JsonSnapshot, JsonStage};
 pub use snapshot::{AuditSnapshot, StageSnapshot, TelemetrySnapshot};
 
 use extsec_acl::AccessMode;
@@ -265,7 +265,6 @@ pub struct Telemetry {
     shadow_checks: ShardedCounter,
     shadow_allow_to_deny: ShardedCounter,
     shadow_deny_to_allow: ShardedCounter,
-    sinks: RwLock<Vec<Arc<dyn TelemetrySink>>>,
     /// Pulled (never pushed) when a snapshot is taken, so audit-chain
     /// health rides in every snapshot without this crate depending on
     /// the audit types.
@@ -291,7 +290,6 @@ impl Telemetry {
             shadow_checks: ShardedCounter::new(),
             shadow_allow_to_deny: ShardedCounter::new(),
             shadow_deny_to_allow: ShardedCounter::new(),
-            sinks: RwLock::new(Vec::new()),
             audit_source: RwLock::new(None),
         }
     }
@@ -507,27 +505,6 @@ impl Telemetry {
     pub fn set_audit_source(&self, source: Arc<dyn Fn() -> AuditSnapshot + Send + Sync>) {
         *self.audit_source.write().expect("audit source poisoned") = Some(source);
     }
-
-    /// Registers a sink to receive snapshots from [`publish`].
-    ///
-    /// [`publish`]: Telemetry::publish
-    pub fn add_sink(&self, sink: Arc<dyn TelemetrySink>) {
-        self.sinks
-            .write()
-            .expect("sink registry poisoned")
-            .push(sink);
-    }
-
-    /// Takes one snapshot and exports it to every registered sink,
-    /// returning it. Sinks run on the calling thread, never on a check.
-    pub fn publish(&self) -> TelemetrySnapshot {
-        let snapshot = self.snapshot();
-        let sinks = self.sinks.read().expect("sink registry poisoned").clone();
-        for sink in sinks {
-            sink.export(&snapshot);
-        }
-        snapshot
-    }
 }
 
 impl Default for Telemetry {
@@ -601,18 +578,6 @@ mod tests {
         tele.set_enabled(true);
         tele.finish(Stage::Check, token);
         assert_eq!(tele.snapshot().checks(), 0);
-    }
-
-    #[test]
-    fn publish_feeds_sinks() {
-        let tele = Telemetry::new();
-        tele.set_enabled(true);
-        let sink = Arc::new(LastSnapshotSink::new());
-        tele.add_sink(sink.clone());
-        tele.record(Stage::Check, Duration::from_nanos(10));
-        let published = tele.publish();
-        assert_eq!(sink.last().as_ref(), Some(&published));
-        assert_eq!(published.checks(), 1);
     }
 
     #[test]

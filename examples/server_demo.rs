@@ -60,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let explanation = client.explain(&sc.applet_d1, &node, AccessMode::Read)?;
     println!("\nwhy is department-1 denied department-2's report?\n{explanation}");
 
-    // Pull the combined telemetry document (this also feeds any sinks
-    // registered on the monitor's pull path).
+    // Pull the combined telemetry document: the monitor's block and the
+    // server's own.
     let document = client.telemetry()?;
     println!("telemetry document: {} bytes of JSON", document.len());
 

@@ -6,10 +6,9 @@
 //! Run with `cargo run --release --example stats`.
 
 use extsec::{
-    AccessMode, AclEntry, ExtensionManifest, LastSnapshotSink, Lattice, ModeSet, NodeKind, Origin,
-    Protection, SecurityClass, SystemBuilder, Value,
+    AccessMode, AclEntry, ExtensionManifest, Lattice, ModeSet, NodeKind, Origin, Protection,
+    SecurityClass, SystemBuilder, Value,
 };
-use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Assemble a system (monitor + runtime + standard services).
@@ -21,11 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let system = builder.build()?;
 
     // 2. Telemetry is off by default (each instrumentation point is a
-    //    single relaxed atomic load). Flip it on for this run, and hang a
-    //    pull-based sink off the hub.
-    let sink = Arc::new(LastSnapshotSink::default());
+    //    single relaxed atomic load). Flip it on for this run.
     system.monitor.telemetry().set_enabled(true);
-    system.monitor.telemetry().add_sink(sink.clone());
 
     // 3. A protected procedure only alice@staff may execute.
     let staff_class = system.class("staff")?;
@@ -113,9 +109,7 @@ export main = main
     }
     println!("{}", system.runtime.explain_health(flaky));
 
-    // 6. Print the whole observability surface. `publish()` also pushes
-    //    the same snapshot to every registered sink.
-    system.monitor.telemetry().publish();
+    // 6. Print the whole observability surface.
     println!("{}", system.monitor.telemetry_snapshot());
 
     println!("policy generation: {}", system.monitor.policy_generation());
@@ -123,11 +117,6 @@ export main = main
     println!(
         "audit log: {} retained of {} capacity, {} dropped",
         audit.retained, audit.capacity, audit.ring_dropped
-    );
-    println!(
-        "sink saw the same snapshot: {}",
-        sink.last().map(|s| s.checks()).unwrap_or(0)
-            == system.monitor.telemetry_snapshot().checks()
     );
     Ok(())
 }
