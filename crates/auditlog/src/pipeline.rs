@@ -81,7 +81,10 @@ impl Default for PipelineConfig {
 }
 
 /// Pipeline observability counters (all monotone except `queue_depth`,
-/// `active_bytes`, `next_seq`, and `running`).
+/// `active_bytes`, `next_seq`, and `running`). The reference monitor's
+/// metrics registry exports every field as `audit.pipeline.<field>`.
+/// A typed view kept for nsbench, to be deleted in the benchmark change that
+/// moves nsbench to the registry names.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Records written into the ring and not overwritten unread (each is
@@ -734,7 +737,9 @@ impl AuditPipeline {
         (report, Some(scan.end_hash))
     }
 
-    /// Snapshots the pipeline counters.
+    /// Snapshots the pipeline counters: a typed view kept for nsbench,
+    /// to be deleted in the benchmark change that moves nsbench to the
+    /// registry names.
     pub fn stats(&self) -> PipelineStats {
         let c = &self.counters;
         let shed = self.ring.shed();

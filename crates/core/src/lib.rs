@@ -71,11 +71,11 @@ pub use extsec_mac::{
 pub use extsec_namespace::{NameSpace, NodeKind, NsPath, Protection};
 pub use extsec_refmon::{
     AuditAccessError, AuditEvent, AuditLog, AuditPipeline, AuditQuery, AuditRecord, AuditRing,
-    AuditSnapshot, AuditStats, CacheStats, Decision, DenyReason, DispatchOutcome, FloatingSubject,
-    GapRange, HistogramSnapshot, JsonSnapshot, JsonStage, MacInteraction, MonitorBuilder,
-    MonitorConfig, MonitorError, MonitorView, Outcome, PipelineConfig, PipelineStats, PolicyEngine,
-    QueryResult, ReferenceMonitor, SegmentReport, SegmentStatus, ServiceKind, Stage, StageSnapshot,
-    Subject, Telemetry, TelemetrySnapshot, ThreadId, VerifyReport,
+    AuditStats, CacheStats, Counter, Decision, DenyReason, DispatchOutcome, FloatingSubject,
+    GapRange, HistogramSnapshot, MacInteraction, Metrics, MonitorBuilder, MonitorConfig,
+    MonitorError, MonitorView, Outcome, PipelineConfig, PipelineStats, PolicyEngine, QueryResult,
+    ReferenceMonitor, SegmentReport, SegmentStatus, ServiceKind, Stage, Subject, Telemetry,
+    ThreadId, VerifyReport,
 };
 pub use extsec_services::{
     AppletService, ClockService, ConsoleService, FsService, MbufService, NetService, VfsService,

@@ -348,7 +348,9 @@ impl HealthLedger {
     }
 
     /// How many extensions are currently quarantined or on probation —
-    /// the allocation-free twin of [`HealthLedger::quarantined`].
+    /// the allocation-free twin of [`HealthLedger::quarantined`]. A typed
+    /// view kept for nsbench, to be deleted in the benchmark change that
+    /// moves nsbench to the registry names.
     pub fn quarantined_count(&self) -> usize {
         if self.attention.load(Ordering::Relaxed) == 0 {
             return 0;

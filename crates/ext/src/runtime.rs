@@ -9,7 +9,8 @@ use extsec_acl::AccessMode;
 use extsec_mac::SecurityClass;
 use extsec_namespace::{NsPath, PathError};
 use extsec_refmon::{
-    Decision, DenyReason, DispatchOutcome, ExtFault, MonitorError, ReferenceMonitor, Subject,
+    Counter, Decision, DenyReason, DispatchOutcome, ExtFault, MonitorError, ReferenceMonitor,
+    Subject,
 };
 use extsec_vm::{
     EpochClock, Machine, MachineLimits, Module, SyscallHost, Trap, Value, VerifyError,
@@ -262,7 +263,7 @@ impl ExtRuntime {
                 // counter still records the rejection.
                 self.monitor
                     .telemetry()
-                    .count_ext_fault(ExtFault::VerifyReject);
+                    .count(Counter::ExtFault(ExtFault::VerifyReject));
                 return Err(ExtError::Verify(e));
             }
         };
@@ -453,7 +454,7 @@ impl ExtRuntime {
         if let Some((ext_id, export)) = selected {
             self.monitor
                 .telemetry()
-                .count_dispatch(DispatchOutcome::Specialized);
+                .count(Counter::Dispatch(DispatchOutcome::Specialized));
             return self.run_extension(ext_id, &export, args, &effective, depth);
         }
 
@@ -476,12 +477,12 @@ impl ExtRuntime {
         let Some((prefix, service)) = service else {
             self.monitor
                 .telemetry()
-                .count_dispatch(DispatchOutcome::Unrouted);
+                .count(Counter::Dispatch(DispatchOutcome::Unrouted));
             return Err(ExtError::NoService(path.clone()));
         };
         self.monitor
             .telemetry()
-            .count_dispatch(DispatchOutcome::Base);
+            .count(Counter::Dispatch(DispatchOutcome::Base));
         let op = path
             .strip_prefix(&prefix)
             .expect("a service prefix is an ancestor-or-self of the path");
@@ -523,12 +524,12 @@ impl ExtRuntime {
         }
         let ext = self.extension(id)?;
         let tele = self.monitor.telemetry();
-        tele.count_dispatch(DispatchOutcome::ExtensionRun);
+        tele.count(Counter::Dispatch(DispatchOutcome::ExtensionRun));
         // Circuit-breaker gate: a quarantined extension is refused with
         // a typed error before any of its code runs.
         match self.health.admit(id) {
             Ok(Admit::Normal) => {}
-            Ok(Admit::Trial) => tele.count_probation_trial(),
+            Ok(Admit::Trial) => tele.count(Counter::ProbationTrials),
             Err(refusal) => {
                 // Mutant point, scripted-only: a fired `ext.admit.bypass`
                 // drops the refusal and lets the quarantined extension
@@ -536,7 +537,7 @@ impl ExtRuntime {
                 // explorer's self-test must detect. Random fault storms
                 // never reach it; release builds compile it to nothing.
                 if extsec_faults::fire_mutant("ext.admit.bypass").is_none() {
-                    tele.count_quarantine_denial();
+                    tele.count(Counter::QuarantineDenials);
                     self.audit_quarantine(subject, id, &refusal, "dispatch refused");
                     return Err(ExtError::Quarantined {
                         id,
@@ -595,7 +596,7 @@ impl ExtRuntime {
         match result {
             Ok(value) => {
                 if self.health.record_success(id) {
-                    tele.count_probation_readmit();
+                    tele.count(Counter::ProbationReadmits);
                 }
                 Ok(value)
             }
@@ -625,9 +626,9 @@ impl ExtRuntime {
     /// the quarantine and emits an audit event naming the cause.
     fn note_fault(&self, id: ExtensionId, subject: &Subject, kind: ExtFault) {
         let tele = self.monitor.telemetry();
-        tele.count_ext_fault(kind);
+        tele.count(Counter::ExtFault(kind));
         if let Some(cause) = self.health.record_fault(id, kind) {
-            tele.count_quarantine();
+            tele.count(Counter::QuarantineTrips);
             let info = QuarantineInfo {
                 cause,
                 retry_after: self.health.config().cooldown,

@@ -157,10 +157,10 @@ fn breaker_trips_at_budget_and_refuses_dispatch() {
     );
 
     // And the telemetry counters saw the faults and the quarantine.
-    let snap = f.monitor.telemetry_snapshot();
-    assert_eq!(snap.quarantines, 1);
-    assert!(snap.quarantine_denials >= 1);
-    assert!(snap.ext_fault(ExtFault::Trap) >= 3);
+    let metrics = f.monitor.metrics();
+    assert_eq!(metrics.get("ext.quarantine.trips"), Some(1));
+    assert!(metrics.get("ext.quarantine.denials").unwrap() >= 1);
+    assert!(metrics.get("ext.fault.trap").unwrap() >= 3);
 }
 
 #[test]

@@ -178,9 +178,9 @@ fn memory_hog_is_stopped_by_byte_budget_and_quarantined() {
     );
 
     // Telemetry counted the typed faults.
-    let snap = f.monitor.telemetry_snapshot();
-    assert!(snap.ext_fault(ExtFault::Memory) >= 3);
-    assert_eq!(snap.quarantines, 1);
+    let metrics = f.monitor.metrics();
+    assert!(metrics.get("ext.fault.memory").unwrap() >= 3);
+    assert_eq!(metrics.get("ext.quarantine.trips"), Some(1));
 }
 
 #[test]
@@ -220,8 +220,8 @@ fn infinite_loop_with_huge_fuel_is_preempted_and_quarantined() {
             && format!("{:?}", e.decision).contains("resource kill: preempted")),
         "no preemption resource-kill audit record under {ext_path}"
     );
-    let snap = f.monitor.telemetry_snapshot();
-    assert!(snap.ext_fault(ExtFault::Preempted) >= 3);
+    let metrics = f.monitor.metrics();
+    assert!(metrics.get("ext.fault.preempted").unwrap() >= 3);
 }
 
 #[test]

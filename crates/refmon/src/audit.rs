@@ -65,7 +65,12 @@ impl fmt::Display for AuditEvent {
 }
 
 /// Observability counters for the in-memory view, so saturation is
-/// visible rather than silent.
+/// visible rather than silent; [`ReferenceMonitor::metrics`] exports them
+/// as `audit.ring.*`, `ring_dropped` as `audit.ring.overwritten`. A typed
+/// view kept for nsbench, to be deleted in the benchmark change that moves
+/// nsbench to the registry names.
+///
+/// [`ReferenceMonitor::metrics`]: crate::ReferenceMonitor::metrics
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AuditStats {
     /// The current ring's capacity.

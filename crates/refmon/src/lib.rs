@@ -93,8 +93,7 @@ pub use extsec_auditlog::{
     PipelineStats, QueryResult, RingEvent, SegmentReport, SegmentStatus, VerifyReport,
 };
 pub use extsec_telemetry::{
-    AuditSnapshot, DispatchOutcome, ExtFault, HistogramSnapshot, JsonSnapshot, JsonStage,
-    ServiceKind, Stage, StageSnapshot, Telemetry, TelemetrySnapshot,
+    Counter, DispatchOutcome, ExtFault, HistogramSnapshot, Metrics, ServiceKind, Stage, Telemetry,
 };
 pub use floating::FloatingSubject;
 pub use monitor::{AuditAccessError, CacheStats, MonitorBuilder, MonitorView, ReferenceMonitor};

@@ -26,7 +26,7 @@ use extsec_acl::{AccessMode, Acl, AclDecision, AclEntry, Directory, GroupId, Pri
 use extsec_auditlog::{AuditPipeline, AuditQuery, PipelineStats, QueryResult, VerifyReport};
 use extsec_mac::{FlowCheck, Lattice, SecurityClass};
 use extsec_namespace::{NameSpace, NodeId, NodeKind, NsError, NsPath, Protection};
-use extsec_telemetry::{AuditSnapshot, Stage, Telemetry, TelemetrySnapshot};
+use extsec_telemetry::{Counter, Metrics, Stage, Telemetry};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -205,8 +205,8 @@ impl State {
     /// interior node the walk reached, top-down, must grant `list` to the
     /// subject (discretionary) and be observable by its class
     /// (mandatory). Names the first prefix refused. The monitor's only
-    /// visibility check; it is the protected half of resolution, so its
-    /// time is recorded under [`Stage::Resolve`].
+    /// visibility check; a climb that passes is timed under
+    /// [`Stage::Visibility`].
     fn interior_visibility<S: Steps>(
         &self,
         subject: &Subject,
@@ -256,7 +256,7 @@ impl State {
                 return Err(DenyReason::NotVisibleMac(walk.path.prefix(depth)));
             }
         }
-        tele.finish(Stage::Resolve, climb_t);
+        tele.finish(Stage::Visibility, climb_t);
         Ok(())
     }
 }
@@ -361,40 +361,6 @@ impl MonitorBuilder {
             Acl::public(extsec_acl::ModeSet::only(AccessMode::List)),
             SecurityClass::bottom(),
         );
-        let audit = Arc::new(AuditLog::new());
-        let audit_pipeline: Arc<Mutex<Option<Arc<AuditPipeline>>>> = Arc::new(Mutex::new(None));
-        let telemetry = Telemetry::new();
-        // Audit-chain health rides in every telemetry snapshot: the
-        // source is pulled on the snapshotting thread, never on a check.
-        telemetry.set_audit_source({
-            let audit = Arc::clone(&audit);
-            let pipeline = Arc::clone(&audit_pipeline);
-            Arc::new(move || {
-                let ring = audit.stats();
-                let mut snap = AuditSnapshot {
-                    ring_capacity: ring.capacity as u64,
-                    ring_retained: ring.retained as u64,
-                    ring_dropped: ring.ring_dropped,
-                    ..AuditSnapshot::default()
-                };
-                let pipeline = pipeline.lock().clone();
-                if let Some(pipeline) = pipeline {
-                    let stats = pipeline.stats();
-                    snap.pipeline_attached = true;
-                    snap.pipeline_enqueued = stats.enqueued;
-                    snap.pipeline_shed = stats.shed;
-                    snap.pipeline_late_dropped = stats.late_dropped;
-                    snap.pipeline_persisted = stats.persisted_events;
-                    snap.pipeline_gap_records = stats.gap_records;
-                    snap.pipeline_gap_missing = stats.gap_missing;
-                    snap.pipeline_segments_sealed = stats.segments_sealed;
-                    snap.pipeline_io_errors = stats.io_errors;
-                    snap.pipeline_queue_depth = stats.queue_depth;
-                    snap.pipeline_next_seq = stats.next_seq;
-                }
-                snap
-            })
-        });
         Arc::new(ReferenceMonitor {
             published: Mutex::new(Arc::new(State {
                 namespace: NameSpace::new(root_protection),
@@ -406,9 +372,9 @@ impl MonitorBuilder {
             })),
             version: AtomicU64::new(0),
             id: next_monitor_id(),
-            audit,
-            audit_pipeline,
-            telemetry,
+            audit: AuditLog::new(),
+            audit_pipeline: Mutex::new(None),
+            telemetry: Telemetry::new(),
             bundles: Mutex::new(BundleRegistry::default()),
             shadow_stats: Mutex::new(ShadowStats::default()),
         })
@@ -433,13 +399,11 @@ pub struct ReferenceMonitor {
     version: AtomicU64,
     /// Process-unique monitor identity for the thread-local pins.
     id: u64,
-    audit: Arc<AuditLog>,
-    /// The attached persistent audit pipeline, if any. Behind an `Arc`'d
-    /// mutex so the telemetry audit source (a `'static` closure) can
-    /// share the slot. Admin and snapshot paths only; the check path
-    /// reaches the pipeline through the ring the audit log records into,
-    /// never through this lock.
-    audit_pipeline: Arc<Mutex<Option<Arc<AuditPipeline>>>>,
+    audit: AuditLog,
+    /// The attached persistent audit pipeline, if any. Admin and
+    /// snapshot paths only; the check path reaches the pipeline through
+    /// the ring the audit log records into, never through this lock.
+    audit_pipeline: Mutex<Option<Arc<AuditPipeline>>>,
     /// Pipeline telemetry: stage timings, mode/service/dispatch counters.
     /// Starts disabled; when disabled every recording call is a single
     /// relaxed load, so the hot path pays (almost) nothing.
@@ -584,7 +548,7 @@ impl ReferenceMonitor {
     pub fn check_unmemoized(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
         self.with_snapshot(|state| {
             let whole = self.telemetry.start();
-            self.telemetry.count_mode(mode);
+            self.telemetry.count(Counter::Mode(mode));
             let (decision, _) = self.decide_and_audit(state, subject, path, mode);
             self.telemetry.finish(Stage::Check, whole);
             decision
@@ -839,10 +803,10 @@ impl ReferenceMonitor {
     ///
     /// When telemetry is enabled, opening a view starts one trace: the
     /// view counts each operation made through it and records its whole
-    /// lifetime (pin to drop) in the `view-span` histogram — one pin, one
-    /// trace.
+    /// lifetime (pin to drop) in the `refmon.stage.view_span_ns`
+    /// histogram — one pin, one trace.
     pub fn view(&self) -> MonitorView<'_> {
-        self.telemetry.count_view();
+        self.telemetry.count(Counter::ViewsOpened);
         MonitorView {
             monitor: self,
             state: self.snapshot_arc(),
@@ -1166,16 +1130,6 @@ impl ReferenceMonitor {
         // Unrecorded, so the shadow evaluation never pollutes the enforced
         // pipeline's stage histograms or the audit log.
         let shadowed = shadow.state.decide_unrecorded(subject, path, mode, &mut ());
-        let enforced_allows = matches!(enforced, Decision::Allow);
-        let shadowed_allows = matches!(shadowed, Decision::Allow);
-        self.telemetry.count_shadow_check();
-        if enforced_allows != shadowed_allows {
-            if enforced_allows {
-                self.telemetry.count_shadow_allow_to_deny();
-            } else {
-                self.telemetry.count_shadow_deny_to_allow();
-            }
-        }
         self.shadow_stats
             .lock()
             .record(subject.principal, path, enforced, &shadowed);
@@ -1188,7 +1142,10 @@ impl ReferenceMonitor {
 
     /// A compatibility shim for readers of the retired decision cache's
     /// counters: `hits` and `misses` read 0, and `invalidations` counts
-    /// the policy generations published.
+    /// the policy generations published (`refmon.policy.generation` in
+    /// [`ReferenceMonitor::metrics`]). It is a typed view kept for
+    /// nsbench, to be deleted in the benchmark change that moves nsbench to
+    /// the registry names.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: 0,
@@ -1262,19 +1219,76 @@ impl ReferenceMonitor {
     }
 
     /// Returns the pipeline telemetry hub: toggle collection with
-    /// [`Telemetry::set_enabled`], register sinks, or read counters.
-    /// Collection starts disabled and costs one relaxed atomic load per
-    /// recording point while it stays that way.
+    /// [`Telemetry::set_enabled`] or count an event. Collection starts
+    /// disabled and costs one relaxed atomic load per recording point
+    /// while it stays that way.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
-    /// Takes an immutable snapshot of the pipeline telemetry — per-stage
-    /// latency histograms (resolve, acl, mac, audit, whole checks),
-    /// per-mode counters and view spans — the companion of
-    /// [`ReferenceMonitor::audit_stats`].
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        self.telemetry.snapshot()
+    /// Reads every metric the monitor keeps, under its dotted name: the
+    /// telemetry hub's counters and stage histograms, the audit ring
+    /// (`audit.ring.*`; `overwritten` counts records the in-memory view
+    /// overwrote, not records lost), every counter of an attached
+    /// pipeline (`audit.pipeline.*`; `shed` counts records lost), the
+    /// policy generation and, while shadow mode is on, its flip totals
+    /// (`refmon.shadow.*`). Runs on the caller's thread; never blocks a
+    /// check.
+    pub fn metrics(&self) -> Metrics {
+        let mut metrics = self.telemetry.metrics();
+        let ring = self.audit.stats();
+        metrics.set("audit.ring.capacity", ring.capacity as u64);
+        metrics.set("audit.ring.retained", ring.retained as u64);
+        metrics.set("audit.ring.overwritten", ring.ring_dropped);
+        if let Some(stats) = self.audit_pipeline_stats() {
+            let PipelineStats {
+                enqueued,
+                shed,
+                late_dropped,
+                persisted_events,
+                gap_records,
+                gap_missing,
+                segments_sealed,
+                flushes,
+                io_errors,
+                recovered_truncated_bytes,
+                verify_calls,
+                verify_ns,
+                next_seq,
+                queue_depth,
+                active_bytes,
+                running,
+            } = stats;
+            for (name, value) in [
+                ("enqueued", enqueued),
+                ("shed", shed),
+                ("late_dropped", late_dropped),
+                ("persisted_events", persisted_events),
+                ("gap_records", gap_records),
+                ("gap_missing", gap_missing),
+                ("segments_sealed", segments_sealed),
+                ("flushes", flushes),
+                ("io_errors", io_errors),
+                ("recovered_truncated_bytes", recovered_truncated_bytes),
+                ("verify_calls", verify_calls),
+                ("verify_ns", verify_ns),
+                ("next_seq", next_seq),
+                ("queue_depth", queue_depth),
+                ("active_bytes", active_bytes),
+                ("running", u64::from(running)),
+            ] {
+                metrics.set(format!("audit.pipeline.{name}"), value);
+            }
+        }
+        let state = self.snapshot_arc();
+        metrics.set("refmon.policy.generation", state.generation.raw());
+        if state.shadow.is_some() {
+            let shadow = self.shadow_stats.lock();
+            metrics.set("refmon.shadow.checks", shadow.checks);
+            metrics.set("refmon.shadow.allow_to_deny", shadow.allow_to_deny);
+            metrics.set("refmon.shadow.deny_to_allow", shadow.deny_to_allow);
+        }
+        metrics
     }
 
     /// Convenience: the protection record of the node at `path` (TCB
@@ -1288,7 +1302,8 @@ impl ReferenceMonitor {
 }
 
 /// What [`ReferenceMonitor::cache_stats`] reports. The monitor keeps no
-/// decision cache; the type stays until the benchmark stops reading it.
+/// decision cache. A typed view kept for nsbench, to be deleted in the
+/// benchmark change that moves nsbench to the registry names.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Always 0.
@@ -1348,7 +1363,7 @@ impl ViewRef<'_> {
     fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
         let tele = &self.monitor.telemetry;
         let whole = tele.start();
-        tele.count_mode(mode);
+        tele.count(Counter::Mode(mode));
         let (decision, _) = self
             .monitor
             .decide_and_audit(self.state, subject, path, mode);
@@ -1412,7 +1427,7 @@ impl ViewRef<'_> {
 ///
 /// When telemetry is enabled the view is one trace: it counts the
 /// operations made through it and records its pin-to-drop lifetime in
-/// the `view-span` histogram.
+/// the `refmon.stage.view_span_ns` histogram.
 ///
 /// The view pins the snapshot for as long as it lives; drop it promptly
 /// (writers fall back to cloning the state while any pin is held).
@@ -1434,7 +1449,7 @@ impl MonitorView<'_> {
 
     /// Checks `subject`'s access against this snapshot (audited).
     pub fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
-        self.monitor.telemetry.count_view_op();
+        self.monitor.telemetry.count(Counter::ViewOps);
         self.as_view_ref().check(subject, path, mode)
     }
 
@@ -1446,7 +1461,7 @@ impl MonitorView<'_> {
     /// `tests/batch_equivalence.rs`).
     pub fn check_batch(&self, subject: &Subject, items: &[(NsPath, AccessMode)]) -> Vec<Decision> {
         for _ in items {
-            self.monitor.telemetry.count_view_op();
+            self.monitor.telemetry.count(Counter::ViewOps);
         }
         self.as_view_ref().check_batch(subject, items)
     }
@@ -1458,20 +1473,20 @@ impl MonitorView<'_> {
         path: &NsPath,
         mode: AccessMode,
     ) -> Result<(), MonitorError> {
-        self.monitor.telemetry.count_view_op();
+        self.monitor.telemetry.count(Counter::ViewOps);
         self.as_view_ref().require(subject, path, mode)
     }
 
     /// Returns the subject as it enters the code object at `path` (see
     /// [`ReferenceMonitor::enter`]), resolved against this snapshot.
     pub fn enter(&self, subject: &Subject, path: &NsPath) -> Result<Subject, MonitorError> {
-        self.monitor.telemetry.count_view_op();
+        self.monitor.telemetry.count(Counter::ViewOps);
         self.as_view_ref().enter(subject, path)
     }
 
     /// Lists the children of the container at `path`; requires `list`.
     pub fn list(&self, subject: &Subject, path: &NsPath) -> Result<Vec<String>, MonitorError> {
-        self.monitor.telemetry.count_view_op();
+        self.monitor.telemetry.count(Counter::ViewOps);
         self.as_view_ref().list(subject, path)
     }
 
@@ -2352,11 +2367,11 @@ mod tests {
         assert_eq!(report.allow_to_deny, 1);
         assert_eq!(report.deny_to_allow, 1);
         assert_eq!(report.flips.len(), 2);
-        // The hub carries the same totals.
-        let tele = monitor.telemetry_snapshot();
-        assert_eq!(tele.shadow_checks, 2);
-        assert_eq!(tele.shadow_allow_to_deny, 1);
-        assert_eq!(tele.shadow_deny_to_allow, 1);
+        // The registry carries the same totals.
+        let metrics = monitor.metrics();
+        assert_eq!(metrics.get("refmon.shadow.checks"), Some(2));
+        assert_eq!(metrics.get("refmon.shadow.allow_to_deny"), Some(1));
+        assert_eq!(metrics.get("refmon.shadow.deny_to_allow"), Some(1));
         // Batch checks feed the same accumulators.
         let view = monitor.view();
         view.check_batch(&alice_s, &[(p("/svc/fs/read"), AccessMode::Execute)]);

@@ -38,8 +38,8 @@ use crate::proto::{
 use extsec_acl::AccessMode;
 use extsec_namespace::NsPath;
 use extsec_refmon::{
-    AuditQuery, BundleId, BundleStatusReport, Decision, Explanation, Generation, QueryResult,
-    Subject, VerifyReport,
+    AuditQuery, BundleId, BundleStatusReport, Decision, Explanation, Generation, Metrics,
+    QueryResult, Subject, VerifyReport,
 };
 use polling::{Event, Events, Poller};
 use std::fmt;
@@ -519,10 +519,12 @@ impl Client {
         }
     }
 
-    /// Pulls the combined monitor + server telemetry JSON document.
-    pub fn telemetry(&mut self) -> Result<String, ClientError> {
+    /// Pulls and parses the server's metrics: the monitor's extended
+    /// with the server's own.
+    pub fn telemetry(&mut self) -> Result<Metrics, ClientError> {
         match self.one(Request::Telemetry)? {
-            Response::Telemetry(json) => Ok(json),
+            Response::Telemetry(json) => serde_json::from_str(&json)
+                .map_err(|e| ClientError::Unexpected(format!("unparseable metrics: {e}"))),
             other => Err(unexpected("Telemetry", &other)),
         }
     }

@@ -33,14 +33,12 @@ use crate::proto::{
     self, ErrorCode, FrameScan, ProtoError, Request, Response, WireMessage, HEADER_LEN,
 };
 use crate::server::ServerConfig;
-use crate::telemetry::ServerTelemetry;
+use crate::telemetry::{ServerCounter, ServerTelemetry};
 use extsec_acl::AccessMode;
 use extsec_namespace::NsPath;
 use extsec_refmon::{
-    AuditAccessError, BundleError, JsonSnapshot, MonitorError, MonitorView, ReferenceMonitor,
-    Subject,
+    AuditAccessError, BundleError, MonitorError, MonitorView, ReferenceMonitor, Subject,
 };
-use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
@@ -72,13 +70,6 @@ const DRAIN_BUDGET: usize = 32 * 1024;
 
 /// How long a refused connection may linger in the drain state.
 const DRAIN_TIMEOUT: Duration = Duration::from_millis(200);
-
-/// The combined document answering a `Telemetry` request.
-#[derive(Serialize)]
-struct WireTelemetry {
-    monitor: JsonSnapshot,
-    server: crate::telemetry::ServerTelemetrySnapshot,
-}
 
 /// Dispatch context a shard lends the state machine for one turn.
 pub(crate) struct Ctx<'a> {
@@ -281,7 +272,7 @@ impl Conn {
                     return if self.buffered_input() > 0 {
                         // The peer died mid-frame: a protocol violation,
                         // answered and closed like any other.
-                        ctx.tele.count_protocol_error();
+                        ctx.tele.count(ServerCounter::ProtocolErrors);
                         self.refuse(ErrorCode::Protocol, ProtoError::Truncated.to_string());
                         // Flush happens in `drive`'s epilogue; the drain
                         // window then sees the EOF and closes.
@@ -309,7 +300,7 @@ impl Conn {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    ctx.tele.count_io_error();
+                    ctx.tele.count(ServerCounter::IoErrors);
                     return Turn::Close;
                 }
             }
@@ -344,12 +335,12 @@ impl Conn {
                     }
                 }
                 Err(e) => {
-                    ctx.tele.count_protocol_error();
+                    ctx.tele.count(ServerCounter::ProtocolErrors);
                     let code = match e {
                         ProtoError::BadVersion(_) => ErrorCode::Version,
                         ProtoError::BadOpcode(_) => ErrorCode::Opcode,
                         ProtoError::Oversize(_) => {
-                            ctx.tele.count_oversize();
+                            ctx.tele.count(ServerCounter::Oversize);
                             ErrorCode::Oversize
                         }
                         _ => ErrorCode::Protocol,
@@ -365,11 +356,12 @@ impl Conn {
     /// Returns true when the connection transitioned out of `Serving`.
     fn handle_frame(&mut self, opcode: u8, payload: std::ops::Range<usize>, ctx: &Ctx<'_>) -> bool {
         ctx.tele
-            .record_frame_bytes((payload.len() + HEADER_LEN) as u64);
+            .frame_bytes
+            .record((payload.len() + HEADER_LEN) as u64);
         // Graceful degradation: a connection that exhausts its request
         // budget is shed with a typed Busy answer, not starved silently.
         if self.served >= ctx.config.conn_request_budget {
-            ctx.tele.count_shed_budget();
+            ctx.tele.count(ServerCounter::ShedBudget);
             let busy = Response::Busy {
                 retry_after_ms: ctx.config.shed_retry_after.as_millis() as u64,
             };
@@ -382,7 +374,7 @@ impl Conn {
         // plus a close; a Panic unwinds into the shard's containment
         // (the close funnel still accounts the slot).
         if let Some(fault) = extsec_faults::fire_panicky("server.conn") {
-            ctx.tele.count_io_error();
+            ctx.tele.count(ServerCounter::IoErrors);
             self.enqueue(&error(ErrorCode::Internal, fault.to_string()));
             self.enter_drain();
             return true;
@@ -395,7 +387,7 @@ impl Conn {
             Err(e) => {
                 // The frame was framed correctly but its payload was not:
                 // answer, then drop the peer like any protocol violator.
-                ctx.tele.count_protocol_error();
+                ctx.tele.count(ServerCounter::ProtocolErrors);
                 let code = match e {
                     ProtoError::BadOpcode(_) => ErrorCode::Opcode,
                     _ => ErrorCode::Protocol,
@@ -475,7 +467,7 @@ impl Conn {
         while self.pending_write() > 0 {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
-                    ctx.tele.count_io_error();
+                    ctx.tele.count(ServerCounter::IoErrors);
                     return Err(());
                 }
                 Ok(n) => {
@@ -485,13 +477,15 @@ impl Conn {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    ctx.tele.count_io_error();
+                    ctx.tele.count(ServerCounter::IoErrors);
                     return Err(());
                 }
             }
         }
         if *wrote && self.unflushed > 0 {
-            ctx.tele.count_flush(self.unflushed);
+            ctx.tele.count(ServerCounter::Flushes);
+            ctx.tele
+                .add(ServerCounter::FlushedResponses, self.unflushed);
             self.unflushed = 0;
         }
         if self.pending_write() == 0 {
@@ -499,7 +493,7 @@ impl Conn {
             self.wbuf.clear();
             if self.wbuf.capacity() > BUF_CLAMP {
                 self.wbuf.shrink_to(BUF_CLAMP);
-                ctx.tele.count_buf_shrink();
+                ctx.tele.count(ServerCounter::BufShrinks);
             }
             if let Phase::Draining { shut, .. } = &mut self.phase {
                 if !*shut {
@@ -522,7 +516,7 @@ impl Conn {
         if self.rbuf.capacity() > BUF_CLAMP && self.rend <= BUF_CLAMP {
             self.rbuf.truncate(BUF_CLAMP);
             self.rbuf.shrink_to(BUF_CLAMP);
-            ctx.tele.count_buf_shrink();
+            ctx.tele.count(ServerCounter::BufShrinks);
         }
     }
 
@@ -586,7 +580,7 @@ impl Conn {
 fn handle(opcode: u8, payload: &[u8], ctx: &Ctx<'_>) -> Result<Response, ProtoError> {
     let monitor = ctx.monitor;
     let request = Request::decode(opcode, payload)?;
-    ctx.tele.count_request(request.opcode());
+    ctx.tele.count(ServerCounter::Request(request.opcode()));
     Ok(match request {
         Request::Ping => Response::Pong,
         Request::Check {
@@ -625,8 +619,9 @@ fn handle(opcode: u8, payload: &[u8], ctx: &Ctx<'_>) -> Result<Response, ProtoEr
                 .map(|item| (item.path, item.mode))
                 .collect();
             let decisions = view.check_batch(&subject, &pairs);
-            ctx.tele.count_batched_checks(count);
-            ctx.tele.record_batch_latency(started.elapsed());
+            ctx.tele.add(ServerCounter::BatchedChecks, count);
+            let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            ctx.tele.batch_latency_ns.record(elapsed);
             Response::Batch(decisions)
         }
         Request::List { subject, path } => {
@@ -660,11 +655,9 @@ fn handle(opcode: u8, payload: &[u8], ctx: &Ctx<'_>) -> Result<Response, ProtoEr
             }
         }
         Request::Telemetry => {
-            let document = WireTelemetry {
-                monitor: JsonSnapshot::from(&monitor.telemetry_snapshot()),
-                server: ctx.tele.snapshot(),
-            };
-            match serde_json::to_string(&document) {
+            let mut metrics = monitor.metrics();
+            metrics.extend(ctx.tele.metrics());
+            match serde_json::to_string(&metrics) {
                 Ok(json) => Response::Telemetry(json),
                 Err(e) => error(ErrorCode::Internal, e.to_string()),
             }

@@ -22,8 +22,10 @@
 //!   typed error frame and never a panic.
 //! - **Backpressure is accounted, not improvised.** A bounded accept
 //!   queue, per-connection timeouts, frame and batch ceilings — each
-//!   refusal increments a counter in [`ServerTelemetry`], shipped in
-//!   the wire telemetry document beside the monitor's own telemetry.
+//!   refusal increments a counter in [`ServerTelemetry`]. The wire
+//!   `Telemetry` reply is one [`Metrics`](extsec_telemetry::Metrics):
+//!   the monitor's dotted names (`refmon.*`, `audit.*`, `ext.*`) and
+//!   the server's (`server.*`) in one document.
 //!
 //! **Trust model.** The server authenticates nothing: the client's
 //! claimed principal and class are taken at face value (the class is
@@ -74,4 +76,4 @@ pub use proto::{
     MAX_AUDIT_RECORDS, MAX_AUDIT_SEGMENTS, MAX_BATCH, MAX_FRAME, VERSION,
 };
 pub use server::{Server, ServerConfig};
-pub use telemetry::{HistStat, OpcodeCount, ServerTelemetry, ServerTelemetrySnapshot};
+pub use telemetry::{OpcodeCount, ServerTelemetry, ServerTelemetrySnapshot};

@@ -114,7 +114,7 @@ pub enum Opcode {
     List = 0x03,
     /// Full reasoning trace for one check.
     Explain = 0x04,
-    /// Pull a combined monitor + server telemetry snapshot.
+    /// Pull the monitor's and the server's metrics.
     Telemetry = 0x05,
     /// Stage a policy bundle from source text (admin).
     LoadBundle = 0x06,
@@ -159,22 +159,22 @@ impl Opcode {
         Opcode::ALL.into_iter().find(|op| *op as u8 == byte)
     }
 
-    /// A short stable name, for telemetry keys and logs.
+    /// A short stable name, for metric names and logs.
     pub fn name(self) -> &'static str {
         match self {
             Opcode::Ping => "ping",
             Opcode::Check => "check",
-            Opcode::BatchCheck => "batch-check",
+            Opcode::BatchCheck => "batch_check",
             Opcode::List => "list",
             Opcode::Explain => "explain",
             Opcode::Telemetry => "telemetry",
-            Opcode::LoadBundle => "load-bundle",
+            Opcode::LoadBundle => "load_bundle",
             Opcode::Activate => "activate",
             Opcode::Shadow => "shadow",
             Opcode::Rollback => "rollback",
-            Opcode::BundleStatus => "bundle-status",
-            Opcode::AuditQuery => "audit-query",
-            Opcode::AuditVerify => "audit-verify",
+            Opcode::BundleStatus => "bundle_status",
+            Opcode::AuditQuery => "audit_query",
+            Opcode::AuditVerify => "audit_verify",
         }
     }
 }
@@ -386,7 +386,7 @@ pub enum Request {
         /// The requested mode.
         mode: AccessMode,
     },
-    /// Pull a combined monitor + server telemetry snapshot.
+    /// Pull the monitor's and the server's metrics.
     Telemetry,
     /// Stage a policy bundle from source text (admin). Answered with
     /// [`Response::BundleStaged`] or a typed error
@@ -627,8 +627,9 @@ pub enum Response {
     /// Answer to `Explain`: a JSON document of the monitor's
     /// `Explanation`.
     Explanation(String),
-    /// Answer to `Telemetry`: a JSON document with `monitor` and
-    /// `server` members.
+    /// Answer to `Telemetry`: the JSON form of one
+    /// [`Metrics`](extsec_telemetry::Metrics), the monitor's metrics
+    /// extended with the server's.
     Telemetry(String),
     /// The server is saturated and sheds this connection (or request)
     /// instead of serving it. Unlike an [`Error`](Response::Error), this

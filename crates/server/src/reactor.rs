@@ -37,7 +37,7 @@
 use crate::conn::{Conn, Ctx, Turn};
 use crate::proto::{self, Response};
 use crate::server::ServerConfig;
-use crate::telemetry::ServerTelemetry;
+use crate::telemetry::{ServerCounter, ServerTelemetry};
 use extsec_refmon::ReferenceMonitor;
 use polling::{Event, Events, Poller};
 use std::collections::VecDeque;
@@ -152,7 +152,10 @@ impl Shard {
                     std::thread::sleep(WHEEL_TICK);
                 }
             }
-            self.shared.telemetry.count_poll(events.len() as u64);
+            self.shared.telemetry.count(ServerCounter::Polls);
+            self.shared
+                .telemetry
+                .add(ServerCounter::ReadyEvents, events.len() as u64);
             if self.shared.shutdown.load(Ordering::Acquire) {
                 self.shutdown_all();
                 return;
@@ -203,7 +206,7 @@ impl Shard {
             self.shared.conns.fetch_sub(1, Ordering::AcqRel);
             return;
         }
-        self.shared.telemetry.conn_opened();
+        self.shared.telemetry.count(ServerCounter::Accepted);
         self.slab[idx] = Some(conn);
         // Sockets usually arrive with data already in flight; serve the
         // first turn immediately rather than waiting for the next poll.
@@ -230,7 +233,7 @@ impl Shard {
             Ok(Turn::Keep) => self.commit_posture(idx),
             Ok(Turn::Close) => self.close(idx),
             Err(_) => {
-                self.shared.telemetry.count_worker_panic();
+                self.shared.telemetry.count(ServerCounter::WorkerPanics);
                 self.close(idx);
             }
         }
@@ -280,7 +283,7 @@ impl Shard {
                 continue;
             }
             if kind.is_timeout() {
-                self.shared.telemetry.count_timeout();
+                self.shared.telemetry.count(ServerCounter::Timeouts);
             }
             self.close(idx);
         }
@@ -293,7 +296,7 @@ impl Shard {
             let _ = self.handle.poller.delete(&conn.stream);
             self.free.push(idx);
             self.shared.conns.fetch_sub(1, Ordering::AcqRel);
-            self.shared.telemetry.conn_closed();
+            self.shared.telemetry.count(ServerCounter::Closed);
         }
     }
 
@@ -322,7 +325,7 @@ impl Shard {
         let occupied = self.shared.conns.fetch_add(1, Ordering::AcqRel);
         if occupied >= config.max_connections {
             self.shared.conns.fetch_sub(1, Ordering::AcqRel);
-            self.shared.telemetry.count_shed_accept();
+            self.shared.telemetry.count(ServerCounter::ShedAccept);
             shed(stream, config);
             return;
         }
@@ -335,11 +338,11 @@ impl Shard {
         match self.peers[target].push(stream, config.accept_queue) {
             Ok(()) => {
                 let _ = self.peers[target].poller.notify();
-                self.shared.telemetry.count_wakeup();
+                self.shared.telemetry.count(ServerCounter::Wakeups);
             }
             Err(stream) => {
                 self.shared.conns.fetch_sub(1, Ordering::AcqRel);
-                self.shared.telemetry.count_shed_accept();
+                self.shared.telemetry.count(ServerCounter::ShedAccept);
                 shed(stream, config);
             }
         }

@@ -5,7 +5,9 @@
 use extsec_acl::{AccessMode, Acl, AclEntry, ModeSet};
 use extsec_mac::{Lattice, SecurityClass};
 use extsec_namespace::{NodeKind, NsPath, Protection};
-use extsec_refmon::{Decision, DenyReason, MonitorBuilder, ReferenceMonitor, Subject};
+use extsec_refmon::{
+    AuditPipeline, Decision, DenyReason, MonitorBuilder, PipelineConfig, ReferenceMonitor, Subject,
+};
 use extsec_server::proto;
 use extsec_server::{
     Client, ClientConfig, ErrorCode, Opcode, Request, Response, Server, ServerConfig, MAX_FRAME,
@@ -132,10 +134,11 @@ fn full_request_set_over_tcp() {
     assert_eq!(explanation.decision, Decision::Deny(DenyReason::DacNoEntry));
     assert!(!explanation.steps.is_empty());
 
-    // The telemetry pull ships a combined document.
-    let document = client.telemetry().unwrap();
-    assert!(document.contains("\"monitor\""));
-    assert!(document.contains("\"server\""));
+    // The telemetry pull ships one registry: the monitor's names and
+    // the server's.
+    let metrics = client.telemetry().unwrap();
+    assert!(metrics.histogram("refmon.stage.check_ns").is_some());
+    assert!(metrics.get("server.requests.check").is_some());
 
     drop(client);
     let stats = server.shutdown();
@@ -151,11 +154,70 @@ fn full_request_set_over_tcp() {
     };
     assert_eq!(count("ping"), 1);
     assert_eq!(count("check"), 3);
-    assert_eq!(count("batch-check"), 1);
+    assert_eq!(count("batch_check"), 1);
     assert_eq!(count("list"), 1);
     assert_eq!(count("explain"), 1);
     assert_eq!(count("telemetry"), 1);
     assert_eq!(stats.checks_in_batches, 3);
+}
+
+/// One wire `Telemetry` reply, taken after a known request mix, holds
+/// exactly what the in-process reads return once the server is quiet:
+/// the server's request counts, the monitor's check-stage count, the
+/// audit ring's overwritten records and the pipeline's shed records.
+#[test]
+fn wire_metrics_equal_the_in_process_reads() {
+    let (monitor, alice, bob) = fixture();
+    monitor.telemetry().set_enabled(true);
+    let read = p("/svc/fs/read");
+    // Decisions recorded before the pipeline attaches leave the
+    // in-memory view when the pipeline's ring replaces it, so
+    // `audit.ring.overwritten` starts at 5, not 0.
+    for _ in 0..5 {
+        monitor.check(&alice, &read, AccessMode::Execute);
+    }
+    let dir = std::env::temp_dir().join(format!("extsec-server-io-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let pipeline = AuditPipeline::open_dir(&dir, PipelineConfig::default()).unwrap();
+    monitor.attach_audit_pipeline(Arc::new(pipeline));
+
+    let server = spawn(&monitor, ServerConfig::default());
+    let mut client = client(&server);
+    for subject in [&alice, &bob] {
+        client.check(subject, &read, AccessMode::Read).unwrap();
+        client.check(subject, &read, AccessMode::Execute).unwrap();
+    }
+    let items = vec![(read.clone(), AccessMode::Read); 7];
+    client.batch_check(&alice, &items).unwrap();
+    let metrics = client.telemetry().unwrap();
+
+    let server_side = server.telemetry().snapshot();
+    let checks = server_side
+        .requests
+        .iter()
+        .find(|r| r.opcode == "check")
+        .unwrap()
+        .count;
+    assert_eq!(checks, 4);
+    assert_eq!(metrics.get("server.requests.check"), Some(checks));
+    assert_eq!(metrics.get("server.batch.checks"), Some(7));
+    let in_process = monitor.metrics();
+    let stage = |m: &extsec_refmon::Metrics| m.histogram("refmon.stage.check_ns").unwrap().count;
+    assert_eq!(stage(&in_process), 5 + 4 + 7);
+    assert_eq!(stage(&metrics), stage(&in_process));
+    let ring_dropped = monitor.audit_stats().ring_dropped;
+    assert_eq!(ring_dropped, 5);
+    assert_eq!(metrics.get("audit.ring.overwritten"), Some(ring_dropped));
+    let pipeline = monitor.audit_pipeline_stats().unwrap();
+    assert_eq!(metrics.get("audit.pipeline.shed"), Some(pipeline.shed));
+    assert_eq!(
+        metrics.get("audit.pipeline.enqueued"),
+        Some(pipeline.enqueued)
+    );
+
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

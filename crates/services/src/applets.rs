@@ -21,7 +21,7 @@
 use crate::install::{self, visible_container};
 use extsec_ext::{CallCtx, Service, ServiceError};
 use extsec_namespace::{NodeKind, NsPath, Protection};
-use extsec_refmon::{MonitorError, ReferenceMonitor, ServiceKind, Subject, ThreadId};
+use extsec_refmon::{Counter, MonitorError, ReferenceMonitor, ServiceKind, Subject, ThreadId};
 use extsec_vm::Value;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -209,7 +209,9 @@ impl Service for AppletService {
         op: &str,
         args: &[Value],
     ) -> Result<Option<Value>, ServiceError> {
-        ctx.monitor.telemetry().count_service(ServiceKind::Applets);
+        ctx.monitor
+            .telemetry()
+            .count(Counter::Service(ServiceKind::Applets));
         if let Some(fault) = extsec_faults::fire("svc.applets") {
             return Err(ServiceError::Failed(fault.to_string()));
         }

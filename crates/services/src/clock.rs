@@ -8,7 +8,7 @@
 use crate::install;
 use extsec_ext::{CallCtx, Service, ServiceError};
 use extsec_namespace::{NsPath, Protection};
-use extsec_refmon::{MonitorError, ReferenceMonitor, ServiceKind};
+use extsec_refmon::{Counter, MonitorError, ReferenceMonitor, ServiceKind};
 use extsec_vm::Value;
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -74,7 +74,9 @@ impl Service for ClockService {
         op: &str,
         _args: &[Value],
     ) -> Result<Option<Value>, ServiceError> {
-        ctx.monitor.telemetry().count_service(ServiceKind::Clock);
+        ctx.monitor
+            .telemetry()
+            .count(Counter::Service(ServiceKind::Clock));
         if let Some(fault) = extsec_faults::fire("svc.clock") {
             return Err(ServiceError::Failed(fault.to_string()));
         }

@@ -9,7 +9,7 @@ use crate::install;
 use extsec_acl::PrincipalId;
 use extsec_ext::{CallCtx, Service, ServiceError};
 use extsec_namespace::{NsPath, Protection};
-use extsec_refmon::{MonitorError, ReferenceMonitor, ServiceKind};
+use extsec_refmon::{Counter, MonitorError, ReferenceMonitor, ServiceKind};
 use extsec_vm::Value;
 use parking_lot::Mutex;
 
@@ -99,7 +99,9 @@ impl Service for ConsoleService {
         op: &str,
         args: &[Value],
     ) -> Result<Option<Value>, ServiceError> {
-        ctx.monitor.telemetry().count_service(ServiceKind::Console);
+        ctx.monitor
+            .telemetry()
+            .count(Counter::Service(ServiceKind::Console));
         if let Some(fault) = extsec_faults::fire("svc.console") {
             return Err(ServiceError::Failed(fault.to_string()));
         }

@@ -29,7 +29,7 @@ use crate::install::{self, visible_container};
 use extsec_acl::AccessMode;
 use extsec_ext::{CallCtx, Service, ServiceError};
 use extsec_namespace::{NodeKind, NsPath, Protection};
-use extsec_refmon::{MonitorError, ReferenceMonitor, ServiceKind, Subject};
+use extsec_refmon::{Counter, MonitorError, ReferenceMonitor, ServiceKind, Subject};
 use extsec_vm::Value;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -275,7 +275,9 @@ impl Service for FsService {
         op: &str,
         args: &[Value],
     ) -> Result<Option<Value>, ServiceError> {
-        ctx.monitor.telemetry().count_service(ServiceKind::Fs);
+        ctx.monitor
+            .telemetry()
+            .count(Counter::Service(ServiceKind::Fs));
         if let Some(fault) = extsec_faults::fire("svc.fs") {
             return Err(ServiceError::Failed(fault.to_string()));
         }

@@ -17,7 +17,7 @@ use bytes::BytesMut;
 use extsec_acl::PrincipalId;
 use extsec_ext::{CallCtx, Service, ServiceError};
 use extsec_namespace::{NsPath, Protection};
-use extsec_refmon::{MonitorError, ReferenceMonitor, ServiceKind};
+use extsec_refmon::{Counter, MonitorError, ReferenceMonitor, ServiceKind};
 use extsec_vm::Value;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -211,7 +211,9 @@ impl Service for MbufService {
         op: &str,
         args: &[Value],
     ) -> Result<Option<Value>, ServiceError> {
-        ctx.monitor.telemetry().count_service(ServiceKind::Mbuf);
+        ctx.monitor
+            .telemetry()
+            .count(Counter::Service(ServiceKind::Mbuf));
         if let Some(fault) = extsec_faults::fire("svc.mbuf") {
             return Err(ServiceError::Failed(fault.to_string()));
         }

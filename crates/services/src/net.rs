@@ -21,7 +21,7 @@ use crate::install::{self, visible_container};
 use extsec_acl::AccessMode;
 use extsec_ext::{CallCtx, Service, ServiceError};
 use extsec_namespace::{NodeKind, NsPath, Protection};
-use extsec_refmon::{MonitorError, ReferenceMonitor, ServiceKind, Subject};
+use extsec_refmon::{Counter, MonitorError, ReferenceMonitor, ServiceKind, Subject};
 use extsec_vm::Value;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
@@ -194,7 +194,9 @@ impl Service for NetService {
         op: &str,
         args: &[Value],
     ) -> Result<Option<Value>, ServiceError> {
-        ctx.monitor.telemetry().count_service(ServiceKind::Net);
+        ctx.monitor
+            .telemetry()
+            .count(Counter::Service(ServiceKind::Net));
         if let Some(fault) = extsec_faults::fire("svc.net") {
             return Err(ServiceError::Failed(fault.to_string()));
         }

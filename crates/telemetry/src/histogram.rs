@@ -1,60 +1,58 @@
-//! Log-scale latency histograms.
+//! Log-scale histograms.
 //!
 //! A latency distribution on the check path spans four orders of
 //! magnitude (a flow check is tens of nanoseconds, a cold 256-entry ACL
 //! scan is microseconds), so linear buckets waste either resolution
-//! or memory. The [`LatencyHistogram`] uses power-of-two buckets over
-//! nanoseconds: bucket `b` holds samples in `[2^(b-1), 2^b)` ns, which
-//! gives constant relative error (~2x) at every scale in a fixed 40-slot
-//! array of relaxed atomics — no allocation, no lock, ever.
+//! or memory. The [`Histogram`] uses power-of-two buckets: bucket `b`
+//! holds samples in `[2^(b-1), 2^b)`, which gives constant relative
+//! error (~2x) at every scale in a fixed 40-slot array of relaxed
+//! atomics — no allocation, no lock, ever. Samples are plain `u64`s; the
+//! unit (nanoseconds, bytes) is part of the metric's name.
 //!
 //! The observed count is *defined* as the sum of the buckets rather than
 //! kept in a separate (and separately-torn) counter, so a concurrent
 //! reader's `count` is always consistent with its `buckets` and both are
 //! monotone across successive snapshots.
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Bucket count: `2^39` ns ≈ 9 minutes, far beyond any sane check.
 pub const BUCKETS: usize = 40;
 
-/// Index of the bucket holding a sample of `ns` nanoseconds.
+/// Index of the bucket holding a sample of `value`.
 #[inline]
-fn bucket_of(ns: u64) -> usize {
-    (64 - ns.leading_zeros() as usize).min(BUCKETS - 1)
+fn bucket_of(value: u64) -> usize {
+    (64 - value.leading_zeros() as usize).min(BUCKETS - 1)
 }
 
-/// A fixed-size power-of-two-bucket histogram of durations.
-pub struct LatencyHistogram {
+/// A fixed-size power-of-two-bucket histogram of `u64` samples.
+pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    total_ns: AtomicU64,
-    min_ns: AtomicU64,
-    max_ns: AtomicU64,
+    sum: AtomicU64,
+    max: AtomicU64,
 }
 
-impl LatencyHistogram {
+impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        LatencyHistogram {
+        Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            total_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
-    /// Records one sample. Relaxed atomics only; the min/max and total
-    /// are updated *before* the bucket, so a reader that observes the
-    /// sample in a bucket also observes its contribution to the extremes
-    /// on every architecture that preserves single-location ordering.
+    /// Records one sample: three relaxed read-modify-writes on lines
+    /// every recording thread shares. The maximum and the sum are
+    /// updated *before* the bucket, so a reader that observes the sample
+    /// in a bucket also observes its contribution to both on every
+    /// architecture that preserves single-location ordering.
     #[inline]
-    pub fn record(&self, duration: Duration) {
-        let ns = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+    pub fn record(&self, value: u64) {
+        self.max.fetch_max(value, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Takes an immutable snapshot of the distribution.
@@ -64,61 +62,56 @@ impl LatencyHistogram {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
-        let count = buckets.iter().sum();
-        let min_ns = self.min_ns.load(Ordering::Relaxed);
         HistogramSnapshot {
-            count,
-            total_ns: self.total_ns.load(Ordering::Relaxed),
-            min_ns: if count == 0 { 0 } else { min_ns },
-            max_ns: self.max_ns.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
             buckets,
         }
     }
 }
 
-impl Default for LatencyHistogram {
+impl Default for Histogram {
     fn default() -> Self {
-        LatencyHistogram::new()
+        Histogram::new()
     }
 }
 
-impl std::fmt::Debug for LatencyHistogram {
+impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let snap = self.snapshot();
-        f.debug_struct("LatencyHistogram")
+        f.debug_struct("Histogram")
             .field("count", &snap.count)
-            .field("mean_ns", &snap.mean_ns())
+            .field("mean", &snap.mean())
             .finish()
     }
 }
 
 /// An immutable view of one histogram's distribution.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Samples observed (always the sum of `buckets`).
     pub count: u64,
-    /// Sum of all sample durations, in nanoseconds.
-    pub total_ns: u64,
-    /// Smallest sample (0 when empty).
-    pub min_ns: u64,
-    /// Largest sample.
-    pub max_ns: u64,
+    /// Sum of all samples.
+    pub sum: u64,
+    /// Largest sample (0 when empty).
+    pub max: u64,
     /// Power-of-two buckets: `buckets[b]` counts samples in
-    /// `[2^(b-1), 2^b)` ns.
+    /// `[2^(b-1), 2^b)`.
     pub buckets: Vec<u64>,
 }
 
 impl HistogramSnapshot {
-    /// Mean sample duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
+    /// Mean sample (0 when empty).
+    pub fn mean(&self) -> u64 {
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Upper bound (in ns) of the bucket containing the `q`-quantile
-    /// sample, `q` in `[0, 1]`. A log-scale histogram answers quantiles
-    /// to within its ~2x bucket resolution, which is what capacity
-    /// planning needs; 0 when empty.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    /// Upper bound of the bucket containing the `q`-quantile sample, `q`
+    /// in `[0, 1]`. A log-scale histogram answers quantiles to within
+    /// its ~2x bucket resolution, which is what capacity planning needs;
+    /// 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -130,7 +123,7 @@ impl HistogramSnapshot {
                 return if b == 0 { 0 } else { 1u64 << b };
             }
         }
-        self.max_ns
+        self.max
     }
 }
 
@@ -152,39 +145,37 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_samples() {
-        let hist = LatencyHistogram::new();
-        hist.record(Duration::from_nanos(100));
-        hist.record(Duration::from_nanos(300));
-        hist.record(Duration::from_micros(10));
+        let hist = Histogram::new();
+        hist.record(100);
+        hist.record(300);
+        hist.record(10_000);
         let snap = hist.snapshot();
         assert_eq!(snap.count, 3);
-        assert_eq!(snap.total_ns, 100 + 300 + 10_000);
-        assert_eq!(snap.min_ns, 100);
-        assert_eq!(snap.max_ns, 10_000);
+        assert_eq!(snap.sum, 100 + 300 + 10_000);
+        assert_eq!(snap.max, 10_000);
         assert_eq!(snap.count, snap.buckets.iter().sum::<u64>());
-        assert_eq!(snap.mean_ns(), (100 + 300 + 10_000) / 3);
+        assert_eq!(snap.mean(), (100 + 300 + 10_000) / 3);
     }
 
     #[test]
     fn quantiles_are_bucket_upper_bounds() {
-        let hist = LatencyHistogram::new();
+        let hist = Histogram::new();
         for _ in 0..99 {
-            hist.record(Duration::from_nanos(100)); // bucket 7: [64, 128)
+            hist.record(100); // bucket 7: [64, 128)
         }
-        hist.record(Duration::from_micros(100)); // bucket 17
+        hist.record(100_000); // bucket 17
         let snap = hist.snapshot();
-        assert_eq!(snap.quantile_ns(0.5), 128);
-        assert_eq!(snap.quantile_ns(0.99), 128);
-        assert_eq!(snap.quantile_ns(1.0), 1 << 17);
+        assert_eq!(snap.quantile(0.5), 128);
+        assert_eq!(snap.quantile(0.99), 128);
+        assert_eq!(snap.quantile(1.0), 1 << 17);
     }
 
     #[test]
     fn empty_histogram_is_all_zero() {
-        let snap = LatencyHistogram::new().snapshot();
+        let snap = Histogram::new().snapshot();
         assert_eq!(snap.count, 0);
-        assert_eq!(snap.min_ns, 0);
-        assert_eq!(snap.max_ns, 0);
-        assert_eq!(snap.mean_ns(), 0);
-        assert_eq!(snap.quantile_ns(0.5), 0);
+        assert_eq!(snap.max, 0);
+        assert_eq!(snap.mean(), 0);
+        assert_eq!(snap.quantile(0.5), 0);
     }
 }

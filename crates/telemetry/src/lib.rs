@@ -5,8 +5,9 @@
 //! and the natural vantage point for observability: stage timings,
 //! access-mode mix, per-service operation counts, and dispatch outcomes
 //! all flow through it. This crate provides the recording machinery —
-//! [`ShardedCounter`]s and log-scale [`LatencyHistogram`]s behind a
-//! single [`Telemetry`] handle — under two rules:
+//! [`ShardedCounter`]s and log-scale [`Histogram`]s behind a single
+//! [`Telemetry`] handle — and the one snapshot type, [`Metrics`], that
+//! names every value with a stable dotted name. Two rules:
 //!
 //! 1. **Disabled telemetry is near-free.** Every recording entry point
 //!    starts with one relaxed atomic load of the `enabled` flag and
@@ -14,9 +15,9 @@
 //!    no stores.
 //! 2. **Enabled telemetry never blocks.** All state is relaxed atomics;
 //!    recording is wait-free and snapshotting is a racy-but-monotone read
-//!    (each counter in a [`TelemetrySnapshot`] never decreases across
-//!    successive snapshots, and a histogram's `count` always equals the
-//!    sum of its buckets).
+//!    (each counter in a [`Metrics`] never decreases across successive
+//!    snapshots, and a histogram's `count` always equals the sum of its
+//!    buckets).
 //!
 //! The intended calling pattern on a timed stage is
 //! `let t = tele.start();` … work … `tele.finish(Stage::Acl, t);` —
@@ -27,41 +28,43 @@
 
 mod counter;
 mod histogram;
-mod json;
-mod snapshot;
+mod metrics;
 
 pub use counter::ShardedCounter;
-pub use histogram::{HistogramSnapshot, LatencyHistogram, BUCKETS};
-pub use json::{JsonSnapshot, JsonStage};
-pub use snapshot::{AuditSnapshot, StageSnapshot, TelemetrySnapshot};
+pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
+pub use metrics::Metrics;
 
 use extsec_acl::AccessMode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// A timed stage of the check pipeline.
+/// A timed stage of the check pipeline, exported as the histogram
+/// `refmon.stage.<name>_ns`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Stage {
-    /// Name resolution (path walk through the protected name space).
+    /// Name resolution: the path probe through the protected name space.
     Resolve = 0,
+    /// The interior-visibility climb over the nodes the walk reached.
+    Visibility = 1,
     /// Discretionary ACL evaluation at the resolved node.
-    Acl = 1,
+    Acl = 2,
     /// Mandatory flow check against the lattice.
-    Mac = 2,
+    Mac = 3,
     /// Audit-record append.
-    Audit = 3,
+    Audit = 4,
     /// A whole `check` call, end to end.
-    Check = 4,
+    Check = 5,
     /// Lifetime of a pinned [`MonitorView`]: one pin, one trace.
-    ViewSpan = 5,
+    ViewSpan = 6,
 }
 
 impl Stage {
     /// All stages, in declaration order.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; 7] = [
         Stage::Resolve,
+        Stage::Visibility,
         Stage::Acl,
         Stage::Mac,
         Stage::Audit,
@@ -72,22 +75,17 @@ impl Stage {
     /// Number of stages.
     pub const COUNT: usize = Stage::ALL.len();
 
-    /// Short human-readable name.
+    /// Short name, the stage's component of its metric name.
     pub fn name(self) -> &'static str {
         match self {
             Stage::Resolve => "resolve",
+            Stage::Visibility => "visibility",
             Stage::Acl => "acl",
             Stage::Mac => "mac",
             Stage::Audit => "audit",
             Stage::Check => "check",
-            Stage::ViewSpan => "view-span",
+            Stage::ViewSpan => "view_span",
         }
-    }
-}
-
-impl std::fmt::Display for Stage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -140,12 +138,6 @@ impl ServiceKind {
     }
 }
 
-impl std::fmt::Display for ServiceKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// How the extension runtime routed a call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -178,14 +170,8 @@ impl DispatchOutcome {
             DispatchOutcome::Specialized => "specialized",
             DispatchOutcome::Base => "base",
             DispatchOutcome::Unrouted => "unrouted",
-            DispatchOutcome::ExtensionRun => "extension-run",
+            DispatchOutcome::ExtensionRun => "extension_run",
         }
-    }
-}
-
-impl std::fmt::Display for DispatchOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -228,8 +214,8 @@ impl ExtFault {
         match self {
             ExtFault::Trap => "trap",
             ExtFault::Fuel => "fuel",
-            ExtFault::VerifyReject => "verify-reject",
-            ExtFault::HostPanic => "host-panic",
+            ExtFault::VerifyReject => "verify_reject",
+            ExtFault::HostPanic => "host_panic",
             ExtFault::Memory => "memory",
             ExtFault::Preempted => "preempted",
         }
@@ -242,6 +228,103 @@ impl std::fmt::Display for ExtFault {
     }
 }
 
+/// One counter of the monitor's hub: a slot in one array, with one
+/// name. Adding a counter means adding a variant with its name and its
+/// slot (the compiler asks for both) and, for a counter outside the four
+/// families, its entry in `SCALARS`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Counter {
+    /// Checks of one access mode: `refmon.mode.<mode>`.
+    Mode(AccessMode),
+    /// Operations against one service: `services.<service>.ops`.
+    Service(ServiceKind),
+    /// Call routings with one outcome: `ext.dispatch.<outcome>`.
+    Dispatch(DispatchOutcome),
+    /// Extension faults of one class: `ext.fault.<class>`.
+    ExtFault(ExtFault),
+    /// Circuit-breaker trips, extensions entering quarantine:
+    /// `ext.quarantine.trips`.
+    QuarantineTrips,
+    /// Dispatches refused because the extension is quarantined:
+    /// `ext.quarantine.denials`.
+    QuarantineDenials,
+    /// Probation (half-open) trial dispatches: `ext.probation.trials`.
+    ProbationTrials,
+    /// Probation trials that re-admitted the extension:
+    /// `ext.probation.readmits`.
+    ProbationReadmits,
+    /// Monitor views (pinned snapshots) opened: `refmon.view.opened`.
+    ViewsOpened,
+    /// Operations performed through a view: `refmon.view.ops`.
+    ViewOps,
+}
+
+const MODES: usize = AccessMode::ALL.len();
+const FAMILIES: usize = MODES + ServiceKind::COUNT + DispatchOutcome::COUNT + ExtFault::COUNT;
+
+impl Counter {
+    /// The counters that are not one of a family.
+    const SCALARS: [Counter; 6] = [
+        Counter::QuarantineTrips,
+        Counter::QuarantineDenials,
+        Counter::ProbationTrials,
+        Counter::ProbationReadmits,
+        Counter::ViewsOpened,
+        Counter::ViewOps,
+    ];
+
+    /// Number of counters.
+    const COUNT: usize = FAMILIES + Counter::SCALARS.len();
+
+    /// Every counter.
+    fn all() -> impl Iterator<Item = Counter> {
+        AccessMode::ALL
+            .into_iter()
+            .map(Counter::Mode)
+            .chain(ServiceKind::ALL.into_iter().map(Counter::Service))
+            .chain(DispatchOutcome::ALL.into_iter().map(Counter::Dispatch))
+            .chain(ExtFault::ALL.into_iter().map(Counter::ExtFault))
+            .chain(Counter::SCALARS)
+    }
+
+    /// This counter's slot in the hub's array.
+    #[inline]
+    fn index(self) -> usize {
+        const SERVICES: usize = MODES;
+        const DISPATCH: usize = SERVICES + ServiceKind::COUNT;
+        const FAULTS: usize = DISPATCH + DispatchOutcome::COUNT;
+        match self {
+            Counter::Mode(mode) => mode as usize,
+            Counter::Service(kind) => SERVICES + kind as usize,
+            Counter::Dispatch(outcome) => DISPATCH + outcome as usize,
+            Counter::ExtFault(fault) => FAULTS + fault as usize,
+            Counter::QuarantineTrips => FAMILIES,
+            Counter::QuarantineDenials => FAMILIES + 1,
+            Counter::ProbationTrials => FAMILIES + 2,
+            Counter::ProbationReadmits => FAMILIES + 3,
+            Counter::ViewsOpened => FAMILIES + 4,
+            Counter::ViewOps => FAMILIES + 5,
+        }
+    }
+
+    /// The counter's metric name. A mode's display name, such as
+    /// `write-append`, becomes snake case.
+    pub fn name(self) -> String {
+        match self {
+            Counter::Mode(mode) => format!("refmon.mode.{}", mode.to_string().replace('-', "_")),
+            Counter::Service(kind) => format!("services.{}.ops", kind.name()),
+            Counter::Dispatch(outcome) => format!("ext.dispatch.{}", outcome.name()),
+            Counter::ExtFault(fault) => format!("ext.fault.{}", fault.name()),
+            Counter::QuarantineTrips => "ext.quarantine.trips".into(),
+            Counter::QuarantineDenials => "ext.quarantine.denials".into(),
+            Counter::ProbationTrials => "ext.probation.trials".into(),
+            Counter::ProbationReadmits => "ext.probation.readmits".into(),
+            Counter::ViewsOpened => "refmon.view.opened".into(),
+            Counter::ViewOps => "refmon.view.ops".into(),
+        }
+    }
+}
+
 /// The recording hub for one monitor's pipeline.
 ///
 /// Collection starts disabled; flip it with [`set_enabled`]. The flag is
@@ -251,24 +334,8 @@ impl std::fmt::Display for ExtFault {
 /// [`set_enabled`]: Telemetry::set_enabled
 pub struct Telemetry {
     enabled: AtomicBool,
-    stages: [LatencyHistogram; Stage::COUNT],
-    modes: [ShardedCounter; AccessMode::ALL.len()],
-    services: [ShardedCounter; ServiceKind::COUNT],
-    dispatch: [ShardedCounter; DispatchOutcome::COUNT],
-    ext_faults: [ShardedCounter; ExtFault::COUNT],
-    quarantines: ShardedCounter,
-    quarantine_denials: ShardedCounter,
-    probation_trials: ShardedCounter,
-    probation_readmits: ShardedCounter,
-    views: ShardedCounter,
-    view_ops: ShardedCounter,
-    shadow_checks: ShardedCounter,
-    shadow_allow_to_deny: ShardedCounter,
-    shadow_deny_to_allow: ShardedCounter,
-    /// Pulled (never pushed) when a snapshot is taken, so audit-chain
-    /// health rides in every snapshot without this crate depending on
-    /// the audit types.
-    audit_source: RwLock<Option<Arc<dyn Fn() -> AuditSnapshot + Send + Sync>>>,
+    stages: [Histogram; Stage::COUNT],
+    counters: [ShardedCounter; Counter::COUNT],
 }
 
 impl Telemetry {
@@ -276,21 +343,8 @@ impl Telemetry {
     pub fn new() -> Self {
         Telemetry {
             enabled: AtomicBool::new(false),
-            stages: std::array::from_fn(|_| LatencyHistogram::new()),
-            modes: std::array::from_fn(|_| ShardedCounter::new()),
-            services: std::array::from_fn(|_| ShardedCounter::new()),
-            dispatch: std::array::from_fn(|_| ShardedCounter::new()),
-            ext_faults: std::array::from_fn(|_| ShardedCounter::new()),
-            quarantines: ShardedCounter::new(),
-            quarantine_denials: ShardedCounter::new(),
-            probation_trials: ShardedCounter::new(),
-            probation_readmits: ShardedCounter::new(),
-            views: ShardedCounter::new(),
-            view_ops: ShardedCounter::new(),
-            shadow_checks: ShardedCounter::new(),
-            shadow_allow_to_deny: ShardedCounter::new(),
-            shadow_deny_to_allow: ShardedCounter::new(),
-            audit_source: RwLock::new(None),
+            stages: std::array::from_fn(|_| Histogram::new()),
+            counters: std::array::from_fn(|_| ShardedCounter::new()),
         }
     }
 
@@ -331,179 +385,33 @@ impl Telemetry {
     #[inline]
     pub fn finish(&self, stage: Stage, started: Option<Instant>) {
         if let Some(started) = started {
-            self.stages[stage as usize].record(started.elapsed());
+            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.stages[stage as usize].record(ns);
         }
     }
 
-    /// Records an externally measured stage duration.
+    /// Counts one event of `counter`.
     #[inline]
-    pub fn record(&self, stage: Stage, duration: std::time::Duration) {
+    pub fn count(&self, counter: Counter) {
         if self.enabled() {
-            self.stages[stage as usize].record(duration);
+            self.counters[counter.index()].incr();
         }
     }
 
-    /// Counts one check of `mode`.
-    #[inline]
-    pub fn count_mode(&self, mode: AccessMode) {
-        if self.enabled() {
-            self.modes[mode as usize].incr();
+    /// Reads every counter and stage histogram under its name, plus
+    /// `refmon.telemetry.enabled` (1 while collection is on). Never
+    /// blocks recording.
+    pub fn metrics(&self) -> Metrics {
+        let mut metrics = Metrics::default();
+        metrics.set("refmon.telemetry.enabled", u64::from(self.enabled()));
+        for counter in Counter::all() {
+            metrics.set(counter.name(), self.counters[counter.index()].get());
         }
-    }
-
-    /// Counts one operation against `kind`.
-    #[inline]
-    pub fn count_service(&self, kind: ServiceKind) {
-        if self.enabled() {
-            self.services[kind as usize].incr();
+        for stage in Stage::ALL {
+            let name = format!("refmon.stage.{}_ns", stage.name());
+            metrics.set_histogram(name, self.stages[stage as usize].snapshot());
         }
-    }
-
-    /// Counts one dispatch `outcome`.
-    #[inline]
-    pub fn count_dispatch(&self, outcome: DispatchOutcome) {
-        if self.enabled() {
-            self.dispatch[outcome as usize].incr();
-        }
-    }
-
-    /// Counts one recorded extension fault of class `fault`.
-    #[inline]
-    pub fn count_ext_fault(&self, fault: ExtFault) {
-        if self.enabled() {
-            self.ext_faults[fault as usize].incr();
-        }
-    }
-
-    /// Counts one circuit-breaker trip (an extension entering
-    /// quarantine).
-    #[inline]
-    pub fn count_quarantine(&self) {
-        if self.enabled() {
-            self.quarantines.incr();
-        }
-    }
-
-    /// Counts one dispatch refused because the extension is quarantined.
-    #[inline]
-    pub fn count_quarantine_denial(&self) {
-        if self.enabled() {
-            self.quarantine_denials.incr();
-        }
-    }
-
-    /// Counts one probation (half-open) trial dispatch.
-    #[inline]
-    pub fn count_probation_trial(&self) {
-        if self.enabled() {
-            self.probation_trials.incr();
-        }
-    }
-
-    /// Counts one probation trial that succeeded and re-admitted the
-    /// extension.
-    #[inline]
-    pub fn count_probation_readmit(&self) {
-        if self.enabled() {
-            self.probation_readmits.incr();
-        }
-    }
-
-    /// Counts one opened monitor view.
-    #[inline]
-    pub fn count_view(&self) {
-        if self.enabled() {
-            self.views.incr();
-        }
-    }
-
-    /// Counts one operation performed through a view.
-    #[inline]
-    pub fn count_view_op(&self) {
-        if self.enabled() {
-            self.view_ops.incr();
-        }
-    }
-
-    /// Counts one check dual-evaluated against a shadowed policy.
-    #[inline]
-    pub fn count_shadow_check(&self) {
-        if self.enabled() {
-            self.shadow_checks.incr();
-        }
-    }
-
-    /// Counts one shadow-mode would-be flip from allow to deny: the
-    /// active policy allowed, the shadowed policy would have denied.
-    #[inline]
-    pub fn count_shadow_allow_to_deny(&self) {
-        if self.enabled() {
-            self.shadow_allow_to_deny.incr();
-        }
-    }
-
-    /// Counts one shadow-mode would-be flip from deny to allow.
-    #[inline]
-    pub fn count_shadow_deny_to_allow(&self) {
-        if self.enabled() {
-            self.shadow_deny_to_allow.incr();
-        }
-    }
-
-    /// Takes an immutable snapshot of every counter and histogram.
-    /// Never blocks recording; see [`TelemetrySnapshot`] for the
-    /// monotonicity guarantees.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            enabled: self.enabled(),
-            stages: Stage::ALL
-                .into_iter()
-                .map(|stage| StageSnapshot {
-                    stage,
-                    hist: self.stages[stage as usize].snapshot(),
-                })
-                .collect(),
-            modes: AccessMode::ALL
-                .into_iter()
-                .map(|m| (m, self.modes[m as usize].get()))
-                .collect(),
-            services: ServiceKind::ALL
-                .into_iter()
-                .map(|s| (s, self.services[s as usize].get()))
-                .collect(),
-            dispatch: DispatchOutcome::ALL
-                .into_iter()
-                .map(|d| (d, self.dispatch[d as usize].get()))
-                .collect(),
-            ext_faults: ExtFault::ALL
-                .into_iter()
-                .map(|fault| (fault, self.ext_faults[fault as usize].get()))
-                .collect(),
-            quarantines: self.quarantines.get(),
-            quarantine_denials: self.quarantine_denials.get(),
-            probation_trials: self.probation_trials.get(),
-            probation_readmits: self.probation_readmits.get(),
-            views: self.views.get(),
-            view_ops: self.view_ops.get(),
-            shadow_checks: self.shadow_checks.get(),
-            shadow_allow_to_deny: self.shadow_allow_to_deny.get(),
-            shadow_deny_to_allow: self.shadow_deny_to_allow.get(),
-            audit: self
-                .audit_source
-                .read()
-                .expect("audit source poisoned")
-                .as_ref()
-                .map(|source| source()),
-        }
-    }
-
-    /// Registers the audit-health source consulted by every
-    /// [`snapshot`](Telemetry::snapshot). The monitor registers a closure
-    /// over its audit ring and (optional) persistent pipeline at
-    /// construction; the source runs on the snapshotting thread, never on
-    /// a check.
-    pub fn set_audit_source(&self, source: Arc<dyn Fn() -> AuditSnapshot + Send + Sync>) {
-        *self.audit_source.write().expect("audit source poisoned") = Some(source);
+        metrics
     }
 }
 
@@ -525,7 +433,10 @@ impl std::fmt::Debug for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+
+    fn checks(metrics: &Metrics) -> u64 {
+        metrics.histogram("refmon.stage.check_ns").unwrap().count
+    }
 
     #[test]
     fn disabled_records_nothing() {
@@ -533,18 +444,14 @@ mod tests {
         assert!(!tele.enabled());
         assert!(tele.start().is_none());
         tele.finish(Stage::Check, tele.start());
-        tele.record(Stage::Acl, Duration::from_nanos(50));
-        tele.count_mode(AccessMode::Read);
-        tele.count_service(ServiceKind::Fs);
-        tele.count_dispatch(DispatchOutcome::Base);
-        tele.count_view();
-        let snap = tele.snapshot();
-        assert_eq!(snap.checks(), 0);
-        assert_eq!(snap.stage(Stage::Acl).count, 0);
-        assert_eq!(snap.mode(AccessMode::Read), 0);
-        assert_eq!(snap.service(ServiceKind::Fs), 0);
-        assert_eq!(snap.dispatch(DispatchOutcome::Base), 0);
-        assert_eq!(snap.views, 0);
+        tele.count(Counter::Mode(AccessMode::Read));
+        tele.count(Counter::Service(ServiceKind::Fs));
+        tele.count(Counter::Dispatch(DispatchOutcome::Base));
+        tele.count(Counter::ViewsOpened);
+        let metrics = tele.metrics();
+        assert_eq!(metrics.get("refmon.telemetry.enabled"), Some(0));
+        assert_eq!(checks(&metrics), 0);
+        assert!(metrics.values.values().all(|&v| v == 0), "{metrics}");
     }
 
     #[test]
@@ -554,21 +461,32 @@ mod tests {
         let token = tele.start();
         assert!(token.is_some());
         tele.finish(Stage::Check, token);
-        tele.record(Stage::Acl, Duration::from_nanos(64));
-        tele.count_mode(AccessMode::Execute);
-        tele.count_service(ServiceKind::Net);
-        tele.count_dispatch(DispatchOutcome::Specialized);
-        tele.count_view();
-        tele.count_view_op();
-        let snap = tele.snapshot();
-        assert!(snap.enabled);
-        assert_eq!(snap.checks(), 1);
-        assert_eq!(snap.stage(Stage::Acl).count, 1);
-        assert_eq!(snap.mode(AccessMode::Execute), 1);
-        assert_eq!(snap.service(ServiceKind::Net), 1);
-        assert_eq!(snap.dispatch(DispatchOutcome::Specialized), 1);
-        assert_eq!(snap.views, 1);
-        assert_eq!(snap.view_ops, 1);
+        tele.count(Counter::Mode(AccessMode::WriteAppend));
+        tele.count(Counter::Service(ServiceKind::Net));
+        tele.count(Counter::Dispatch(DispatchOutcome::ExtensionRun));
+        tele.count(Counter::ExtFault(ExtFault::HostPanic));
+        tele.count(Counter::ViewsOpened);
+        tele.count(Counter::ViewOps);
+        let metrics = tele.metrics();
+        assert_eq!(metrics.get("refmon.telemetry.enabled"), Some(1));
+        assert_eq!(checks(&metrics), 1);
+        assert_eq!(metrics.get("refmon.mode.write_append"), Some(1));
+        assert_eq!(metrics.get("services.net.ops"), Some(1));
+        assert_eq!(metrics.get("ext.dispatch.extension_run"), Some(1));
+        assert_eq!(metrics.get("ext.fault.host_panic"), Some(1));
+        assert_eq!(metrics.get("refmon.view.opened"), Some(1));
+        assert_eq!(metrics.get("refmon.view.ops"), Some(1));
+        assert_eq!(metrics.get("refmon.mode.read"), Some(0));
+    }
+
+    #[test]
+    fn every_counter_has_its_own_slot_and_name() {
+        let mut slots: Vec<usize> = Counter::all().map(Counter::index).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..Counter::COUNT).collect::<Vec<_>>());
+        let metrics = Telemetry::new().metrics();
+        assert_eq!(metrics.values.len(), Counter::COUNT + 1);
+        assert_eq!(metrics.histograms.len(), Stage::COUNT);
     }
 
     #[test]
@@ -577,26 +495,15 @@ mod tests {
         let token = tele.start(); // disabled: None
         tele.set_enabled(true);
         tele.finish(Stage::Check, token);
-        assert_eq!(tele.snapshot().checks(), 0);
-    }
-
-    #[test]
-    fn display_renders_prose() {
-        let tele = Telemetry::new();
-        tele.set_enabled(true);
-        tele.record(Stage::Check, Duration::from_micros(2));
-        tele.record(Stage::Acl, Duration::from_nanos(120));
-        tele.count_mode(AccessMode::Read);
-        let text = tele.snapshot().to_string();
-        assert!(text.contains("telemetry (enabled): 1 checks"), "{text}");
-        assert!(text.contains("acl"), "{text}");
-        assert!(text.contains("read: 1"), "{text}");
+        assert_eq!(checks(&tele.metrics()), 0);
     }
 
     #[test]
     fn process_wide_disabled_hub_stays_disabled() {
         let hub = Telemetry::disabled();
-        hub.record(Stage::Check, Duration::from_nanos(5));
-        assert_eq!(hub.snapshot().checks(), 0);
+        hub.finish(Stage::Check, hub.start());
+        hub.count(Counter::ViewOps);
+        assert_eq!(checks(&hub.metrics()), 0);
+        assert_eq!(hub.metrics().get("refmon.view.ops"), Some(0));
     }
 }

@@ -1,6 +1,6 @@
 //! The paper's applet scenario, served over TCP: spawn the name-server
 //! front end on an ephemeral port, drive the §2.2 access matrix through
-//! the wire client, and print the server's telemetry on shutdown.
+//! the wire client, and print the metrics one wire call returns.
 //!
 //! Run with `cargo run --example server_demo`.
 
@@ -60,14 +60,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let explanation = client.explain(&sc.applet_d1, &node, AccessMode::Read)?;
     println!("\nwhy is department-1 denied department-2's report?\n{explanation}");
 
-    // Pull the combined telemetry document: the monitor's block and the
-    // server's own.
-    let document = client.telemetry()?;
-    println!("telemetry document: {} bytes of JSON", document.len());
+    // One wire call returns every metric: the monitor's stage timings
+    // and counters, and the server's own.
+    let metrics = client.telemetry()?;
+    println!("\nmetrics over the wire:\n{metrics}");
 
     drop(client);
     let stats = server.shutdown();
-    println!("\nserver telemetry at shutdown:\n{stats}");
     assert_eq!(stats.accepted, stats.closed, "no connection slot leaked");
     Ok(())
 }

@@ -1,7 +1,8 @@
 //! Telemetry quickstart: enable pipeline telemetry, drive a small mixed
-//! workload, and print the monitor's full observability surface — the
-//! per-stage latency histograms, per-mode/service/dispatch counters,
-//! the policy generation, and audit stats.
+//! workload, and print the monitor's metrics, one dotted name per line —
+//! the per-stage latency histograms, per-mode/service/dispatch counters,
+//! extension faults and quarantines, the policy generation, and the
+//! audit ring.
 //!
 //! Run with `cargo run --release --example stats`.
 
@@ -110,13 +111,6 @@ export main = main
     println!("{}", system.runtime.explain_health(flaky));
 
     // 6. Print the whole observability surface.
-    println!("{}", system.monitor.telemetry_snapshot());
-
-    println!("policy generation: {}", system.monitor.policy_generation());
-    let audit = system.monitor.audit_stats();
-    println!(
-        "audit log: {} retained of {} capacity, {} dropped",
-        audit.retained, audit.capacity, audit.ring_dropped
-    );
+    print!("\n{}", system.monitor.metrics());
     Ok(())
 }

@@ -407,9 +407,9 @@ fn stress_mixed_readers_race_acl_and_label_writers() {
                             .allowed()
                     } else {
                         // A fresh floating subject with clearance == class
-                        // takes the cache-bypassing path through the
-                        // public API and decides exactly like a plain
-                        // check (execute maps to observe-at-same-class).
+                        // takes the floating path through the public API
+                        // and decides exactly like a plain check (execute
+                        // maps to observe-at-same-class).
                         extsec::FloatingSubject::new(subject.clone())
                             .check(&system.monitor, &path, AccessMode::Execute)
                             .allowed()

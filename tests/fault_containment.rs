@@ -447,8 +447,8 @@ fn budget_shed_answers_busy_and_client_retries_through() {
     }
     drop(client);
     let snap = server.shutdown();
-    assert!(snap.shed_budget >= 1, "budget shed never fired: {snap}");
-    assert_eq!(snap.accepted, snap.closed, "slot leak: {snap}");
+    assert!(snap.shed_budget >= 1, "budget shed never fired: {snap:?}");
+    assert_eq!(snap.accepted, snap.closed, "slot leak: {snap:?}");
 }
 
 #[test]
@@ -506,8 +506,14 @@ fn server_fault_storm_leaks_no_slots() {
     }
     let stats = faults::clear();
     let snap = server.shutdown();
-    assert_eq!(snap.accepted, snap.closed, "slot leak under storm: {snap}");
-    assert_eq!(snap.active, 0, "active connections after shutdown: {snap}");
+    assert_eq!(
+        snap.accepted, snap.closed,
+        "slot leak under storm: {snap:?}"
+    );
+    assert_eq!(
+        snap.active, 0,
+        "active connections after shutdown: {snap:?}"
+    );
     assert!(
         stats.total() > 0,
         "the storm never fired; the test proved nothing"
