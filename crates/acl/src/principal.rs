@@ -8,7 +8,8 @@
 //! through nested groups; the closure computation is cycle-safe.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
@@ -67,16 +68,45 @@ pub struct Principal {
 }
 
 /// A registered group: direct principal members plus nested subgroups.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Group {
     /// The group's id.
     pub id: GroupId,
     /// The group's unique name.
     pub name: String,
-    /// Direct principal members.
-    pub members: BTreeSet<PrincipalId>,
+    /// Direct principal members, so that a membership test is one
+    /// keyed-hash probe. Serialized as the ascending list of ids.
+    pub members: HashSet<PrincipalId>,
     /// Direct subgroup members.
     pub subgroups: BTreeSet<GroupId>,
+}
+
+impl Serialize for Group {
+    fn serialize(&self) -> serde::Content {
+        let mut members: Vec<PrincipalId> = self.members.iter().copied().collect();
+        members.sort_unstable();
+        serde::Content::Map(vec![
+            ("id".to_string(), self.id.serialize()),
+            ("name".to_string(), self.name.serialize()),
+            ("members".to_string(), members.serialize()),
+            ("subgroups".to_string(), self.subgroups.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for Group {
+    fn deserialize(content: &serde::Content) -> Result<Self, serde::Error> {
+        let map = content.as_map().ok_or_else(|| {
+            serde::Error::custom(format!("Group: expected map, got {}", content.kind()))
+        })?;
+        let members: Vec<PrincipalId> = serde::__field(map, "members")?;
+        Ok(Group {
+            id: serde::__field(map, "id")?,
+            name: serde::__field(map, "name")?,
+            members: members.into_iter().collect(),
+            subgroups: serde::__field(map, "subgroups")?,
+        })
+    }
 }
 
 /// Errors from directory operations.
@@ -112,6 +142,12 @@ impl std::error::Error for DirectoryError {}
 
 /// The registry of principals and groups.
 ///
+/// The tables sit behind `Arc`s that clones share: the monitor's
+/// copy-on-write publish clones the directory on every write, and a
+/// clone costs three pointers. A mutator copies the table it edits
+/// when a clone still shares it (`Arc::make_mut`), and it validates
+/// first, so a refused edit copies nothing.
+///
 /// # Examples
 ///
 /// ```
@@ -129,20 +165,24 @@ impl std::error::Error for DirectoryError {}
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
-    principals: Vec<Principal>,
-    groups: Vec<Group>,
+    principals: Arc<Vec<Principal>>,
+    groups: Arc<Vec<Group>>,
     /// Principal ids by the keyed hash of their names: the uniqueness
     /// index and [`Directory::principal_by_name`]'s answer. It holds no
     /// strings, so building and dropping it allocates nothing per
     /// principal: a hit is confirmed against `principals`, and a name
     /// whose hash an earlier name already holds is found by a scan.
     /// Kept out of the serialized form (the manual impls below rebuild
-    /// it) and shared by clones, since the monitor's copy-on-write
-    /// publish clones the directory on every write and hardly ever
-    /// registers a principal.
+    /// it).
     principal_names: Arc<HashMap<u64, PrincipalId>>,
     /// The key of those hashes; clones keep it.
     name_hasher: RandomState,
+}
+
+thread_local! {
+    /// This thread's subgroup-walk stack and visited set, emptied after
+    /// each walk but kept, so that a warm walk allocates nothing.
+    static WALK: RefCell<(Vec<GroupId>, HashSet<GroupId>)> = RefCell::default();
 }
 
 impl Serialize for Directory {
@@ -169,8 +209,8 @@ impl Deserialize for Directory {
                 .or_insert(p.id);
         }
         Ok(Directory {
-            principals,
-            groups,
+            principals: Arc::new(principals),
+            groups: Arc::new(groups),
             principal_names: Arc::new(principal_names),
             name_hasher,
         })
@@ -200,7 +240,7 @@ impl Directory {
         Arc::make_mut(&mut self.principal_names)
             .entry(hash)
             .or_insert(id);
-        self.principals.push(Principal { id, name });
+        Arc::make_mut(&mut self.principals).push(Principal { id, name });
         Ok(id)
     }
 
@@ -214,10 +254,10 @@ impl Directory {
             return Err(DirectoryError::DuplicateName(name));
         }
         let id = GroupId(self.groups.len() as u32);
-        self.groups.push(Group {
+        Arc::make_mut(&mut self.groups).push(Group {
             id,
             name,
-            members: BTreeSet::new(),
+            members: HashSet::new(),
             subgroups: BTreeSet::new(),
         });
         Ok(id)
@@ -232,8 +272,7 @@ impl Directory {
         if !self.has_principal(principal) {
             return Err(DirectoryError::UnknownPrincipal(principal));
         }
-        let g = self.group_mut(group)?;
-        g.members.insert(principal);
+        self.group_mut(group)?.members.insert(principal);
         Ok(())
     }
 
@@ -243,8 +282,7 @@ impl Directory {
         group: GroupId,
         principal: PrincipalId,
     ) -> Result<bool, DirectoryError> {
-        let g = self.group_mut(group)?;
-        Ok(g.members.remove(&principal))
+        Ok(self.group_mut(group)?.members.remove(&principal))
     }
 
     /// Adds `child` as a subgroup of `parent`, rejecting cycles.
@@ -252,11 +290,10 @@ impl Directory {
         if !self.has_group(child) {
             return Err(DirectoryError::UnknownGroup(child));
         }
-        if parent == child || self.group_reaches(child, parent) {
+        if self.any_reachable(child, |id| id == parent) {
             return Err(DirectoryError::MembershipCycle(parent, child));
         }
-        let g = self.group_mut(parent)?;
-        g.subgroups.insert(child);
+        self.group_mut(parent)?.subgroups.insert(child);
         Ok(())
     }
 
@@ -266,40 +303,26 @@ impl Directory {
         parent: GroupId,
         child: GroupId,
     ) -> Result<bool, DirectoryError> {
-        let g = self.group_mut(parent)?;
-        Ok(g.subgroups.remove(&child))
+        Ok(self.group_mut(parent)?.subgroups.remove(&child))
     }
 
     /// Returns whether `principal` is a (possibly transitive) member of
     /// `group`. Unknown ids yield `false`.
     pub fn is_member(&self, principal: PrincipalId, group: GroupId) -> bool {
-        let Some(g) = self.groups.get(group.0 as usize) else {
+        let Some(g) = self.group(group) else {
             return false;
         };
         if g.members.contains(&principal) {
             return true;
         }
-        // Most groups nest nothing: answer without building `seen`, whose
-        // first insert allocates.
+        // Most groups nest nothing: answer without the walk.
         if g.subgroups.is_empty() {
             return false;
         }
-        let mut seen = BTreeSet::new();
-        seen.insert(group);
-        let mut stack: Vec<GroupId> = g.subgroups.iter().copied().collect();
-        while let Some(next) = stack.pop() {
-            if !seen.insert(next) {
-                continue;
-            }
-            let Some(sub) = self.groups.get(next.0 as usize) else {
-                continue;
-            };
-            if sub.members.contains(&principal) {
-                return true;
-            }
-            stack.extend(sub.subgroups.iter().copied());
-        }
-        false
+        self.any_reachable(group, |id| {
+            self.group(id)
+                .is_some_and(|sub| sub.members.contains(&principal))
+        })
     }
 
     /// Returns every group the principal (transitively) belongs to.
@@ -379,28 +402,42 @@ impl Directory {
         (id.0 as usize) < self.groups.len()
     }
 
+    /// Group `id` in a groups table of this directory's own: the table
+    /// is copied first if a clone still shares it, and only once `id` is
+    /// known to be there.
     fn group_mut(&mut self, id: GroupId) -> Result<&mut Group, DirectoryError> {
-        self.groups
-            .get_mut(id.0 as usize)
-            .ok_or(DirectoryError::UnknownGroup(id))
+        if !self.has_group(id) {
+            return Err(DirectoryError::UnknownGroup(id));
+        }
+        Ok(&mut Arc::make_mut(&mut self.groups)[id.0 as usize])
     }
 
-    /// Returns whether group `from` (transitively) contains group `to`.
-    fn group_reaches(&self, from: GroupId, to: GroupId) -> bool {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![from];
-        while let Some(next) = stack.pop() {
-            if next == to {
-                return true;
+    /// Returns whether `hit` holds for `from` or for a group nested in it
+    /// at any depth. Each group is visited once, so a cycle (which only
+    /// a deserialized directory can hold) ends the walk, and a diamond
+    /// costs no more than its groups.
+    fn any_reachable(&self, from: GroupId, mut hit: impl FnMut(GroupId) -> bool) -> bool {
+        WALK.with(|walk| {
+            let mut walk = walk.borrow_mut();
+            let (stack, seen) = &mut *walk;
+            stack.push(from);
+            let mut found = false;
+            while let Some(id) = stack.pop() {
+                if !seen.insert(id) {
+                    continue;
+                }
+                if hit(id) {
+                    found = true;
+                    break;
+                }
+                if let Some(g) = self.group(id) {
+                    stack.extend(g.subgroups.iter().copied());
+                }
             }
-            if !seen.insert(next) {
-                continue;
-            }
-            if let Some(g) = self.groups.get(next.0 as usize) {
-                stack.extend(g.subgroups.iter().copied());
-            }
-        }
-        false
+            stack.clear();
+            seen.clear();
+            found
+        })
     }
 }
 
@@ -578,6 +615,56 @@ mod tests {
             back.add_principal("alice"),
             Err(DirectoryError::DuplicateName(_))
         ));
+    }
+
+    #[test]
+    fn a_clone_shares_every_table_until_an_edit_changes_one() {
+        let mut dir = Directory::new();
+        let a = dir.add_principal("a").unwrap();
+        let g = dir.add_group("g").unwrap();
+        dir.add_member(g, a).unwrap();
+        let mut copy = dir.clone();
+        let shared = |x: &Directory, y: &Directory| {
+            (
+                Arc::ptr_eq(&x.principals, &y.principals),
+                Arc::ptr_eq(&x.groups, &y.groups),
+            )
+        };
+        // Refused edits copy nothing.
+        let ghost = GroupId::from_raw(9);
+        assert!(copy.add_member(g, PrincipalId::from_raw(9)).is_err());
+        assert!(copy.add_member(ghost, a).is_err());
+        assert!(copy.remove_member(ghost, a).is_err());
+        assert!(copy.add_subgroup(g, g).is_err());
+        assert!(copy.add_subgroup(ghost, g).is_err());
+        assert!(copy.add_principal("a").is_err());
+        assert!(copy.add_group("g").is_err());
+        assert_eq!(shared(&dir, &copy), (true, true));
+        // A membership edit copies the groups table, and only it.
+        assert_eq!(copy.remove_member(g, a), Ok(true));
+        assert_eq!(shared(&dir, &copy), (true, false));
+        assert!(dir.is_member(a, g));
+        assert!(!copy.is_member(a, g));
+        // A registration copies the principals table.
+        copy.add_principal("b").unwrap();
+        assert_eq!(shared(&dir, &copy), (false, false));
+        assert_eq!(dir.principal_count(), 1);
+    }
+
+    #[test]
+    fn a_cycle_in_a_deserialized_directory_ends_the_walk() {
+        let mut dir = Directory::new();
+        let a = dir.add_principal("a").unwrap();
+        let g1 = dir.add_group("g1").unwrap();
+        let g2 = dir.add_group("g2").unwrap();
+        dir.add_subgroup(g1, g2).unwrap();
+        // The edit `add_subgroup` refuses, made directly.
+        Arc::make_mut(&mut dir.groups)[g2.0 as usize]
+            .subgroups
+            .insert(g1);
+        let back = Directory::deserialize(&dir.serialize()).unwrap();
+        assert!(!back.is_member(a, g1));
+        assert!(back.groups_of(a).is_empty());
     }
 
     #[test]

@@ -114,6 +114,9 @@ impl State {
         f: impl FnOnce(&Walk<'_>) -> R,
     ) -> (R, Result<NodeId, NsError>) {
         let mut chain = CHAIN.with(Cell::take);
+        if chain.capacity() == 0 {
+            chain.reserve(CHAIN_RESERVE);
+        }
         let resolve_t = tele.start();
         let end = self.namespace.resolve_chain(path, &mut chain);
         tele.finish(Stage::Resolve, resolve_t);
@@ -292,6 +295,13 @@ thread_local! {
     /// one walk, so a reentrant walk simply gets a fresh one.
     static CHAIN: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
 }
+
+/// The entries a thread's walk buffer reserves on first use. Every check
+/// writes the buffer's first entries; grown from empty it stayed a
+/// 32-byte block that could share a cache line with another checking
+/// thread's by allocation luck, and a 256-byte block keeps the written
+/// entries off such a shared line.
+const CHAIN_RESERVE: usize = 64;
 
 /// Hands every monitor instance a process-unique id so thread-local
 /// pinned snapshots never cross monitors.
@@ -546,19 +556,14 @@ impl ReferenceMonitor {
     /// This is a verification surface, not an alternative check path:
     /// production callers go through [`ReferenceMonitor::check`].
     pub fn check_unmemoized(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
-        self.with_snapshot(|state| {
-            let whole = self.telemetry.start();
-            self.telemetry.count(Counter::Mode(mode));
-            let (decision, _) = self.decide_and_audit(state, subject, path, mode);
-            self.telemetry.finish(Stage::Check, whole);
-            decision
-        })
+        self.with_snapshot(|state| self.decide_and_audit(state, subject, path, mode).0)
     }
 
-    /// The one decision site for a single request: walks `path` once,
-    /// decides and audits. Also returns where the walk ended, so a
-    /// guarded operation acts on the node it was granted without
-    /// resolving the path again.
+    /// The one decision site for a single request, guarded operations'
+    /// included: walks `path` once, decides and audits, counted under
+    /// its mode and timed as one [`Stage::Check`] span. Also returns
+    /// where the walk ended, so a guarded operation acts on the node it
+    /// was granted without resolving the path again.
     fn decide_and_audit(
         &self,
         state: &State,
@@ -567,6 +572,8 @@ impl ReferenceMonitor {
         mode: AccessMode,
     ) -> (Decision, Result<NodeId, NsError>) {
         let tele = &self.telemetry;
+        let whole = tele.start();
+        tele.count(Counter::Mode(mode));
         let (decision, end) = state.walk(path, tele, |walk| {
             state.decide(subject, walk, mode, tele, &mut ())
         });
@@ -576,6 +583,7 @@ impl ReferenceMonitor {
                 .record(subject, path, mode, &decision, state.generation.raw());
             tele.finish(Stage::Audit, audit_t);
         }
+        tele.finish(Stage::Check, whole);
         (decision, end)
     }
 
@@ -1358,16 +1366,12 @@ struct ViewRef<'a> {
 }
 
 impl ViewRef<'_> {
-    /// The whole-check span: one `check` stage sample and one per-mode
-    /// count, wrapped around the decision and its audit record.
+    /// One decision and its audit record, then the shadow evaluation
+    /// when shadow mode is on.
     fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
-        let tele = &self.monitor.telemetry;
-        let whole = tele.start();
-        tele.count(Counter::Mode(mode));
         let (decision, _) = self
             .monitor
             .decide_and_audit(self.state, subject, path, mode);
-        tele.finish(Stage::Check, whole);
         // Shadow mode: dual-evaluate against the staged policy riding in
         // this snapshot. Off (the common case) this is one `Option` test
         // on already-pinned state; the enforced decision is final either
@@ -2024,6 +2028,44 @@ mod tests {
         assert!(monitor
             .check(&carol_s, &p("/svc/op"), AccessMode::Execute)
             .allowed());
+    }
+
+    /// A view pinned before a membership edit answers from its own
+    /// snapshot's directory; a check after the edit sees the new one.
+    #[test]
+    fn a_view_keeps_its_directory_across_a_membership_edit() {
+        let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
+        let mut builder = MonitorBuilder::new(lattice);
+        let carol = builder.add_principal("carol").unwrap();
+        let staff = builder.add_group("staff").unwrap();
+        builder.add_member(staff, carol).unwrap();
+        let monitor = builder.build();
+        monitor
+            .bootstrap(|ns| {
+                let visible = Protection::new(
+                    Acl::public(ModeSet::only(AccessMode::List)),
+                    SecurityClass::bottom(),
+                );
+                ns.ensure_path(&p("/svc"), NodeKind::Domain, &visible)?;
+                let acl = Acl::from_entries([AclEntry::allow_group(staff, AccessMode::Execute)]);
+                let op = Protection::new(acl, SecurityClass::bottom());
+                ns.insert(&p("/svc"), "op", NodeKind::Procedure, op)?;
+                Ok(())
+            })
+            .unwrap();
+        let carol_s = low_subject(carol, &monitor);
+        let op = p("/svc/op");
+        let view = monitor.view();
+        assert!(view.check(&carol_s, &op, AccessMode::Execute).allowed());
+        monitor.directory_mut(|d| assert_eq!(d.remove_member(staff, carol), Ok(true)));
+        assert!(view.check(&carol_s, &op, AccessMode::Execute).allowed());
+        assert!(view.directory(|d| d.is_member(carol, staff)));
+        assert_eq!(
+            monitor.check(&carol_s, &op, AccessMode::Execute),
+            Decision::Deny(DenyReason::DacNoEntry)
+        );
+        drop(view);
+        assert!(!monitor.directory(|d| d.is_member(carol, staff)));
     }
 
     #[test]

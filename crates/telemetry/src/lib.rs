@@ -54,7 +54,8 @@ pub enum Stage {
     Mac = 3,
     /// Audit-record append.
     Audit = 4,
-    /// A whole `check` call, end to end.
+    /// One whole decision, end to end: a `check`, or the guard of a
+    /// `list`, `create`, `remove` or administrative edit.
     Check = 5,
     /// Lifetime of a pinned [`MonitorView`]: one pin, one trace.
     ViewSpan = 6,
@@ -234,7 +235,8 @@ impl std::fmt::Display for ExtFault {
 /// families, its entry in `SCALARS`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// Checks of one access mode: `refmon.mode.<mode>`.
+    /// Decisions of one access mode, guards included:
+    /// `refmon.mode.<mode>`.
     Mode(AccessMode),
     /// Operations against one service: `services.<service>.ops`.
     Service(ServiceKind),

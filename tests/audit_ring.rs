@@ -238,6 +238,57 @@ fn audited_checks_allocate_nothing_after_one_lap() {
     assert_eq!(stats.persisted_events + stats.gap_missing, stats.next_seq);
 }
 
+/// A check granted through nested groups walks the subgroup chain on
+/// this thread's kept stack and visited set, so once the ring has
+/// wrapped, a warm audited check granted through 4 levels of nesting
+/// makes no heap allocation on the checking thread either.
+#[test]
+fn audited_checks_through_nested_groups_allocate_nothing_after_one_lap() {
+    const SLOTS: usize = 1024;
+    const CHECKS: u64 = 10_000;
+    let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
+    let mut builder = MonitorBuilder::new(lattice);
+    let target = builder.add_principal("target").unwrap();
+    let levels: Vec<_> = (0..4)
+        .map(|i| builder.add_group(format!("level{i}")).unwrap())
+        .collect();
+    builder.add_member(levels[0], target).unwrap();
+    for pair in levels.windows(2) {
+        builder.add_subgroup(pair[1], pair[0]).unwrap();
+    }
+    let monitor = builder.build();
+    let path = p("/svc/fs/read");
+    monitor
+        .bootstrap(|ns| {
+            let visible = Protection::new(
+                Acl::public(ModeSet::only(AccessMode::List)),
+                SecurityClass::bottom(),
+            );
+            let fs = ns.ensure_path(&p("/svc/fs"), NodeKind::Domain, &visible)?;
+            let grant = AclEntry::allow_group(levels[3], AccessMode::Execute);
+            let protection = Protection::new(Acl::from_entries([grant]), SecurityClass::bottom());
+            ns.insert_at(fs, "read", NodeKind::Procedure, protection)
+        })
+        .unwrap();
+    let subject = Subject::new(target, SecurityClass::bottom());
+    let pipeline = attach(&monitor, SLOTS);
+    for _ in 0..=2 * SLOTS {
+        assert!(monitor
+            .check(&subject, &path, AccessMode::Execute)
+            .allowed());
+    }
+    let first = pipeline.ring().next_seq();
+
+    let allocations = allocations_in(|| {
+        for _ in 0..CHECKS {
+            black_box(monitor.check(black_box(&subject), &path, AccessMode::Execute));
+        }
+    });
+
+    assert_eq!(allocations, 0);
+    assert_eq!(pipeline.ring().next_seq() - first, CHECKS);
+}
+
 /// Once the ring has wrapped, a warm audited batch makes exactly one
 /// heap allocation on the checking thread: the `Vec` of its decisions.
 /// Each item is an ordinary check, so a batch needs no scratch memory of

@@ -281,6 +281,94 @@ proptest! {
     }
 }
 
+/// Every decision is counted once, whichever operation made it: after a
+/// known mix of checks, `list`s and guarded edits, granted and refused,
+/// the mode counters partition the `check` stage's samples, which match
+/// the walks `resolve` timed and the records the audit log appended.
+#[test]
+fn guarded_operations_count_their_decisions_like_checks() {
+    let world = build_world(true);
+    let monitor = &world.monitor;
+    let owner = world.subject(0, 0);
+    let stranger = world.subject(1, 0);
+    let mut decided = [0u64; AccessMode::ALL.len()];
+    let mut tally = |mode: AccessMode, n: u64| decided[mode as usize] += n;
+    // Let `owner` create, administrate and delete under `/obj`.
+    let owned = ModeSet::parse("aAd").unwrap();
+    monitor
+        .bootstrap(|ns| {
+            let obj = ns.resolve(&p("/obj"))?;
+            ns.update_protection(obj, |prot| {
+                prot.acl
+                    .push(AclEntry::allow_principal_modes(world.principals[0], owned));
+            })
+        })
+        .unwrap();
+
+    for path in PATHS {
+        monitor.check(&owner, &p(path), AccessMode::Read);
+        tally(AccessMode::Read, 1);
+    }
+    let items = [
+        (p("/obj/file"), AccessMode::Read),
+        (p("/svc/fs/read"), AccessMode::Execute),
+    ];
+    monitor.check_batch(&stranger, &items);
+    tally(AccessMode::Read, 1);
+    tally(AccessMode::Execute, 1);
+    {
+        let view = monitor.view();
+        assert!(view.list(&owner, &p("/svc/fs")).is_ok());
+        assert!(view.require(&owner, &p("/obj"), AccessMode::List).is_ok());
+        tally(AccessMode::List, 2);
+    }
+    assert!(monitor.list(&stranger, &p("/obj")).is_ok());
+    assert!(monitor.list(&owner, &p("/svc/fs/read")).is_err());
+    tally(AccessMode::List, 2);
+
+    let file = Protection::new(
+        Acl::from_entries([AclEntry::allow_principal_modes(world.principals[0], owned)]),
+        SecurityClass::bottom(),
+    );
+    let made = p("/obj/made");
+    assert!(monitor
+        .create(&owner, &p("/obj"), "made", NodeKind::Object, file.clone())
+        .is_ok());
+    assert!(monitor
+        .create(&stranger, &p("/obj"), "nope", NodeKind::Object, file)
+        .is_err());
+    tally(AccessMode::WriteAppend, 2);
+    let grant = AclEntry::allow_principal(world.principals[1], AccessMode::Read);
+    assert!(monitor.acl_push(&owner, &made, grant).is_ok());
+    assert!(monitor.acl_push(&stranger, &made, grant).is_err());
+    assert!(monitor
+        .set_label(&owner, &made, SecurityClass::bottom())
+        .is_ok());
+    tally(AccessMode::Administrate, 3);
+    assert!(monitor.remove(&stranger, &made).is_err());
+    assert!(monitor.remove(&owner, &made).is_ok());
+    tally(AccessMode::Delete, 2);
+
+    let metrics = monitor.metrics();
+    for mode in AccessMode::ALL {
+        assert_eq!(
+            mode_count(&metrics, mode),
+            decided[mode as usize],
+            "mode counter for {mode}"
+        );
+    }
+    let total: u64 = decided.iter().sum();
+    let modes: u64 = AccessMode::ALL
+        .iter()
+        .map(|m| mode_count(&metrics, *m))
+        .sum();
+    assert_eq!(modes, total);
+    assert_eq!(stage(&metrics, "check"), total);
+    assert_eq!(stage(&metrics, "resolve"), total);
+    let audited = monitor.audit().len() as u64 + monitor.audit().dropped();
+    assert_eq!(audited, total, "one audit record per decision");
+}
+
 /// Every stage histogram in a snapshot is internally consistent.
 fn assert_coherent(snap: &Metrics) {
     for (name, hist) in &snap.histograms {
