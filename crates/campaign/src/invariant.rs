@@ -147,17 +147,19 @@ pub fn coherent(
         [_] => Some(AccessMode::Write),
         _ => None,
     };
-    let view = monitor.view();
     let items: Vec<(NsPath, AccessMode)> = modes
         .iter()
         .chain(&contrast)
         .map(|m| (path.clone(), *m))
         .collect();
-    let batch = view.check_batch(subject, &items);
-    let singles: Vec<Decision> = items
-        .iter()
-        .map(|(path, mode)| view.check(subject, path, *mode))
-        .collect();
+    let (batch, singles) = monitor.view(|view| {
+        let batch = view.check_batch(subject, &items);
+        let singles: Vec<Decision> = items
+            .iter()
+            .map(|(path, mode)| view.check(subject, path, *mode))
+            .collect();
+        (batch, singles)
+    });
     for (((path, mode), batched), single) in items.iter().zip(&batch).zip(&singles) {
         let ok = if storm {
             batched.allowed() == single.allowed()

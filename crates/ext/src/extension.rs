@@ -80,7 +80,8 @@ pub struct Extension {
     pub manifest: ExtensionManifest,
     /// The verified code.
     pub module: VerifiedModule,
-    /// The resolved import targets, parallel to the module's import list.
+    /// The import paths the linker parsed and checked, parallel to the
+    /// module's import list; the syscall gate calls these.
     pub resolved_imports: Vec<NsPath>,
 }
 

@@ -431,14 +431,12 @@ impl ExtRuntime {
         if depth >= MAX_GATE_DEPTH {
             return Err(ExtError::GateDepthExceeded);
         }
-        // One pinned snapshot for the check + enter pair, so a policy
-        // republish between the two steps cannot split the decision.
-        let effective = {
-            let view = self.monitor.view();
-            view.require(subject, path, AccessMode::Execute)
-                .map_err(ExtError::Monitor)?;
-            view.enter(subject, path).map_err(ExtError::Monitor)?
-        };
+        // Entering is the execute guard: one walk decides execute and
+        // caps the subject by the static class of the node it granted.
+        let effective = self
+            .monitor
+            .enter(subject, path)
+            .map_err(ExtError::Monitor)?;
 
         // Specialization first: §2.2 class-based selection. Quarantined
         // extensions are unrouted, so their callers fall back to the
@@ -577,6 +575,7 @@ impl ExtRuntime {
             }
             let mut host = GateHost {
                 runtime: self,
+                ext: &ext,
                 subject: &effective,
                 depth,
             };
@@ -701,6 +700,8 @@ impl fmt::Debug for ExtRuntime {
 /// gate depth.
 struct GateHost<'a> {
     runtime: &'a ExtRuntime,
+    /// The running extension, whose imports the linker parsed.
+    ext: &'a Extension,
     subject: &'a Subject,
     depth: usize,
 }
@@ -711,9 +712,19 @@ impl SyscallHost for GateHost<'_> {
         import: &extsec_vm::ImportDecl,
         args: &[Value],
     ) -> Result<Option<Value>, String> {
-        let path: NsPath = import.path.parse().map_err(|e: PathError| e.to_string())?;
+        // The machine hands over the import declaration it holds, which
+        // is the extension's own: its index names the path `load` parsed.
+        let path = self
+            .ext
+            .module
+            .module()
+            .imports
+            .iter()
+            .position(|decl| std::ptr::eq(decl, import))
+            .and_then(|i| self.ext.resolved_imports.get(i))
+            .ok_or_else(|| format!("{} is not an import of this extension", import.path))?;
         self.runtime
-            .call_inner(self.subject, &path, args, self.depth + 1)
+            .call_inner(self.subject, path, args, self.depth + 1)
             .map_err(|e| e.to_string())
     }
 }

@@ -149,7 +149,7 @@ fn breaker_trips_at_budget_and_refuses_dispatch() {
     assert_eq!(f.runtime.health().quarantined(), vec![id]);
 
     // Both the trip and the refusal are audited under /ext/<id>.
-    let events = f.monitor.audit().snapshot();
+    let events = f.monitor.audit().events();
     let ext_path = p(&format!("/ext/{id}"));
     assert!(
         events.iter().any(|e| e.path == ext_path),

@@ -167,7 +167,7 @@ fn memory_hog_is_stopped_by_byte_budget_and_quarantined() {
 
     // Every kill left a "resource kill" audit record under /ext/<id>.
     let ext_path = p(&format!("/ext/{id}"));
-    let events = f.monitor.audit().snapshot();
+    let events = f.monitor.audit().events();
     let kills = events
         .iter()
         .filter(|e| e.path == ext_path && format!("{:?}", e.decision).contains("resource kill"))
@@ -214,7 +214,7 @@ fn infinite_loop_with_huge_fuel_is_preempted_and_quarantined() {
     }
 
     let ext_path = p(&format!("/ext/{id}"));
-    let events = f.monitor.audit().snapshot();
+    let events = f.monitor.audit().events();
     assert!(
         events.iter().any(|e| e.path == ext_path
             && format!("{:?}", e.decision).contains("resource kill: preempted")),

@@ -506,7 +506,7 @@ fn audit_sees_gate_crossings() {
     let alice = low(&f, f.alice);
     f.runtime.run(id, "main", &[Value::Int(1)], &alice).unwrap();
     // The syscall gate produced an execute check on /svc/echo/add.
-    let events = f.monitor.audit().snapshot();
+    let events = f.monitor.audit().events();
     assert!(events
         .iter()
         .any(|e| e.path == p("/svc/echo/add") && e.mode == AccessMode::Execute));

@@ -1,19 +1,22 @@
 //! Auditing of security-relevant events.
 //!
 //! The paper lists "the auditing of security relevant system events" among
-//! the aspects a complete security model must eventually cover. The
-//! [`AuditLog`] records every decision into one
+//! the aspects a complete security model must eventually cover. An
+//! [`AuditLog`] is a handle on one
 //! [`AuditRing`](extsec_auditlog::AuditRing): preallocated slots indexed
 //! by sequence number. A record takes the next global sequence number,
 //! locks only that number's slot and overwrites its fields and reused
 //! path buffer in place, so the checking thread allocates nothing, takes
 //! no shared lock and wakes no other thread.
 //!
-//! Until a persistent pipeline is attached the ring is the log's own;
-//! [`AuditLog::attach_ring`] switches recording into the pipeline's ring,
-//! whose drainer reads the same slots into the tamper-evident chain
-//! (`extsec-auditlog`). Either way the in-memory view
-//! ([`AuditLog::events`] and friends) reads the current ring and rebuilds
+//! A monitor publishes its log beside its policy state, and each thread
+//! pins the two together: a decision records into the ring the thread's
+//! pin holds, found by the same version compare that finds the state.
+//! Until a persistent pipeline is attached the ring is the monitor's
+//! own; attaching one publishes a log on the pipeline's ring, whose
+//! drainer reads the same slots into the tamper-evident chain
+//! (`extsec-auditlog`). Either way the in-memory
+//! view ([`AuditLog::events`] and friends) reads the ring and rebuilds
 //! each [`AuditEvent`] exactly, so a monitor has one audit outlet whether
 //! or not a pipeline is attached.
 
@@ -22,11 +25,8 @@ use crate::subject::{Subject, ThreadId};
 use extsec_acl::{AccessMode, PrincipalId};
 use extsec_auditlog::{AuditRing, Outcome, RingEvent};
 use extsec_namespace::NsPath;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One audited access decision.
@@ -82,20 +82,11 @@ pub struct AuditStats {
     pub ring_dropped: u64,
 }
 
-/// This thread's pinned ring of one log, revalidated against the log's
-/// version on every record.
-struct PinnedRing {
-    log: u64,
-    version: u64,
-    ring: Arc<AuditRing>,
-}
-
-thread_local! {
-    /// The ring this thread last recorded into.
-    static PINNED: RefCell<Option<PinnedRing>> = const { RefCell::new(None) };
-}
-
-/// A bounded, thread-safe audit log.
+/// A handle on a bounded, thread-safe audit ring. Cloning it clones the
+/// handle, not the ring; [`ReferenceMonitor::audit`] returns the one the
+/// caller's pin holds.
+///
+/// [`ReferenceMonitor::audit`]: crate::ReferenceMonitor::audit
 ///
 /// # Examples
 ///
@@ -105,17 +96,13 @@ thread_local! {
 /// let log = AuditLog::with_capacity(128);
 /// assert_eq!(log.len(), 0);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct AuditLog {
-    /// Process-unique identity for the thread-local pins.
-    id: u64,
-    /// The ring recording goes into. Recorders pin it thread-locally and
-    /// only take this lock when `version` has moved.
-    ring: Mutex<Arc<AuditRing>>,
-    /// Bumped on every ring switch.
-    version: AtomicU64,
-    /// Events that left the in-memory view with a ring switched away from.
-    retired: AtomicU64,
+    /// The ring recording goes into.
+    ring: Arc<AuditRing>,
+    /// Events that left the in-memory view with the rings switched away
+    /// from before this one.
+    retired: u64,
 }
 
 impl AuditLog {
@@ -130,60 +117,23 @@ impl AuditLog {
     /// Creates a log holding at most `capacity` events (older events are
     /// dropped first). The ring's slots are allocated here, once.
     pub fn with_capacity(capacity: usize) -> Self {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         AuditLog {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            ring: Mutex::new(Arc::new(AuditRing::new(capacity, 0))),
-            version: AtomicU64::new(0),
-            retired: AtomicU64::new(0),
+            ring: Arc::new(AuditRing::new(capacity, 0)),
+            retired: 0,
         }
     }
 
-    /// Switches recording into `ring` (a persistent pipeline's). Its
-    /// cursor first moves past every sequence number this log has handed
-    /// out, so numbers stay globally monotone and the ones recorded
-    /// before the switch become one declared gap in the pipeline. A
-    /// decision racing the switch may still land in the previous ring.
-    pub fn attach_ring(&self, ring: Arc<AuditRing>) {
-        let mut current = self.ring.lock();
-        ring.advance_to(current.next_seq());
-        self.retired.fetch_add(
-            current.evicted() + current.retained() as u64,
-            Ordering::Relaxed,
-        );
-        *current = ring;
-        self.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// The ring recording currently goes into.
-    fn current(&self) -> Arc<AuditRing> {
-        Arc::clone(&self.ring.lock())
-    }
-
-    /// Runs `f` on the current ring. Fast path: one `Acquire` load of the
-    /// version plus a thread-local compare; the lock is taken only to
-    /// re-pin after a switch.
-    fn with_ring<R>(&self, f: impl FnOnce(&AuditRing) -> R) -> R {
-        let version = self.version.load(Ordering::Acquire);
-        PINNED.with(|cell| {
-            let mut pin = cell.borrow_mut();
-            if let Some(p) = pin.as_ref() {
-                if p.log == self.id && p.version == version {
-                    return f(&p.ring);
-                }
-            }
-            let (ring, version) = {
-                let slot = self.ring.lock();
-                (Arc::clone(&slot), self.version.load(Ordering::Acquire))
-            };
-            let out = f(&ring);
-            *pin = Some(PinnedRing {
-                log: self.id,
-                version,
-                ring,
-            });
-            out
-        })
+    /// The log that records into `ring` (a persistent pipeline's) from
+    /// now on. The ring's cursor first moves past every sequence number
+    /// this log has handed out, so numbers stay globally monotone and the
+    /// ones recorded before the switch become one declared gap in the
+    /// pipeline; this log's events count as dropped from the new view.
+    pub(crate) fn switched_to(&self, ring: Arc<AuditRing>) -> AuditLog {
+        ring.advance_to(self.ring.next_seq());
+        AuditLog {
+            ring,
+            retired: self.retired + self.ring.evicted() + self.ring.retained() as u64,
+        }
     }
 
     /// Records a decision; returns the event's sequence number.
@@ -195,43 +145,41 @@ impl AuditLog {
         decision: &Decision,
         generation: u64,
     ) -> u64 {
-        self.with_ring(|ring| {
-            ring.record(|e| {
-                e.principal = subject.principal.raw();
-                e.thread = subject.thread.raw();
-                e.generation = generation;
-                e.mode = mode as u8;
-                e.outcome = outcome_of(decision);
-                e.detail_index = 0;
-                render(path, &mut e.path);
-                e.detail.clear();
-                match decision {
-                    Decision::Deny(DenyReason::DacNegativeEntry(index)) => {
-                        e.detail_index = *index as u64;
-                    }
-                    // A refusing prefix is nearly always a prefix of the
-                    // path itself: keep its depth, not a second string.
-                    Decision::Deny(
-                        DenyReason::NotVisibleDac(prefix)
-                        | DenyReason::NotVisibleMac(prefix)
-                        | DenyReason::NotFound(prefix),
-                    ) => {
-                        if path.starts_with(prefix) {
-                            e.detail_index = prefix.depth() as u64;
-                        } else {
-                            render(prefix, &mut e.detail);
-                        }
-                    }
-                    Decision::Deny(DenyReason::Structure(text)) => e.detail.push_str(text),
-                    _ => {}
+        self.ring.record(|e| {
+            e.principal = subject.principal.raw();
+            e.thread = subject.thread.raw();
+            e.generation = generation;
+            e.mode = mode as u8;
+            e.outcome = outcome_of(decision);
+            e.detail_index = 0;
+            render(path, &mut e.path);
+            e.detail.clear();
+            match decision {
+                Decision::Deny(DenyReason::DacNegativeEntry(index)) => {
+                    e.detail_index = *index as u64;
                 }
-            })
+                // A refusing prefix is nearly always a prefix of the
+                // path itself: keep its depth, not a second string.
+                Decision::Deny(
+                    DenyReason::NotVisibleDac(prefix)
+                    | DenyReason::NotVisibleMac(prefix)
+                    | DenyReason::NotFound(prefix),
+                ) => {
+                    if path.starts_with(prefix) {
+                        e.detail_index = prefix.depth() as u64;
+                    } else {
+                        render(prefix, &mut e.detail);
+                    }
+                }
+                Decision::Deny(DenyReason::Structure(text)) => e.detail.push_str(text),
+                _ => {}
+            }
         })
     }
 
     /// Returns the number of retained events.
     pub fn len(&self) -> usize {
-        self.current().retained()
+        self.ring.retained()
     }
 
     /// Returns whether the log holds no events.
@@ -246,15 +194,9 @@ impl AuditLog {
 
     /// Returns the retained events in sequence order (oldest first).
     pub fn events(&self) -> Vec<AuditEvent> {
-        let ring = self.current();
-        let mut events = Vec::with_capacity(ring.retained());
-        ring.visit(|seq, e| events.extend(rebuild(seq, e)));
+        let mut events = Vec::with_capacity(self.ring.retained());
+        self.ring.visit(|seq, e| events.extend(rebuild(seq, e)));
         events
-    }
-
-    /// Returns a snapshot of the retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<AuditEvent> {
-        self.events()
     }
 
     /// Returns the retained events that were denials.
@@ -267,16 +209,15 @@ impl AuditLog {
     /// Clears the in-memory view (sequence numbers keep increasing, and
     /// an attached pipeline still persists every event).
     pub fn clear(&self) {
-        self.current().clear();
+        self.ring.clear();
     }
 
     /// Snapshots the saturation counters.
     pub fn stats(&self) -> AuditStats {
-        let ring = self.current();
         AuditStats {
-            capacity: ring.capacity(),
-            retained: ring.retained(),
-            ring_dropped: self.retired.load(Ordering::Relaxed) + ring.evicted(),
+            capacity: self.ring.capacity(),
+            retained: self.ring.retained(),
+            ring_dropped: self.retired + self.ring.evicted(),
         }
     }
 }
@@ -346,21 +287,6 @@ impl Default for AuditLog {
     }
 }
 
-impl Drop for AuditLog {
-    /// Releases the dropping thread's pin on this log's ring, so a thread
-    /// that builds and drops monitors one after another never keeps two
-    /// rings alive.
-    fn drop(&mut self) {
-        let _ = PINNED.try_with(|cell| {
-            if let Ok(mut pin) = cell.try_borrow_mut() {
-                if pin.as_ref().is_some_and(|p| p.log == self.id) {
-                    *pin = None;
-                }
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,7 +313,7 @@ mod tests {
             0,
         );
         assert!(b > a);
-        let events = log.snapshot();
+        let events = log.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].mode, AccessMode::Read);
         assert_eq!(events[1].mode, AccessMode::Write);
@@ -402,7 +328,7 @@ mod tests {
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 3);
-        let events = log.snapshot();
+        let events = log.events();
         assert_eq!(events[0].seq, 3);
         assert_eq!(events[1].seq, 4);
     }

@@ -134,10 +134,10 @@ impl fmt::Display for Explanation {
 
 impl ReferenceMonitor {
     /// Explains the decision for `(subject, path, mode)` step by step,
-    /// against a freshly pinned snapshot. The single-call form of
+    /// against this thread's pin. The single-call form of
     /// [`MonitorView::explain`].
     pub fn explain(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Explanation {
-        self.view().explain(subject, path, mode)
+        self.pinned(|view| view.explain(subject, path, mode))
     }
 }
 

@@ -90,32 +90,37 @@ impl FloatingSubject {
     /// (DAC unchanged; the mandatory bound is the clearance); on success
     /// the current level rises to `join(current, object label)`.
     /// Modifying modes are checked at the **current** level. Denials
-    /// never move the mark.
+    /// never move the mark. The configuration, the decision and the
+    /// label the mark joins are read in one view, so a relabel or
+    /// removal published between them cannot leave the mark below a
+    /// label the subject was just allowed to observe.
     pub fn check(
         &mut self,
         monitor: &ReferenceMonitor,
         path: &NsPath,
         mode: AccessMode,
     ) -> Decision {
-        let observes = matches!(
-            monitor.config().flow_check(mode),
-            FlowCheck::Observe | FlowCheck::ObserveAndModify
-        );
-        if !observes {
-            return monitor.check(&self.subject, path, mode);
-        }
-        let at_clearance = self.subject.with_class(self.clearance.clone());
-        let decision = monitor.check(&at_clearance, path, mode);
-        if decision.allowed() {
-            if let Ok(protection) = monitor.protection_of(path) {
-                let joined = self.subject.class.join(&protection.label);
-                if joined != self.subject.class {
-                    self.raises += 1;
-                    self.subject = self.subject.with_class(joined);
+        monitor.view(|view| {
+            let observes = matches!(
+                view.config().flow_check(mode),
+                FlowCheck::Observe | FlowCheck::ObserveAndModify
+            );
+            if !observes {
+                return view.check(&self.subject, path, mode);
+            }
+            let at_clearance = self.subject.with_class(self.clearance.clone());
+            let decision = view.check(&at_clearance, path, mode);
+            if decision.allowed() {
+                if let Ok(protection) = view.protection_of(path) {
+                    let joined = self.subject.class.join(&protection.label);
+                    if joined != self.subject.class {
+                        self.raises += 1;
+                        self.subject = self.subject.with_class(joined);
+                    }
                 }
             }
-        }
-        decision
+            decision
+        })
     }
 }
 

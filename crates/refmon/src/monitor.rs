@@ -2,16 +2,23 @@
 //!
 //! # Concurrency model
 //!
-//! The monitor's state is published as an immutable snapshot behind an
-//! epoch-versioned pointer (read-copy-update in safe Rust): readers pin
-//! the current [`Arc`] of the state and never take a lock on the hot
-//! path, while writers rebuild the state under a small publish mutex and
-//! swap it in, stamping the next policy generation into it in the same
-//! critical section so the (state, generation) pair a reader sees is
-//! always internally consistent. Each thread keeps the `Arc` it last pinned in
-//! thread-local storage keyed by `(monitor id, version)`, so a repeat
-//! check is one atomic version load plus a thread-local compare — no
-//! shared reference-count traffic at all.
+//! The monitor publishes its policy state as an immutable snapshot behind
+//! an epoch-versioned pointer (read-copy-update in safe Rust), with the
+//! audit ring decisions are recorded into beside it. Writers rebuild the
+//! state under a small publish mutex and swap it in, stamping the next
+//! policy generation into it in the same critical section, so the
+//! (state, generation) pair a reader sees is always internally
+//! consistent.
+//!
+//! Readers never take a lock on the hot path. Each thread keeps one pin
+//! in thread-local storage: the published state and audit ring it last
+//! saw, keyed by `(monitor id, version)`. Every read of the policy state
+//! goes through that pin. A single call ([`ReferenceMonitor::check`] and
+//! its siblings) and a compound one ([`ReferenceMonitor::view`], whose
+//! closure gets a [`MonitorView`] borrowing the pin) run the same
+//! [`MonitorView`] methods, so a repeat check is one atomic version load
+//! plus a thread-local compare, with no shared reference-count traffic
+//! at all.
 
 use crate::audit::{AuditLog, AuditStats};
 use crate::bundle::{
@@ -33,7 +40,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The monitor's complete policy state, published as one immutable
 /// snapshot. The policy generation the state was published under is
@@ -275,21 +281,43 @@ struct BundleRegistry {
     history: VecDeque<Arc<State>>,
 }
 
-/// This thread's pinned snapshot of one monitor, revalidated against the
-/// monitor's version counter on every use.
-struct PinnedSnapshot {
+/// What the publish slot holds: the policy state and the audit log
+/// decisions on it are recorded into. The log rides beside the state,
+/// never inside it, so a rollback that restores an older state keeps
+/// the current ring.
+#[derive(Clone)]
+struct Published {
+    state: Arc<State>,
+    audit: AuditLog,
+}
+
+impl Published {
+    /// The read API against this state and ring.
+    fn view<'a>(&'a self, monitor: &'a ReferenceMonitor) -> MonitorView<'a> {
+        MonitorView {
+            monitor,
+            state: &self.state,
+            audit: &self.audit,
+        }
+    }
+}
+
+/// This thread's pin on one monitor: the slot's contents as of
+/// `version`, revalidated against the monitor's version counter on
+/// every use.
+struct Pin {
     monitor: u64,
     version: u64,
-    state: Arc<State>,
+    published: Published,
 }
 
 thread_local! {
-    /// The snapshot this thread last pinned. Holding a strong `Arc` here
-    /// keeps one superseded state alive per thread at worst; it is
-    /// replaced the next time the thread touches any monitor, and
-    /// released when its monitor is dropped on this thread (a pin other
-    /// threads hold waits for their next call on a monitor).
-    static PINNED: RefCell<Option<PinnedSnapshot>> = const { RefCell::new(None) };
+    /// The pin this thread last took. Holding it keeps one superseded
+    /// state and ring alive per thread at worst; it is replaced the next
+    /// time the thread touches any monitor, and released when its
+    /// monitor is dropped on this thread (a pin other threads hold waits
+    /// for their next call on a monitor).
+    static PINNED: RefCell<Option<Pin>> = const { RefCell::new(None) };
     /// The buffer this thread's walks record into, kept between checks
     /// so a warm check allocates nothing. Taken out for the length of
     /// one walk, so a reentrant walk simply gets a fresh one.
@@ -372,17 +400,19 @@ impl MonitorBuilder {
             SecurityClass::bottom(),
         );
         Arc::new(ReferenceMonitor {
-            published: Mutex::new(Arc::new(State {
-                namespace: NameSpace::new(root_protection),
-                directory: self.directory,
-                lattice: self.lattice,
-                config: self.config,
-                generation: Generation::ZERO,
-                shadow: None,
-            })),
+            published: Mutex::new(Published {
+                state: Arc::new(State {
+                    namespace: NameSpace::new(root_protection),
+                    directory: self.directory,
+                    lattice: self.lattice,
+                    config: self.config,
+                    generation: Generation::ZERO,
+                    shadow: None,
+                }),
+                audit: AuditLog::new(),
+            }),
             version: AtomicU64::new(0),
             id: next_monitor_id(),
-            audit: AuditLog::new(),
             audit_pipeline: Mutex::new(None),
             telemetry: Telemetry::new(),
             bundles: Mutex::new(BundleRegistry::default()),
@@ -395,24 +425,24 @@ impl MonitorBuilder {
 ///
 /// See the crate docs for the model; see [`MonitorBuilder`] for
 /// construction. The monitor is shared behind an [`Arc`] and is fully
-/// thread-safe: checks pin the published state snapshot without taking
-/// any lock, administration rebuilds and republishes the snapshot under
-/// the publish mutex.
+/// thread-safe: checks read the thread's pin on the published state
+/// without taking any lock, administration rebuilds and republishes the
+/// state under the publish mutex.
 pub struct ReferenceMonitor {
-    /// The slot the current state snapshot is published in. Readers only
-    /// lock it to refresh their thread-local pin after a version change;
-    /// writers hold it across evaluate-rebuild-republish.
-    published: Mutex<Arc<State>>,
+    /// The slot the current state and audit log are published in.
+    /// Readers only lock it to refresh their thread-local pin after a
+    /// version change; writers hold it across
+    /// evaluate-rebuild-republish.
+    published: Mutex<Published>,
     /// Bumped (with `Release`) after every republish, while the publish
     /// lock is still held. A reader whose pinned version matches knows
-    /// its snapshot is the newest published one.
+    /// its pin holds the newest published slot.
     version: AtomicU64,
     /// Process-unique monitor identity for the thread-local pins.
     id: u64,
-    audit: AuditLog,
     /// The attached persistent audit pipeline, if any. Admin and
     /// snapshot paths only; the check path reaches the pipeline through
-    /// the ring the audit log records into, never through this lock.
+    /// the ring its pin holds, never through this lock.
     audit_pipeline: Mutex<Option<Arc<AuditPipeline>>>,
     /// Pipeline telemetry: stage timings, mode/service/dispatch counters.
     /// Starts disabled; when disabled every recording call is a single
@@ -424,8 +454,9 @@ pub struct ReferenceMonitor {
     bundles: Mutex<BundleRegistry>,
     /// Shadow-mode flip accumulators, reset whenever shadow mode turns
     /// on (or the shadowed policy is activated or rolled away). Locked
-    /// once per check *only while shadow mode is on* — the explicit
-    /// price of dual evaluation.
+    /// once per decision *only while shadow mode is on* — the explicit
+    /// price of dual evaluation — and after the publish lock when a
+    /// guard holds both.
     shadow_stats: Mutex<ShadowStats>,
 }
 
@@ -434,67 +465,36 @@ impl ReferenceMonitor {
     // Snapshot plumbing.
     // ------------------------------------------------------------------
 
-    /// Runs `f` against the current state snapshot. Fast path: one
-    /// `Acquire` load of the version counter plus a thread-local compare;
-    /// no lock, no shared reference-count update. Slow path (first use on
-    /// this thread, or the version moved): refresh the pin under the
-    /// publish lock.
-    fn with_snapshot<R>(&self, f: impl FnOnce(&State) -> R) -> R {
+    /// Runs `f` on a [`MonitorView`] of this thread's pin. Fast path:
+    /// one `Acquire` load of the version counter plus a thread-local
+    /// compare; no lock, no shared reference-count update. Slow path
+    /// (first use on this thread, or the version moved): copy the
+    /// published slot under the publish lock.
+    pub(crate) fn pinned<R>(&self, f: impl FnOnce(&MonitorView<'_>) -> R) -> R {
         let version = self.version.load(Ordering::Acquire);
         // Take the pin out of the slot (rather than borrowing across `f`)
         // so a reentrant monitor call inside `f` finds the cell free.
-        let pinned = PINNED.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            match slot.take() {
-                Some(pin) if pin.monitor == self.id && pin.version == version => Some(pin),
-                other => {
-                    *slot = other;
-                    None
+        let pin = PINNED
+            .with(|cell| cell.borrow_mut().take())
+            .filter(|pin| pin.monitor == self.id && pin.version == version)
+            .unwrap_or_else(|| {
+                let slot = self.published.lock();
+                Pin {
+                    monitor: self.id,
+                    version: self.version.load(Ordering::Acquire),
+                    published: slot.clone(),
                 }
+            });
+        let result = f(&pin.published.view(self));
+        // A reentrant call may have pinned in the meantime; its pin is
+        // at least as new, so it stays.
+        PINNED.with(|cell| {
+            let mut slot = cell.borrow_mut();
+            if slot.is_none() {
+                *slot = Some(pin);
             }
         });
-        if let Some(pin) = pinned {
-            let result = f(&pin.state);
-            PINNED.with(|cell| {
-                let mut slot = cell.borrow_mut();
-                if slot.is_none() {
-                    *slot = Some(pin);
-                }
-            });
-            return result;
-        }
-        let state = self.refresh_pin();
-        f(&state)
-    }
-
-    /// Re-pins this thread to the currently published snapshot and
-    /// returns it. The version is re-read under the publish lock so the
-    /// (state, version) pair is consistent.
-    fn refresh_pin(&self) -> Arc<State> {
-        let (state, version) = {
-            let slot = self.published.lock();
-            (Arc::clone(&slot), self.version.load(Ordering::Acquire))
-        };
-        PINNED.with(|cell| {
-            *cell.borrow_mut() = Some(PinnedSnapshot {
-                monitor: self.id,
-                version,
-                state: Arc::clone(&state),
-            });
-        });
-        state
-    }
-
-    /// Returns the current state snapshot as an owned `Arc` (for
-    /// [`ReferenceMonitor::view`], which must outlive the call).
-    fn snapshot_arc(&self) -> Arc<State> {
-        let version = self.version.load(Ordering::Acquire);
-        let pinned = PINNED.with(|cell| {
-            cell.borrow_mut().as_ref().and_then(|pin| {
-                (pin.monitor == self.id && pin.version == version).then(|| Arc::clone(&pin.state))
-            })
-        });
-        pinned.unwrap_or_else(|| self.refresh_pin())
+        result
     }
 
     /// Rebuilds the state held in `slot` (cloning it only when readers
@@ -502,8 +502,8 @@ impl ReferenceMonitor {
     /// applies `f`, and republishes. Must be called with the publish lock
     /// held; the version bump is `Release` so the new state is visible to
     /// any reader that observes the new version.
-    fn mutate_published<R>(&self, slot: &mut Arc<State>, f: impl FnOnce(&mut State) -> R) -> R {
-        let state = Arc::make_mut(slot);
+    fn mutate_published<R>(&self, slot: &mut Published, f: impl FnOnce(&mut State) -> R) -> R {
+        let state = Arc::make_mut(&mut slot.state);
         state.generation = state.generation.next();
         let result = f(state);
         self.version.fetch_add(1, Ordering::Release);
@@ -517,22 +517,14 @@ impl ReferenceMonitor {
     /// Checks whether `subject` may perform `mode` on the object named by
     /// `path`, recording the decision in the audit log when enabled.
     ///
-    /// This is exactly `self.view().check(...)` against the snapshot the
-    /// call pins — the monitor-level method exists so a single check does
-    /// not pay the view's `Arc` pin. For compound operations that must
-    /// read one consistent policy state, open a [`MonitorView`] (the
-    /// blessed entry point) and make all the calls through it.
+    /// This is [`MonitorView::check`] on this thread's pin. For compound
+    /// operations that must read one consistent policy state, make all
+    /// the calls through one [`ReferenceMonitor::view`] closure.
     ///
     /// Every check runs the whole rule — visibility, ACL and flow — and
     /// nothing is memoized across checks.
     pub fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
-        self.with_snapshot(|state| {
-            ViewRef {
-                monitor: self,
-                state,
-            }
-            .check(subject, path, mode)
-        })
+        self.pinned(|view| view.check(subject, path, mode))
     }
 
     /// Checks a whole batch against one pinned snapshot (see
@@ -540,83 +532,29 @@ impl ReferenceMonitor {
     /// item, in item order, except that every item sees the same
     /// snapshot.
     pub fn check_batch(&self, subject: &Subject, items: &[(NsPath, AccessMode)]) -> Vec<Decision> {
-        self.with_snapshot(|state| {
-            ViewRef {
-                monitor: self,
-                state,
-            }
-            .check_batch(subject, items)
-        })
+        self.pinned(|view| view.check_batch(subject, items))
     }
 
-    /// The same evaluation as [`ReferenceMonitor::check`] without shadow
-    /// recording: the reference decision that the campaign invariants
+    /// The rule [`ReferenceMonitor::check`] applies, with nothing
+    /// recorded: no audit record, no count, no timing, no shadow
+    /// evaluation. The reference decision that the campaign invariants
     /// and the benchmark's correctness gate compare other paths against.
     ///
     /// This is a verification surface, not an alternative check path:
     /// production callers go through [`ReferenceMonitor::check`].
     pub fn check_unmemoized(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
-        self.with_snapshot(|state| self.decide_and_audit(state, subject, path, mode).0)
+        self.pinned(|view| view.decide_with(subject, path, mode, &mut ()))
     }
 
-    /// The one decision site for a single request, guarded operations'
-    /// included: walks `path` once, decides and audits, counted under
-    /// its mode and timed as one [`Stage::Check`] span. Also returns
-    /// where the walk ended, so a guarded operation acts on the node it
-    /// was granted without resolving the path again.
-    fn decide_and_audit(
-        &self,
-        state: &State,
-        subject: &Subject,
-        path: &NsPath,
-        mode: AccessMode,
-    ) -> (Decision, Result<NodeId, NsError>) {
-        let tele = &self.telemetry;
-        let whole = tele.start();
-        tele.count(Counter::Mode(mode));
-        let (decision, end) = state.walk(path, tele, |walk| {
-            state.decide(subject, walk, mode, tele, &mut ())
-        });
-        if state.config.audit {
-            let audit_t = tele.start();
-            self.audit
-                .record(subject, path, mode, &decision, state.generation.raw());
-            tele.finish(Stage::Audit, audit_t);
-        }
-        tele.finish(Stage::Check, whole);
-        (decision, end)
-    }
-
-    /// Checks and converts to a `Result` in one step. Like
-    /// [`ReferenceMonitor::check`], this is the single-call form of
-    /// [`MonitorView::require`].
+    /// Checks and converts to a `Result` in one step: the single-call
+    /// form of [`MonitorView::require`].
     pub fn require(
         &self,
         subject: &Subject,
         path: &NsPath,
         mode: AccessMode,
     ) -> Result<(), MonitorError> {
-        self.with_snapshot(|state| {
-            ViewRef {
-                monitor: self,
-                state,
-            }
-            .require(subject, path, mode)
-        })
-    }
-
-    /// The guard of an operation acting on `path`: decides `mode` and
-    /// audits, then returns the node the operation may act on.
-    fn authorize(
-        &self,
-        state: &State,
-        subject: &Subject,
-        path: &NsPath,
-        mode: AccessMode,
-    ) -> Result<NodeId, MonitorError> {
-        let (decision, end) = self.decide_and_audit(state, subject, path, mode);
-        decision.into_result()?;
-        Ok(end?)
+        self.pinned(|view| view.require(subject, path, mode))
     }
 
     // ------------------------------------------------------------------
@@ -636,11 +574,13 @@ impl ReferenceMonitor {
         protection: Protection,
     ) -> Result<NodeId, MonitorError> {
         let mut slot = self.published.lock();
-        let parent = self.authorize(&slot, subject, parent, AccessMode::WriteAppend)?;
-        slot.lattice.validate(&protection.label)?;
+        let parent = slot
+            .view(self)
+            .authorize(subject, parent, AccessMode::WriteAppend)?;
+        slot.state.lattice.validate(&protection.label)?;
         // Insert into a private copy first; only a successful insert is
         // republished (a failed one leaves state and generation alone).
-        let state = Arc::make_mut(&mut slot);
+        let state = Arc::make_mut(&mut slot.state);
         let id = state.namespace.insert_at(parent, name, kind, protection)?;
         state.generation = state.generation.next();
         self.version.fetch_add(1, Ordering::Release);
@@ -650,8 +590,10 @@ impl ReferenceMonitor {
     /// Removes the node at `path`; requires `delete` on the node itself.
     pub fn remove(&self, subject: &Subject, path: &NsPath) -> Result<(), MonitorError> {
         let mut slot = self.published.lock();
-        let id = self.authorize(&slot, subject, path, AccessMode::Delete)?;
-        let state = Arc::make_mut(&mut slot);
+        let id = slot
+            .view(self)
+            .authorize(subject, path, AccessMode::Delete)?;
+        let state = Arc::make_mut(&mut slot.state);
         state.namespace.remove_id(id)?;
         state.generation = state.generation.next();
         self.version.fetch_add(1, Ordering::Release);
@@ -661,23 +603,7 @@ impl ReferenceMonitor {
     /// Lists the children of the container at `path`; requires `list`.
     /// The single-call form of [`MonitorView::list`].
     pub fn list(&self, subject: &Subject, path: &NsPath) -> Result<Vec<String>, MonitorError> {
-        self.with_snapshot(|state| {
-            ViewRef {
-                monitor: self,
-                state,
-            }
-            .list(subject, path)
-        })
-    }
-
-    fn list_at(
-        &self,
-        state: &State,
-        subject: &Subject,
-        path: &NsPath,
-    ) -> Result<Vec<String>, MonitorError> {
-        self.authorize(state, subject, path, AccessMode::List)?;
-        Ok(state.namespace.list(path)?)
+        self.pinned(|view| view.list(subject, path))
     }
 
     /// Appends an ACL entry to the node at `path`; requires `administrate`.
@@ -736,13 +662,10 @@ impl ReferenceMonitor {
         path: &NsPath,
         label: SecurityClass,
     ) -> Result<(), MonitorError> {
-        self.with_snapshot(|state| {
-            state.lattice.validate(&label)?;
-            if !subject.class.dominates(&label) {
-                return Err(MonitorError::Denied(DenyReason::MacFlow));
-            }
-            Ok(())
-        })?;
+        self.lattice(|lattice| lattice.validate(&label))?;
+        if !subject.class.dominates(&label) {
+            return Err(MonitorError::Denied(DenyReason::MacFlow));
+        }
         self.administrate(subject, path, move |prot| {
             prot.label = label;
             Ok(())
@@ -756,7 +679,9 @@ impl ReferenceMonitor {
         f: impl FnOnce(&mut Protection) -> Result<R, MonitorError>,
     ) -> Result<R, MonitorError> {
         let mut slot = self.published.lock();
-        let id = self.authorize(&slot, subject, path, AccessMode::Administrate)?;
+        let id = slot
+            .view(self)
+            .authorize(subject, path, AccessMode::Administrate)?;
         let mut result: Option<Result<R, MonitorError>> = None;
         // The closure runs against the new state; publish it even when it
         // reports an error, since it may have mutated before failing.
@@ -779,47 +704,40 @@ impl ReferenceMonitor {
     // Subject transitions.
     // ------------------------------------------------------------------
 
-    /// Returns the subject as it enters the code object at `path`: when
-    /// the node carries a static security class, the subject's class is
-    /// capped at `meet(current, static)`; otherwise it is unchanged. The
-    /// single-call form of [`MonitorView::enter`].
+    /// The guard of entering the code object at `path`: decides
+    /// `execute` on it, audited, counted and shadowed like any check, and
+    /// returns the subject as it enters. When the node the decision
+    /// granted carries a static security class, the subject's class is
+    /// capped at `meet(current, static)`; otherwise it is unchanged.
     pub fn enter(&self, subject: &Subject, path: &NsPath) -> Result<Subject, MonitorError> {
-        self.with_snapshot(|state| {
-            ViewRef {
-                monitor: self,
-                state,
-            }
-            .enter(subject, path)
+        self.pinned(|view| {
+            let id = view.authorize(subject, path, AccessMode::Execute)?;
+            Ok(
+                match &view.state.namespace.node(id)?.protection().static_class {
+                    Some(static_class) => subject.capped_by(static_class),
+                    None => subject.clone(),
+                },
+            )
         })
     }
 
-    fn enter_at(state: &State, subject: &Subject, path: &NsPath) -> Result<Subject, MonitorError> {
-        let id = state.namespace.resolve(path)?;
-        let node = state.namespace.node(id)?;
-        Ok(match &node.protection().static_class {
-            Some(static_class) => subject.capped_by(static_class),
-            None => subject.clone(),
-        })
-    }
-
-    /// Pins the current snapshot and returns a [`MonitorView`] over it,
-    /// so a compound operation (check-then-enter, list-then-filter) reads
-    /// one consistent policy state instead of racing republishes between
-    /// its steps. This is the blessed entry point for all read-side use;
-    /// the monitor-level `check`/`require`/`list`/`enter` are the
-    /// single-call forms of the same four view methods.
+    /// Runs `f` on a [`MonitorView`] of this thread's pin, so a compound
+    /// operation (list-then-filter, check-then-read-the-label) reads one
+    /// consistent policy state instead of racing republishes between its
+    /// steps. The monitor-level `check`/`require`/`list` are the
+    /// single-call forms of the same view methods on the same pin.
     ///
-    /// When telemetry is enabled, opening a view starts one trace: the
-    /// view counts each operation made through it and records its whole
-    /// lifetime (pin to drop) in the `refmon.stage.view_span_ns`
+    /// A monitor call inside `f` re-pins, and a mutation inside `f`
+    /// publishes, while `f` goes on reading its own snapshot. When
+    /// telemetry is enabled, each view counts under `refmon.view.opened`
+    /// and `f`'s whole run is timed in the `refmon.stage.view_span_ns`
     /// histogram — one pin, one trace.
-    pub fn view(&self) -> MonitorView<'_> {
+    pub fn view<R>(&self, f: impl FnOnce(&MonitorView<'_>) -> R) -> R {
         self.telemetry.count(Counter::ViewsOpened);
-        MonitorView {
-            monitor: self,
-            state: self.snapshot_arc(),
-            opened: self.telemetry.start(),
-        }
+        let opened = self.telemetry.start();
+        let result = self.pinned(f);
+        self.telemetry.finish(Stage::ViewSpan, opened);
+        result
     }
 
     // ------------------------------------------------------------------
@@ -843,12 +761,12 @@ impl ReferenceMonitor {
 
     /// Runs `f` with read access to the name space, bypassing all checks.
     pub fn inspect<R>(&self, f: impl FnOnce(&NameSpace) -> R) -> R {
-        self.with_snapshot(|state| f(&state.namespace))
+        self.pinned(|view| f(&view.state.namespace))
     }
 
     /// Runs `f` with read access to the principal directory.
     pub fn directory<R>(&self, f: impl FnOnce(&Directory) -> R) -> R {
-        self.with_snapshot(|state| f(&state.directory))
+        self.pinned(|view| view.directory(f))
     }
 
     /// Runs `f` with mutable access to the principal directory (identity
@@ -862,12 +780,12 @@ impl ReferenceMonitor {
 
     /// Runs `f` with read access to the lattice.
     pub fn lattice<R>(&self, f: impl FnOnce(&Lattice) -> R) -> R {
-        self.with_snapshot(|state| f(&state.lattice))
+        self.pinned(|view| view.lattice(f))
     }
 
     /// Returns the current configuration.
     pub fn config(&self) -> MonitorConfig {
-        self.with_snapshot(|state| state.config)
+        self.pinned(|view| view.config())
     }
 
     /// Replaces the configuration (TCB operation).
@@ -895,7 +813,8 @@ impl ReferenceMonitor {
             line: e.line,
             msg: e.msg,
         })?;
-        self.with_snapshot(|state| {
+        self.pinned(|view| {
+            let state = view.state;
             let ops =
                 bundle::compile_ops(&doc, &state.namespace, &state.directory, &state.lattice)?;
             let base = bundle::resolve_base(doc.base, state.generation);
@@ -932,21 +851,22 @@ impl ReferenceMonitor {
     /// pinned either to the pre-activation snapshot or the
     /// post-activation one.
     pub fn activate_bundle(&self, id: BundleId) -> Result<Generation, BundleError> {
-        let mut slot = self.published.lock();
+        let mut published = self.published.lock();
+        let state = &mut published.state;
         let mut registry = self.bundles.lock();
         let pos = registry
             .staged
             .iter()
             .position(|b| b.id == id)
             .ok_or(BundleError::UnknownBundle(id))?;
-        if registry.staged[pos].base != slot.generation {
+        if registry.staged[pos].base != state.generation {
             return Err(BundleError::BaseConflict {
                 expected: registry.staged[pos].base,
-                actual: slot.generation,
+                actual: state.generation,
             });
         }
         let staged = registry.staged.remove(pos);
-        let mut next = State::clone(&slot);
+        let mut next = State::clone(state);
         next.shadow = None;
         if let Err(e) = Self::apply_bundle_ops(&mut next, &staged.ops) {
             // Structurally unreachable (the base CAS pins the state the
@@ -955,37 +875,38 @@ impl ReferenceMonitor {
             registry.staged.insert(pos, staged);
             return Err(e);
         }
-        registry.history.push_back(Arc::clone(&slot));
+        registry.history.push_back(Arc::clone(state));
         while registry.history.len() > ROLLBACK_RING {
             registry.history.pop_front();
         }
-        next.generation = slot.generation.next();
+        next.generation = state.generation.next();
         let generation = next.generation;
-        *slot = Arc::new(next);
+        *state = Arc::new(next);
         self.version.fetch_add(1, Ordering::Release);
         *self.shadow_stats.lock() = ShadowStats::default();
         Ok(generation)
     }
 
     /// Turns shadow mode on for a staged bundle (or off). While on,
-    /// every check through the real check path is also evaluated against
-    /// the staged policy and would-be flips are counted into telemetry
-    /// and the status report — *enforced decisions never change*. The
-    /// toggle is an atomic publish that deliberately does **not** bump
-    /// the generation: the enforced policy is untouched, so a bundle
-    /// staged against it stays activatable. Shadowing requires the same
-    /// base-generation match as activation (the diff is relative to that
-    /// base).
+    /// every enforced decision, guarded operations' included, is also
+    /// evaluated against the staged policy and would-be flips are
+    /// counted into telemetry and the status report — *enforced
+    /// decisions never change*. The toggle is an atomic publish that
+    /// deliberately does **not** bump the generation: the enforced
+    /// policy is untouched, so a bundle staged against it stays
+    /// activatable. Shadowing requires the same base-generation match as
+    /// activation (the diff is relative to that base).
     pub fn shadow_bundle(&self, id: BundleId, on: bool) -> Result<Generation, BundleError> {
-        let mut slot = self.published.lock();
+        let mut published = self.published.lock();
+        let state = &mut published.state;
         if !on {
-            if slot.shadow.is_some() {
-                let mut next = State::clone(&slot);
+            if state.shadow.is_some() {
+                let mut next = State::clone(state);
                 next.shadow = None;
-                *slot = Arc::new(next);
+                *state = Arc::new(next);
                 self.version.fetch_add(1, Ordering::Release);
             }
-            return Ok(slot.generation);
+            return Ok(state.generation);
         }
         let registry = self.bundles.lock();
         let staged = registry
@@ -993,26 +914,26 @@ impl ReferenceMonitor {
             .iter()
             .find(|b| b.id == id)
             .ok_or(BundleError::UnknownBundle(id))?;
-        if staged.base != slot.generation {
+        if staged.base != state.generation {
             return Err(BundleError::BaseConflict {
                 expected: staged.base,
-                actual: slot.generation,
+                actual: state.generation,
             });
         }
-        let mut shadow_state = State::clone(&slot);
+        let mut shadow_state = State::clone(state);
         shadow_state.shadow = None;
         Self::apply_bundle_ops(&mut shadow_state, &staged.ops)?;
         let bundle_id = staged.id;
         drop(registry);
-        let mut next = State::clone(&slot);
+        let mut next = State::clone(state);
         next.shadow = Some(Arc::new(ShadowPolicy {
             bundle: bundle_id,
             state: shadow_state,
         }));
-        *slot = Arc::new(next);
+        *state = Arc::new(next);
         self.version.fetch_add(1, Ordering::Release);
         *self.shadow_stats.lock() = ShadowStats::default();
-        Ok(slot.generation)
+        Ok(state.generation)
     }
 
     /// Rolls back to the most recent pre-activation snapshot: one atomic
@@ -1020,7 +941,8 @@ impl ReferenceMonitor {
     /// generation above every one published before. Returns
     /// [`BundleError::NoHistory`] when the ring is empty.
     pub fn rollback(&self) -> Result<Generation, BundleError> {
-        let mut slot = self.published.lock();
+        let mut published = self.published.lock();
+        let state = &mut published.state;
         let mut registry = self.bundles.lock();
         let prior = registry.history.pop_back().ok_or(BundleError::NoHistory)?;
         let mut next = State::clone(&prior);
@@ -1029,9 +951,9 @@ impl ReferenceMonitor {
         // from `prior`'s: `prior.generation + 1` is the activation's own
         // generation, so a bundle staged against the activated policy
         // would pass the base check against the restored one.
-        next.generation = slot.generation.next();
+        next.generation = state.generation.next();
         let generation = next.generation;
-        *slot = Arc::new(next);
+        *state = Arc::new(next);
         self.version.fetch_add(1, Ordering::Release);
         *self.shadow_stats.lock() = ShadowStats::default();
         Ok(generation)
@@ -1041,7 +963,6 @@ impl ReferenceMonitor {
     /// every staged bundle, the shadow flip counts when shadow mode is
     /// on, and the rollback ring's depth.
     pub fn bundle_status(&self) -> BundleStatusReport {
-        let state = self.snapshot_arc();
         let registry = self.bundles.lock();
         let staged = registry
             .staged
@@ -1056,16 +977,16 @@ impl ReferenceMonitor {
             .collect();
         let history = registry.history.len();
         drop(registry);
-        let shadow = state
-            .shadow
-            .as_ref()
-            .map(|sp| self.shadow_stats.lock().report(sp.bundle));
-        BundleStatusReport {
-            active: state.generation,
+        self.pinned(|view| BundleStatusReport {
+            active: view.state.generation,
             staged,
-            shadow,
+            shadow: view
+                .state
+                .shadow
+                .as_ref()
+                .map(|sp| self.shadow_stats.lock().report(sp.bundle)),
             history,
-        }
+        })
     }
 
     /// Replays a compiled bundle onto a state clone. Infallible for a
@@ -1126,7 +1047,7 @@ impl ReferenceMonitor {
 
     /// Dual-evaluates one already-enforced decision against the shadowed
     /// policy and folds the outcome into the flip accumulators. Called
-    /// from the check path only while shadow mode is on.
+    /// for every decision made while shadow mode is on.
     fn record_shadow(
         &self,
         shadow: &ShadowPolicy,
@@ -1143,9 +1064,10 @@ impl ReferenceMonitor {
             .record(subject.principal, path, enforced, &shadowed);
     }
 
-    /// Returns the audit log.
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
+    /// Returns the audit log: a handle on the ring this thread's pin
+    /// holds.
+    pub fn audit(&self) -> AuditLog {
+        self.pinned(|view| view.audit.clone())
     }
 
     /// A compatibility shim for readers of the retired decision cache's
@@ -1165,14 +1087,14 @@ impl ReferenceMonitor {
     /// Returns the audit ring's saturation counters (capacity, retained
     /// and dropped events).
     pub fn audit_stats(&self) -> AuditStats {
-        self.audit.stats()
+        self.pinned(|view| view.audit.stats())
     }
 
     /// The raw policy generation currently published (bumped by every
     /// successful mutation). This is the value stamped into audit
     /// records.
     pub fn policy_generation(&self) -> u64 {
-        self.with_snapshot(|state| state.generation.raw())
+        self.pinned(|view| view.state.generation.raw())
     }
 
     /// Attaches a persistent audit pipeline: every subsequent decision is
@@ -1182,9 +1104,15 @@ impl ReferenceMonitor {
     /// recovered `next_seq` and after every number this monitor already
     /// handed out, so sequence numbers stay globally monotone across
     /// restarts; events recorded *before* attachment never reach the
-    /// pipeline and become a declared gap.
+    /// pipeline and become a declared gap. Copies no policy state and
+    /// leaves the generation alone; a decision racing the switch may
+    /// still land in the previous ring.
     pub fn attach_audit_pipeline(&self, pipeline: Arc<AuditPipeline>) {
-        self.audit.attach_ring(Arc::clone(pipeline.ring()));
+        {
+            let mut slot = self.published.lock();
+            slot.audit = slot.audit.switched_to(Arc::clone(pipeline.ring()));
+            self.version.fetch_add(1, Ordering::Release);
+        }
         *self.audit_pipeline.lock() = Some(pipeline);
     }
 
@@ -1244,10 +1172,6 @@ impl ReferenceMonitor {
     /// check.
     pub fn metrics(&self) -> Metrics {
         let mut metrics = self.telemetry.metrics();
-        let ring = self.audit.stats();
-        metrics.set("audit.ring.capacity", ring.capacity as u64);
-        metrics.set("audit.ring.retained", ring.retained as u64);
-        metrics.set("audit.ring.overwritten", ring.ring_dropped);
         if let Some(stats) = self.audit_pipeline_stats() {
             let PipelineStats {
                 enqueued,
@@ -1288,24 +1212,26 @@ impl ReferenceMonitor {
                 metrics.set(format!("audit.pipeline.{name}"), value);
             }
         }
-        let state = self.snapshot_arc();
-        metrics.set("refmon.policy.generation", state.generation.raw());
-        if state.shadow.is_some() {
-            let shadow = self.shadow_stats.lock();
-            metrics.set("refmon.shadow.checks", shadow.checks);
-            metrics.set("refmon.shadow.allow_to_deny", shadow.allow_to_deny);
-            metrics.set("refmon.shadow.deny_to_allow", shadow.deny_to_allow);
-        }
+        self.pinned(|view| {
+            let ring = view.audit.stats();
+            metrics.set("audit.ring.capacity", ring.capacity as u64);
+            metrics.set("audit.ring.retained", ring.retained as u64);
+            metrics.set("audit.ring.overwritten", ring.ring_dropped);
+            metrics.set("refmon.policy.generation", view.state.generation.raw());
+            if view.state.shadow.is_some() {
+                let shadow = self.shadow_stats.lock();
+                metrics.set("refmon.shadow.checks", shadow.checks);
+                metrics.set("refmon.shadow.allow_to_deny", shadow.allow_to_deny);
+                metrics.set("refmon.shadow.deny_to_allow", shadow.deny_to_allow);
+            }
+        });
         metrics
     }
 
     /// Convenience: the protection record of the node at `path` (TCB
     /// inspection; not access-checked).
     pub fn protection_of(&self, path: &NsPath) -> Result<Protection, MonitorError> {
-        self.with_snapshot(|state| {
-            let id = state.namespace.resolve(path)?;
-            Ok(state.namespace.node(id)?.protection().clone())
-        })
+        self.pinned(|view| view.protection_of(path))
     }
 }
 
@@ -1344,56 +1270,57 @@ impl std::error::Error for AuditAccessError {}
 
 impl fmt::Debug for ReferenceMonitor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.with_snapshot(|state| {
+        self.pinned(|view| {
             f.debug_struct("ReferenceMonitor")
-                .field("nodes", &state.namespace.len())
-                .field("principals", &state.directory.principal_count())
-                .field("config", &state.config)
+                .field("nodes", &view.state.namespace.len())
+                .field("principals", &view.state.directory.principal_count())
+                .field("config", &view.state.config)
                 .finish()
         })
     }
 }
 
-/// The one implementation of the read API, borrowed against a single
-/// state snapshot. Both entry-point families delegate here —
-/// [`ReferenceMonitor`]'s single-call methods via the thread-local pin
-/// (no `Arc` traffic) and [`MonitorView`]'s compound methods via the
-/// view's owned pin — so there is exactly one check path to instrument,
-/// test, and reason about.
-struct ViewRef<'a> {
+/// The read API against one pinned snapshot of the monitor's policy
+/// state and the audit ring beside it — what a
+/// [`ReferenceMonitor::view`] closure gets, and what every single-call
+/// method runs on.
+///
+/// Every method reads the same snapshot, so a compound operation — list
+/// then per-item check, check then read the label — is atomic against
+/// concurrent administration: either all of it sees the old policy or
+/// all of it sees the new one, never a mix. Decisions are recorded into
+/// the pinned ring.
+///
+/// A view borrows the thread's pin and cannot outlive the closure it
+/// was passed to, so no caller can hold a snapshot alive past its
+/// compound operation.
+pub struct MonitorView<'a> {
     monitor: &'a ReferenceMonitor,
     state: &'a State,
+    audit: &'a AuditLog,
 }
 
-impl ViewRef<'_> {
-    /// One decision and its audit record, then the shadow evaluation
-    /// when shadow mode is on.
-    fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
-        let (decision, _) = self
-            .monitor
-            .decide_and_audit(self.state, subject, path, mode);
-        // Shadow mode: dual-evaluate against the staged policy riding in
-        // this snapshot. Off (the common case) this is one `Option` test
-        // on already-pinned state; the enforced decision is final either
-        // way.
-        if let Some(shadow) = self.state.shadow.as_deref() {
-            self.monitor
-                .record_shadow(shadow, subject, path, mode, &decision);
-        }
-        decision
+impl MonitorView<'_> {
+    /// Checks `subject`'s access against this snapshot (audited).
+    pub fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
+        self.decide_and_audit(subject, path, mode).0
     }
 
-    /// The batch check: every item is one ordinary [`ViewRef::check`] —
-    /// audit record and shadow evaluation included — against this one
-    /// snapshot, in item order.
-    fn check_batch(&self, subject: &Subject, items: &[(NsPath, AccessMode)]) -> Vec<Decision> {
+    /// Checks a whole batch against this snapshot: each item is one
+    /// [`MonitorView::check`], in item order, so the batch returns one
+    /// decision per item and emits its audit records in item order.
+    /// Decision-for-decision identical to checking the items in
+    /// sequence, in any order (proptested in
+    /// `tests/batch_equivalence.rs`).
+    pub fn check_batch(&self, subject: &Subject, items: &[(NsPath, AccessMode)]) -> Vec<Decision> {
         items
             .iter()
             .map(|(path, mode)| self.check(subject, path, *mode))
             .collect()
     }
 
-    fn require(
+    /// Checks and converts to a `Result` in one step.
+    pub fn require(
         &self,
         subject: &Subject,
         path: &NsPath,
@@ -1404,94 +1331,10 @@ impl ViewRef<'_> {
             .map_err(MonitorError::Denied)
     }
 
-    fn list(&self, subject: &Subject, path: &NsPath) -> Result<Vec<String>, MonitorError> {
-        self.monitor.list_at(self.state, subject, path)
-    }
-
-    fn enter(&self, subject: &Subject, path: &NsPath) -> Result<Subject, MonitorError> {
-        ReferenceMonitor::enter_at(self.state, subject, path)
-    }
-
-    fn protection_of(&self, path: &NsPath) -> Result<Protection, MonitorError> {
-        let id = self.state.namespace.resolve(path)?;
-        Ok(self.state.namespace.node(id)?.protection().clone())
-    }
-}
-
-/// One pinned, immutable snapshot of the monitor's policy state — the
-/// blessed entry point for the read side of the monitor API.
-///
-/// Every method reads the same snapshot, so a compound operation — check
-/// then enter, list then per-item check — is atomic against concurrent
-/// administration: either all of it sees the old policy or all of it sees
-/// the new one, never a mix. Decisions still go through the shared audit
-/// log, and the monitor-level
-/// `check`/`require`/`list`/`enter` are exactly these methods against a
-/// freshly pinned snapshot.
-///
-/// When telemetry is enabled the view is one trace: it counts the
-/// operations made through it and records its pin-to-drop lifetime in
-/// the `refmon.stage.view_span_ns` histogram.
-///
-/// The view pins the snapshot for as long as it lives; drop it promptly
-/// (writers fall back to cloning the state while any pin is held).
-pub struct MonitorView<'m> {
-    monitor: &'m ReferenceMonitor,
-    state: Arc<State>,
-    /// Trace start; `Some` only when telemetry was enabled at pin time.
-    opened: Option<Instant>,
-}
-
-impl MonitorView<'_> {
-    /// The shared read-API implementation against this view's snapshot.
-    fn as_view_ref(&self) -> ViewRef<'_> {
-        ViewRef {
-            monitor: self.monitor,
-            state: &self.state,
-        }
-    }
-
-    /// Checks `subject`'s access against this snapshot (audited).
-    pub fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
-        self.monitor.telemetry.count(Counter::ViewOps);
-        self.as_view_ref().check(subject, path, mode)
-    }
-
-    /// Checks a whole batch against this snapshot: each item is one
-    /// [`MonitorView::check`], in item order, so the batch returns one
-    /// decision per item and emits its audit records in item order.
-    /// Decision-for-decision identical to checking the items in
-    /// sequence, in any order (proptested in
-    /// `tests/batch_equivalence.rs`).
-    pub fn check_batch(&self, subject: &Subject, items: &[(NsPath, AccessMode)]) -> Vec<Decision> {
-        for _ in items {
-            self.monitor.telemetry.count(Counter::ViewOps);
-        }
-        self.as_view_ref().check_batch(subject, items)
-    }
-
-    /// Checks and converts to a `Result` in one step.
-    pub fn require(
-        &self,
-        subject: &Subject,
-        path: &NsPath,
-        mode: AccessMode,
-    ) -> Result<(), MonitorError> {
-        self.monitor.telemetry.count(Counter::ViewOps);
-        self.as_view_ref().require(subject, path, mode)
-    }
-
-    /// Returns the subject as it enters the code object at `path` (see
-    /// [`ReferenceMonitor::enter`]), resolved against this snapshot.
-    pub fn enter(&self, subject: &Subject, path: &NsPath) -> Result<Subject, MonitorError> {
-        self.monitor.telemetry.count(Counter::ViewOps);
-        self.as_view_ref().enter(subject, path)
-    }
-
     /// Lists the children of the container at `path`; requires `list`.
     pub fn list(&self, subject: &Subject, path: &NsPath) -> Result<Vec<String>, MonitorError> {
-        self.monitor.telemetry.count(Counter::ViewOps);
-        self.as_view_ref().list(subject, path)
+        self.authorize(subject, path, AccessMode::List)?;
+        Ok(self.state.namespace.list(path)?)
     }
 
     /// The configuration this snapshot was published with.
@@ -1514,11 +1357,13 @@ impl MonitorView<'_> {
     /// The protection record of the node at `path` in this snapshot (TCB
     /// inspection; not access-checked).
     pub fn protection_of(&self, path: &NsPath) -> Result<Protection, MonitorError> {
-        self.as_view_ref().protection_of(path)
+        let id = self.state.namespace.resolve(path)?;
+        Ok(self.state.namespace.node(id)?.protection().clone())
     }
 
     /// Decides against this snapshot with nothing recorded — unaudited,
-    /// untimed — reporting each step of the rule to `steps`.
+    /// uncounted, untimed, unshadowed — reporting each step of the rule
+    /// to `steps`.
     pub(crate) fn decide_with(
         &self,
         subject: &Subject,
@@ -1528,15 +1373,55 @@ impl MonitorView<'_> {
     ) -> Decision {
         self.state.decide_unrecorded(subject, path, mode, steps)
     }
-}
 
-impl Drop for MonitorView<'_> {
-    fn drop(&mut self) {
-        // Close the trace: the span from pin to drop, recorded only when
-        // telemetry was already enabled when the view was opened.
-        self.monitor
-            .telemetry
-            .finish(Stage::ViewSpan, self.opened.take());
+    /// The one decision site, guarded operations' included: walks `path`
+    /// once, decides and audits, counted under its mode and timed as one
+    /// [`Stage::Check`] span, then dual-evaluates the decision when
+    /// shadow mode is on. Also returns where the walk ended, so a guarded
+    /// operation acts on the node it was granted without resolving the
+    /// path again.
+    fn decide_and_audit(
+        &self,
+        subject: &Subject,
+        path: &NsPath,
+        mode: AccessMode,
+    ) -> (Decision, Result<NodeId, NsError>) {
+        let state = self.state;
+        let tele = &self.monitor.telemetry;
+        let whole = tele.start();
+        tele.count(Counter::Mode(mode));
+        let (decision, end) = state.walk(path, tele, |walk| {
+            state.decide(subject, walk, mode, tele, &mut ())
+        });
+        if state.config.audit {
+            let audit_t = tele.start();
+            self.audit
+                .record(subject, path, mode, &decision, state.generation.raw());
+            tele.finish(Stage::Audit, audit_t);
+        }
+        tele.finish(Stage::Check, whole);
+        // Shadow mode: dual-evaluate against the staged policy riding in
+        // this snapshot. Off (the common case) this is one `Option` test
+        // on already-pinned state; the enforced decision is final either
+        // way.
+        if let Some(shadow) = state.shadow.as_deref() {
+            self.monitor
+                .record_shadow(shadow, subject, path, mode, &decision);
+        }
+        (decision, end)
+    }
+
+    /// The guard of an operation acting on `path`: decides `mode` and
+    /// audits, then returns the node the operation may act on.
+    fn authorize(
+        &self,
+        subject: &Subject,
+        path: &NsPath,
+        mode: AccessMode,
+    ) -> Result<NodeId, MonitorError> {
+        let (decision, end) = self.decide_and_audit(subject, path, mode);
+        decision.into_result()?;
+        Ok(end?)
     }
 }
 
@@ -1617,7 +1502,7 @@ mod tests {
             let pin = cell.borrow();
             let pin = pin.as_ref().expect("the check pinned a snapshot");
             assert_eq!(pin.monitor, id);
-            Arc::downgrade(&pin.state)
+            Arc::downgrade(&pin.published.state)
         });
         drop(monitor);
         assert!(PINNED.with(|cell| cell.borrow().is_none()));
@@ -1765,13 +1650,14 @@ mod tests {
             (p("/svc/fs"), AccessMode::List),          // shared prefix, shorter
         ];
         for subject in [low_subject(alice, &monitor), low_subject(bob, &monitor)] {
-            let view = monitor.view();
-            let batch = view.check_batch(&subject, &items);
-            let sequential: Vec<Decision> = items
-                .iter()
-                .map(|(path, mode)| view.check(&subject, path, *mode))
-                .collect();
-            assert_eq!(batch, sequential);
+            monitor.view(|view| {
+                let batch = view.check_batch(&subject, &items);
+                let sequential: Vec<Decision> = items
+                    .iter()
+                    .map(|(path, mode)| view.check(&subject, path, *mode))
+                    .collect();
+                assert_eq!(batch, sequential);
+            });
         }
     }
 
@@ -1907,8 +1793,35 @@ mod tests {
         let entered = monitor.enter(&alice_high, &p("/svc/fs/read")).unwrap();
         assert_eq!(entered.class, low);
         // No static class: unchanged.
-        let entered = monitor.enter(&alice_high, &p("/svc/fs")).unwrap();
+        monitor
+            .bootstrap(|ns| {
+                let id = ns.resolve(&p("/svc/fs/read"))?;
+                ns.update_protection(id, |prot| prot.static_class = None)
+            })
+            .unwrap();
+        let entered = monitor.enter(&alice_high, &p("/svc/fs/read")).unwrap();
         assert_eq!(entered.class, alice_high.class);
+    }
+
+    /// Entering code is the execute guard: a subject without execute on
+    /// the path is refused, and the refusal is audited like a check.
+    #[test]
+    fn enter_refuses_a_subject_without_execute() {
+        let (monitor, _, bob) = fixture();
+        let bob_s = low_subject(bob, &monitor);
+        assert_eq!(
+            monitor.enter(&bob_s, &p("/svc/fs/read")),
+            Err(MonitorError::Denied(DenyReason::DacNoEntry))
+        );
+        assert_eq!(
+            monitor.enter(&bob_s, &p("/svc/fs/none")),
+            Err(MonitorError::Denied(DenyReason::NotFound(p(
+                "/svc/fs/none"
+            ))))
+        );
+        let denials = monitor.audit().denials();
+        assert_eq!(denials.len(), 2);
+        assert!(denials.iter().all(|e| e.mode == AccessMode::Execute));
     }
 
     #[test]
@@ -2055,16 +1968,16 @@ mod tests {
             .unwrap();
         let carol_s = low_subject(carol, &monitor);
         let op = p("/svc/op");
-        let view = monitor.view();
-        assert!(view.check(&carol_s, &op, AccessMode::Execute).allowed());
-        monitor.directory_mut(|d| assert_eq!(d.remove_member(staff, carol), Ok(true)));
-        assert!(view.check(&carol_s, &op, AccessMode::Execute).allowed());
-        assert!(view.directory(|d| d.is_member(carol, staff)));
-        assert_eq!(
-            monitor.check(&carol_s, &op, AccessMode::Execute),
-            Decision::Deny(DenyReason::DacNoEntry)
-        );
-        drop(view);
+        monitor.view(|view| {
+            assert!(view.check(&carol_s, &op, AccessMode::Execute).allowed());
+            monitor.directory_mut(|d| assert_eq!(d.remove_member(staff, carol), Ok(true)));
+            assert!(view.check(&carol_s, &op, AccessMode::Execute).allowed());
+            assert!(view.directory(|d| d.is_member(carol, staff)));
+            assert_eq!(
+                monitor.check(&carol_s, &op, AccessMode::Execute),
+                Decision::Deny(DenyReason::DacNoEntry)
+            );
+        });
         assert!(!monitor.directory(|d| d.is_member(carol, staff)));
     }
 
@@ -2122,30 +2035,30 @@ mod tests {
     fn view_is_atomic_across_republish() {
         let (monitor, alice, _) = fixture();
         let alice_s = low_subject(alice, &monitor);
-        let view = monitor.view();
-        assert!(view
-            .check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)
-            .allowed());
-        // Revoke behind the view's back.
-        monitor
-            .bootstrap(|ns| {
-                let id = ns.resolve(&p("/svc/fs/read"))?;
-                ns.update_protection(id, |prot| prot.acl = Acl::new())?;
-                Ok(())
-            })
-            .unwrap();
-        // The old view still answers from its snapshot (and its compound
-        // steps agree with each other)...
-        assert!(view
-            .check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)
-            .allowed());
-        assert!(view.enter(&alice_s, &p("/svc/fs/read")).is_ok());
-        drop(view);
+        monitor.view(|view| {
+            assert!(view
+                .check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)
+                .allowed());
+            // Revoke behind the view's back.
+            monitor
+                .bootstrap(|ns| {
+                    let id = ns.resolve(&p("/svc/fs/read"))?;
+                    ns.update_protection(id, |prot| prot.acl = Acl::new())?;
+                    Ok(())
+                })
+                .unwrap();
+            // The old view still answers from its snapshot (and its
+            // compound steps agree with each other)...
+            assert!(view
+                .check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)
+                .allowed());
+            assert!(view
+                .require(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)
+                .is_ok());
+        });
         // ...while a fresh view (and the monitor itself) see the new policy.
         assert_eq!(
-            monitor
-                .view()
-                .check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute),
+            monitor.view(|view| view.check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)),
             Decision::Deny(DenyReason::DacNoEntry)
         );
         assert_eq!(
@@ -2415,9 +2328,8 @@ mod tests {
         assert_eq!(metrics.get("refmon.shadow.allow_to_deny"), Some(1));
         assert_eq!(metrics.get("refmon.shadow.deny_to_allow"), Some(1));
         // Batch checks feed the same accumulators.
-        let view = monitor.view();
-        view.check_batch(&alice_s, &[(p("/svc/fs/read"), AccessMode::Execute)]);
-        drop(view);
+        monitor
+            .view(|view| view.check_batch(&alice_s, &[(p("/svc/fs/read"), AccessMode::Execute)]));
         assert_eq!(monitor.bundle_status().shadow.unwrap().checks, 3);
         // Turning shadow off clears the report; the staged bundle and the
         // enforced policy are untouched.
@@ -2427,6 +2339,53 @@ mod tests {
         assert!(monitor
             .check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)
             .allowed());
+    }
+
+    /// Shadow mode dual-evaluates every enforced decision, guarded
+    /// operations' included: a bundle that drops `list` on `/svc` flips
+    /// every `list` of it.
+    #[test]
+    fn shadow_counts_flips_of_guarded_decisions() {
+        let (monitor, alice, _) = fixture();
+        let alice_s = low_subject(alice, &monitor);
+        let staged = monitor
+            .stage_bundle(
+                "bundle \"hide-svc\" version 1 base current;\n\
+                 set-acl /svc \"+bob:x\";",
+            )
+            .unwrap();
+        monitor.shadow_bundle(staged.id, true).unwrap();
+        for _ in 0..10 {
+            assert!(monitor.list(&alice_s, &p("/svc")).is_ok());
+        }
+        let report = monitor.bundle_status().shadow.expect("shadow mode is on");
+        assert_eq!(report.checks, 10);
+        assert_eq!(report.allow_to_deny, 10);
+        assert_eq!(report.deny_to_allow, 0);
+    }
+
+    /// The oracle decides with nothing recorded: no audit record, no
+    /// count, no timing and no shadow evaluation.
+    #[test]
+    fn check_unmemoized_records_nothing() {
+        let (monitor, alice, _) = fixture();
+        monitor.telemetry().set_enabled(true);
+        let alice_s = low_subject(alice, &monitor);
+        let staged = monitor
+            .stage_bundle(
+                "bundle \"swap\" version 1 base current;\n\
+                 set-acl /svc/fs/read \"+bob:x\";",
+            )
+            .unwrap();
+        monitor.shadow_bundle(staged.id, true).unwrap();
+        assert!(monitor
+            .check_unmemoized(&alice_s, &p("/svc/fs/read"), AccessMode::Execute)
+            .allowed());
+        assert!(monitor.audit().is_empty());
+        let metrics = monitor.metrics();
+        assert_eq!(metrics.get("refmon.mode.execute"), Some(0));
+        assert_eq!(metrics.histogram("refmon.stage.check_ns").unwrap().count, 0);
+        assert_eq!(metrics.get("refmon.shadow.checks"), Some(0));
     }
 
     #[test]

@@ -34,8 +34,6 @@ use crate::proto::{
 };
 use crate::server::ServerConfig;
 use crate::telemetry::{ServerCounter, ServerTelemetry};
-use extsec_acl::AccessMode;
-use extsec_namespace::NsPath;
 use extsec_refmon::{
     AuditAccessError, BundleError, MonitorError, MonitorView, ReferenceMonitor, Subject,
 };
@@ -587,13 +585,10 @@ fn handle(opcode: u8, payload: &[u8], ctx: &Ctx<'_>) -> Result<Response, ProtoEr
             subject,
             path,
             mode,
-        } => {
-            let view = monitor.view();
-            match validate_subject(&view, &subject) {
-                Some(refusal) => refusal,
-                None => Response::Decision(view.check(&subject, &path, mode)),
-            }
-        }
+        } => monitor.view(|view| match validate_subject(view, &subject) {
+            Some(refusal) => refusal,
+            None => Response::Decision(view.check(&subject, &path, mode)),
+        }),
         Request::BatchCheck { subject, items } => {
             if items.len() > ctx.config.max_batch {
                 return Ok(error(
@@ -606,27 +601,26 @@ fn handle(opcode: u8, payload: &[u8], ctx: &Ctx<'_>) -> Result<Response, ProtoEr
                 ));
             }
             let started = Instant::now();
-            // The point of batching: one snapshot pin, one subject
-            // validation, then every item checked, in order, against the
-            // same immutable policy state.
-            let view = monitor.view();
-            if let Some(refusal) = validate_subject(&view, &subject) {
-                return Ok(refusal);
-            }
-            let count = items.len() as u64;
-            let pairs: Vec<(NsPath, AccessMode)> = items
-                .into_iter()
-                .map(|item| (item.path, item.mode))
-                .collect();
-            let decisions = view.check_batch(&subject, &pairs);
-            ctx.tele.add(ServerCounter::BatchedChecks, count);
-            let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            ctx.tele.batch_latency_ns.record(elapsed);
-            Response::Batch(decisions)
+            // The point of batching: one view, one subject validation,
+            // then every item checked where it lies, in order, against
+            // the same immutable policy state.
+            monitor.view(|view| {
+                if let Some(refusal) = validate_subject(view, &subject) {
+                    return refusal;
+                }
+                let decisions = items
+                    .iter()
+                    .map(|item| view.check(&subject, &item.path, item.mode))
+                    .collect();
+                ctx.tele
+                    .add(ServerCounter::BatchedChecks, items.len() as u64);
+                let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                ctx.tele.batch_latency_ns.record(elapsed);
+                Response::Batch(decisions)
+            })
         }
         Request::List { subject, path } => {
-            let view = monitor.view();
-            match validate_subject(&view, &subject) {
+            monitor.view(|view| match validate_subject(view, &subject) {
                 Some(refusal) => refusal,
                 None => match view.list(&subject, &path) {
                     Ok(names) => Response::Listing(names),
@@ -635,25 +629,22 @@ fn handle(opcode: u8, payload: &[u8], ctx: &Ctx<'_>) -> Result<Response, ProtoEr
                     }
                     Err(e) => error(ErrorCode::Denied, e.to_string()),
                 },
-            }
+            })
         }
         Request::Explain {
             subject,
             path,
             mode,
-        } => {
-            let view = monitor.view();
-            match validate_subject(&view, &subject) {
-                Some(refusal) => refusal,
-                None => {
-                    let explanation = view.explain(&subject, &path, mode);
-                    match serde_json::to_string(&explanation) {
-                        Ok(json) => Response::Explanation(json),
-                        Err(e) => error(ErrorCode::Internal, e.to_string()),
-                    }
+        } => monitor.view(|view| match validate_subject(view, &subject) {
+            Some(refusal) => refusal,
+            None => {
+                let explanation = view.explain(&subject, &path, mode);
+                match serde_json::to_string(&explanation) {
+                    Ok(json) => Response::Explanation(json),
+                    Err(e) => error(ErrorCode::Internal, e.to_string()),
                 }
             }
-        }
+        }),
         Request::Telemetry => {
             let mut metrics = monitor.metrics();
             metrics.extend(ctx.tele.metrics());

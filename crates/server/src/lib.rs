@@ -9,12 +9,14 @@
 //!
 //! The interesting properties live at the joints:
 //!
-//! - **Batching meets snapshots.** A `BatchCheck` frame is answered
-//!   against exactly one pinned
-//!   [`MonitorView`](extsec_refmon::MonitorView): a 64-check batch costs
-//!   one snapshot pin and its decisions are mutually consistent — they
-//!   all describe the same published policy state, even while an
-//!   administrator is revoking permissions concurrently.
+//! - **Batching meets snapshots.** A request's checks run on the shard
+//!   thread's pin on the monitor's published state, not on an `Arc` of
+//!   it. A `BatchCheck` frame is answered in one
+//!   [`ReferenceMonitor::view`](extsec_refmon::ReferenceMonitor::view)
+//!   closure: a 64-check batch validates its subject once and its
+//!   decisions are mutually consistent — they all describe the same
+//!   published policy state, even while an administrator is revoking
+//!   permissions concurrently.
 //! - **The decoder is a perimeter.** The server parses attacker-supplied
 //!   bytes with the same discipline the module verifier applies to
 //!   untrusted code (`extsec_vm::wire`): every length bounded before

@@ -162,22 +162,23 @@ impl AppletService {
         subject: &Subject,
     ) -> Result<Vec<String>, ServiceError> {
         let root: NsPath = THREADS_ROOT.parse().expect("constant path");
-        // One pinned snapshot for the list and the per-node filter, so
-        // concurrent administration cannot make the filter disagree with
-        // the listing it filters.
-        let view = monitor.view();
-        let names = view.list(subject, &root)?;
-        Ok(names
-            .into_iter()
-            .filter(|name| {
-                Self::node_path(name)
-                    .map(|path| {
-                        view.check(subject, &path, extsec_acl::AccessMode::Read)
-                            .allowed()
-                    })
-                    .unwrap_or(false)
-            })
-            .collect())
+        // One view for the list and the per-node filter, so concurrent
+        // administration cannot make the filter disagree with the
+        // listing it filters.
+        monitor.view(|view| {
+            let names = view.list(subject, &root)?;
+            Ok(names
+                .into_iter()
+                .filter(|name| {
+                    Self::node_path(name)
+                        .map(|path| {
+                            view.check(subject, &path, extsec_acl::AccessMode::Read)
+                                .allowed()
+                        })
+                        .unwrap_or(false)
+                })
+                .collect())
+        })
     }
 
     /// Returns whether the named thread is alive (owner-visible check is

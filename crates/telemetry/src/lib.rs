@@ -57,7 +57,7 @@ pub enum Stage {
     /// One whole decision, end to end: a `check`, or the guard of a
     /// `list`, `create`, `remove` or administrative edit.
     Check = 5,
-    /// Lifetime of a pinned [`MonitorView`]: one pin, one trace.
+    /// One `ReferenceMonitor::view` closure's run: one view, one trace.
     ViewSpan = 6,
 }
 
@@ -255,10 +255,9 @@ pub enum Counter {
     /// Probation trials that re-admitted the extension:
     /// `ext.probation.readmits`.
     ProbationReadmits,
-    /// Monitor views (pinned snapshots) opened: `refmon.view.opened`.
+    /// Monitor views (compound reads of one pinned snapshot) opened:
+    /// `refmon.view.opened`.
     ViewsOpened,
-    /// Operations performed through a view: `refmon.view.ops`.
-    ViewOps,
 }
 
 const MODES: usize = AccessMode::ALL.len();
@@ -266,13 +265,12 @@ const FAMILIES: usize = MODES + ServiceKind::COUNT + DispatchOutcome::COUNT + Ex
 
 impl Counter {
     /// The counters that are not one of a family.
-    const SCALARS: [Counter; 6] = [
+    const SCALARS: [Counter; 5] = [
         Counter::QuarantineTrips,
         Counter::QuarantineDenials,
         Counter::ProbationTrials,
         Counter::ProbationReadmits,
         Counter::ViewsOpened,
-        Counter::ViewOps,
     ];
 
     /// Number of counters.
@@ -305,7 +303,6 @@ impl Counter {
             Counter::ProbationTrials => FAMILIES + 2,
             Counter::ProbationReadmits => FAMILIES + 3,
             Counter::ViewsOpened => FAMILIES + 4,
-            Counter::ViewOps => FAMILIES + 5,
         }
     }
 
@@ -322,7 +319,6 @@ impl Counter {
             Counter::ProbationTrials => "ext.probation.trials".into(),
             Counter::ProbationReadmits => "ext.probation.readmits".into(),
             Counter::ViewsOpened => "refmon.view.opened".into(),
-            Counter::ViewOps => "refmon.view.ops".into(),
         }
     }
 }
@@ -468,7 +464,6 @@ mod tests {
         tele.count(Counter::Dispatch(DispatchOutcome::ExtensionRun));
         tele.count(Counter::ExtFault(ExtFault::HostPanic));
         tele.count(Counter::ViewsOpened);
-        tele.count(Counter::ViewOps);
         let metrics = tele.metrics();
         assert_eq!(metrics.get("refmon.telemetry.enabled"), Some(1));
         assert_eq!(checks(&metrics), 1);
@@ -477,7 +472,6 @@ mod tests {
         assert_eq!(metrics.get("ext.dispatch.extension_run"), Some(1));
         assert_eq!(metrics.get("ext.fault.host_panic"), Some(1));
         assert_eq!(metrics.get("refmon.view.opened"), Some(1));
-        assert_eq!(metrics.get("refmon.view.ops"), Some(1));
         assert_eq!(metrics.get("refmon.mode.read"), Some(0));
     }
 
@@ -504,8 +498,8 @@ mod tests {
     fn process_wide_disabled_hub_stays_disabled() {
         let hub = Telemetry::disabled();
         hub.finish(Stage::Check, hub.start());
-        hub.count(Counter::ViewOps);
+        hub.count(Counter::ViewsOpened);
         assert_eq!(checks(&hub.metrics()), 0);
-        assert_eq!(hub.metrics().get("refmon.view.ops"), Some(0));
+        assert_eq!(hub.metrics().get("refmon.view.opened"), Some(0));
     }
 }

@@ -95,7 +95,7 @@ export main = main
 
     // 6. The audit log recorded everything.
     println!("\naudit trail:");
-    for event in system.monitor.audit().snapshot() {
+    for event in system.monitor.audit().events() {
         println!("  {event}");
     }
     Ok(())

@@ -58,13 +58,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .check(&alice_staff, &payroll, AccessMode::Execute);
         system.monitor.check(&mallory, &payroll, AccessMode::Read);
     }
-    {
-        let view = system.monitor.view();
+    let svc = "/svc".parse()?;
+    system.monitor.view(|view| {
         for _ in 0..100 {
             view.check(&alice_staff, &payroll, AccessMode::Execute);
-            let _ = view.list(&alice_staff, &"/svc".parse()?);
+            let _ = view.list(&alice_staff, &svc);
         }
-    }
+    });
     let ext = system.load_extension(
         r#"
 module greeter

@@ -180,19 +180,20 @@ proptest! {
             .map(|&(path, mode)| (p(PATHS[path]), MODES[mode]))
             .collect();
 
-        let view = world.monitor.view();
-        let sequential: Vec<_> = items
-            .iter()
-            .map(|(path, mode)| view.check(&subject, path, *mode))
-            .collect();
-        let batch = view.check_batch(&subject, &items);
-        prop_assert_eq!(render(&sequential), render(&batch));
-
         // Permute, check, un-permute: the answers must follow the items.
         let order = permutation_from_keys(&keys[..items.len()]);
         let permuted: Vec<(NsPath, AccessMode)> =
             order.iter().map(|&i| items[i].clone()).collect();
-        let permuted_batch = view.check_batch(&subject, &permuted);
+        let (sequential, batch, permuted_batch) = world.monitor.view(|view| {
+            let sequential: Vec<_> = items
+                .iter()
+                .map(|(path, mode)| view.check(&subject, path, *mode))
+                .collect();
+            let batch = view.check_batch(&subject, &items);
+            (sequential, batch, view.check_batch(&subject, &permuted))
+        });
+        prop_assert_eq!(render(&sequential), render(&batch));
+
         let mut unpermuted = vec![None; items.len()];
         for (slot, &i) in order.iter().enumerate() {
             unpermuted[i] = Some(format!("{:?}", permuted_batch[slot]));
@@ -260,28 +261,29 @@ fn batch_matches_sequential_under_concurrent_revocation() {
     while std::time::Instant::now() < deadline || iterations < 16 {
         for &(who, high) in &[(0usize, false), (1usize, true)] {
             let subject = world.subject(who, high);
-            let view = monitor.view();
-            let sequential: Vec<_> = items
-                .iter()
-                .map(|(path, mode)| view.check(&subject, path, *mode))
-                .collect();
-            let batch = view.check_batch(&subject, &items);
-            assert_eq!(
-                render(&sequential),
-                render(&batch),
-                "batch diverged from sequential on a pinned view (iteration {iterations})"
-            );
-            let reversed_batch = view.check_batch(&subject, &reversed);
-            let rerendered: Vec<String> = reversed_batch
-                .iter()
-                .rev()
-                .map(|d| format!("{d:?}"))
-                .collect();
-            assert_eq!(
-                render(&batch),
-                rerendered,
-                "reversed batch disagreed on a pinned view (iteration {iterations})"
-            );
+            monitor.view(|view| {
+                let sequential: Vec<_> = items
+                    .iter()
+                    .map(|(path, mode)| view.check(&subject, path, *mode))
+                    .collect();
+                let batch = view.check_batch(&subject, &items);
+                assert_eq!(
+                    render(&sequential),
+                    render(&batch),
+                    "batch diverged from sequential on a pinned view (iteration {iterations})"
+                );
+                let reversed_batch = view.check_batch(&subject, &reversed);
+                let rerendered: Vec<String> = reversed_batch
+                    .iter()
+                    .rev()
+                    .map(|d| format!("{d:?}"))
+                    .collect();
+                assert_eq!(
+                    render(&batch),
+                    rerendered,
+                    "reversed batch disagreed on a pinned view (iteration {iterations})"
+                );
+            });
         }
         iterations += 1;
     }

@@ -498,7 +498,7 @@ fn audit_sequencing_under_contention() {
     for t in threads {
         t.join().unwrap();
     }
-    let events = system.monitor.audit().snapshot();
+    let events = system.monitor.audit().events();
     assert_eq!(events.len(), 400);
     // Sequence numbers are unique.
     let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();

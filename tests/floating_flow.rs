@@ -118,3 +118,60 @@ proptest! {
         }
     }
 }
+
+/// A floating subject reads the label its mark joins from the snapshot
+/// it decided on. A writer removes and re-creates `/obj/x`, always at
+/// `L1`, while fresh subjects at `L0` with clearance `L1` read it: every
+/// allowed read must leave the mark at or above `L1`, or the subject
+/// could write what it just read down to `L0`.
+#[test]
+fn an_allowed_read_raises_the_mark_across_a_concurrent_remove() {
+    let monitor = world(&[]);
+    let (low, high) =
+        monitor.lattice(|l| (l.parse_class("L0").unwrap(), l.parse_class("L1").unwrap()));
+    let obj: NsPath = "/obj".parse().unwrap();
+    let x: NsPath = "/obj/x".parse().unwrap();
+    let readable = Protection::new(
+        Acl::from_entries([AclEntry::allow_everyone(ModeSet::parse("r").unwrap())]),
+        high.clone(),
+    );
+    monitor
+        .bootstrap(|ns| ns.insert(&obj, "x", NodeKind::Object, readable.clone()))
+        .unwrap();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let writer = {
+        let (monitor, stop) = (Arc::clone(&monitor), Arc::clone(&stop));
+        let (obj, x) = (obj.clone(), x.clone());
+        std::thread::spawn(move || {
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                monitor
+                    .bootstrap(|ns| ns.remove_id(ns.resolve(&x)?))
+                    .unwrap();
+                monitor
+                    .bootstrap(|ns| ns.insert(&obj, "x", NodeKind::Object, readable.clone()))
+                    .unwrap();
+            }
+        })
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(300);
+    let (mut allowed, mut stuck) = (0u64, 0u64);
+    while std::time::Instant::now() < deadline {
+        let mut float = FloatingSubject::with_clearance(
+            Subject::new(extsec::PrincipalId::from_raw(0), low.clone()),
+            high.clone(),
+        );
+        if float.check(&monitor, &x, AccessMode::Read).allowed() {
+            allowed += 1;
+            if !float.subject().class.dominates(&high) {
+                stuck += 1;
+            }
+        }
+    }
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    writer.join().unwrap();
+    assert!(allowed > 0, "no read was allowed");
+    assert_eq!(
+        stuck, 0,
+        "{stuck} of {allowed} allowed reads left the mark below L1"
+    );
+}
