@@ -1,8 +1,8 @@
 //! Query and verify result types.
 //!
 //! These are the in-process forms of the wire protocol's `AuditQuery` /
-//! `AuditVerify` frames; the server encodes them onto the `WireMessage`
-//! codec, and the reports serialize as JSON for the admin client.
+//! `AuditVerify` frames; the server's request and response codec encodes
+//! them, and the reports serialize as JSON for the admin client.
 
 use crate::record::{AuditRecord, Outcome};
 use crate::segment::Damage;

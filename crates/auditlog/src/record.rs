@@ -45,8 +45,9 @@ pub const TAG_GAP: u8 = 2;
 /// checkable before allocation. Paths are bounded well below this.
 pub const MAX_ENTRY_LEN: usize = 8 * 1024;
 
-/// Upper bound on an audited path, matching the wire protocol's string
-/// bound so every recordable path is persistable.
+/// Upper bound on an audited path: the name space's own path bound
+/// (`NsPath::MAX_LEN`, tied to this one by a compile-time assertion in
+/// the reference monitor), so every recordable path is persistable.
 pub const MAX_PATH_LEN: usize = 4096;
 
 /// The compact persisted outcome of one access check.

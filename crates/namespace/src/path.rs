@@ -3,7 +3,9 @@
 //! Paths are absolute, `/`-separated, and rooted at `/`. Components may
 //! contain any character except `/`, and the reserved names `.` and `..`
 //! are rejected — the name space has no notion of relative traversal, which
-//! keeps resolution (and therefore protection) strictly top-down.
+//! keeps resolution (and therefore protection) strictly top-down. A
+//! path's canonical text is at most [`NsPath::MAX_LEN`] bytes, so every
+//! path the monitor can decide on fits one persisted audit record.
 
 use serde::{Content, Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -17,6 +19,9 @@ pub enum PathError {
     NotAbsolute(String),
     /// A component was empty (`//`) or reserved (`.`/`..`).
     BadComponent(String),
+    /// The canonical text would exceed [`NsPath::MAX_LEN`] bytes;
+    /// carries its length.
+    TooLong(usize),
 }
 
 impl fmt::Display for PathError {
@@ -24,6 +29,11 @@ impl fmt::Display for PathError {
         match self {
             PathError::NotAbsolute(p) => write!(f, "path {p:?} is not absolute"),
             PathError::BadComponent(c) => write!(f, "bad path component {c:?}"),
+            PathError::TooLong(len) => write!(
+                f,
+                "path of {len} bytes exceeds the {} byte bound",
+                NsPath::MAX_LEN
+            ),
         }
     }
 }
@@ -59,6 +69,11 @@ pub struct NsPath {
 }
 
 impl NsPath {
+    /// The bound on a path's canonical text, in bytes: the longest path
+    /// an audit record holds. Every constructor refuses a longer one with
+    /// [`PathError::TooLong`].
+    pub const MAX_LEN: usize = 4096;
+
     /// The root path `/`.
     pub fn root() -> Self {
         NsPath { text: "/".into() }
@@ -73,7 +88,8 @@ impl NsPath {
         !name.is_empty() && name != b"." && name != b".." && !name.contains(&b'/')
     }
 
-    /// Creates a path from components, validating each.
+    /// Creates a path from components, validating each and the length
+    /// of the whole.
     pub fn from_components<I, S>(components: I) -> Result<Self, PathError>
     where
         I: IntoIterator<Item = S>,
@@ -91,6 +107,7 @@ impl NsPath {
         if text.is_empty() {
             return Ok(NsPath::root());
         }
+        Self::bounded(text.len())?;
         Ok(NsPath { text: text.into() })
     }
 
@@ -137,21 +154,18 @@ impl NsPath {
         Some(NsPath::of(&self.text[..slash]))
     }
 
-    /// Returns this path extended by one component.
+    /// Returns this path extended by one component, in one allocation.
     pub fn join(&self, name: &str) -> Result<NsPath, PathError> {
         if !Self::valid_component(name) {
             return Err(PathError::BadComponent(name.to_string()));
         }
-        Ok(self.extended(name))
-    }
-
-    /// Returns this path extended by all components of `suffix`.
-    pub fn join_path(&self, suffix: &NsPath) -> NsPath {
-        if suffix.is_root() {
-            self.clone()
-        } else {
-            self.extended(&suffix.text[1..])
-        }
+        let base = if self.is_root() { "" } else { &*self.text };
+        let len = Self::bounded(base.len() + 1 + name.len())?;
+        let mut text = String::with_capacity(len);
+        text.push_str(base);
+        text.push('/');
+        text.push_str(name);
+        Ok(NsPath { text: text.into() })
     }
 
     /// Returns the ancestor-or-self made of the first `len` components
@@ -203,19 +217,17 @@ impl NsPath {
         }
     }
 
-    /// This path extended by `rest`, one or more valid components
-    /// joined by `/`, in one allocation.
-    fn extended(&self, rest: &str) -> NsPath {
-        let base = if self.is_root() { "" } else { &*self.text };
-        let mut text = String::with_capacity(base.len() + 1 + rest.len());
-        text.push_str(base);
-        text.push('/');
-        text.push_str(rest);
-        NsPath { text: text.into() }
+    /// `len` when a canonical text of that length is within
+    /// [`NsPath::MAX_LEN`].
+    fn bounded(len: usize) -> Result<usize, PathError> {
+        if len > Self::MAX_LEN {
+            return Err(PathError::TooLong(len));
+        }
+        Ok(len)
     }
 
     /// The length of `s` without one trailing `/`, once every component
-    /// is checked.
+    /// and the bound are checked.
     fn canonical_len(s: &str) -> Result<usize, PathError> {
         if s == "/" {
             return Ok(1);
@@ -230,7 +242,7 @@ impl NsPath {
             Some(bad) => Err(PathError::BadComponent(
                 String::from_utf8_lossy(bad).into_owned(),
             )),
-            None => Ok(rest.len() + 1),
+            None => Self::bounded(rest.len() + 1),
         }
     }
 }
@@ -410,10 +422,36 @@ mod tests {
     }
 
     #[test]
-    fn join_path_concatenates() {
-        let a: NsPath = "/x/y".parse().unwrap();
-        let b: NsPath = "/z".parse().unwrap();
-        assert_eq!(a.join_path(&b).to_string(), "/x/y/z");
+    fn text_is_bounded() {
+        // `/` plus 4 095 name bytes is exactly the bound.
+        let widest = format!("/{}", "a".repeat(NsPath::MAX_LEN - 1));
+        let path: NsPath = widest.parse().unwrap();
+        assert_eq!(path.as_str().len(), NsPath::MAX_LEN);
+        assert_eq!(NsPath::try_from(widest.clone()), Ok(path.clone()));
+        // A trailing `/` is not part of the canonical text.
+        assert_eq!(format!("{widest}/").parse::<NsPath>(), Ok(path.clone()));
+        let over = format!("{widest}b");
+        let too_long = Err(PathError::TooLong(NsPath::MAX_LEN + 1));
+        assert_eq!(over.parse::<NsPath>(), too_long);
+        assert_eq!(NsPath::try_from(over.clone()), too_long);
+        assert_eq!(
+            NsPath::from_components([&over[1..]]),
+            Err(PathError::TooLong(NsPath::MAX_LEN + 1))
+        );
+        // A join across the bound is refused; one up to it is not.
+        let base = format!("/{}", "a".repeat(NsPath::MAX_LEN - 4))
+            .parse::<NsPath>()
+            .unwrap();
+        assert_eq!(base.join("b").unwrap().as_str().len(), NsPath::MAX_LEN - 1);
+        assert_eq!(base.join("bc").unwrap().as_str().len(), NsPath::MAX_LEN);
+        assert_eq!(
+            base.join("bcd"),
+            Err(PathError::TooLong(NsPath::MAX_LEN + 1))
+        );
+        assert_eq!(
+            NsPath::root().join(&"a".repeat(NsPath::MAX_LEN)),
+            Err(PathError::TooLong(NsPath::MAX_LEN + 1))
+        );
     }
 
     #[test]

@@ -222,6 +222,10 @@ impl NameSpace {
             key.push('/');
         }
         key.push_str(name);
+        // A child no path can name is refused like an invalid name.
+        if key.len() > NsPath::MAX_LEN {
+            return Err(NsError::NotFound(NsPath::root()));
+        }
         let node = Node {
             name: name.to_string(),
             kind,
@@ -459,6 +463,24 @@ mod tests {
             ns.insert(&p("/svc"), "fs", NodeKind::Interface, Protection::default()),
             Err(NsError::AlreadyExists(p("/svc/fs")))
         );
+    }
+
+    #[test]
+    fn children_no_path_can_name_are_refused() {
+        let mut ns = build();
+        let svc = ns.resolve(&p("/svc")).unwrap();
+        // `/svc/` plus the name fills the bound exactly.
+        let widest = "n".repeat(NsPath::MAX_LEN - "/svc/".len());
+        let id = ns
+            .insert_at(svc, &widest, NodeKind::Object, Protection::default())
+            .unwrap();
+        assert_eq!(ns.path_of(id).unwrap().as_str().len(), NsPath::MAX_LEN);
+        let over = format!("{widest}x");
+        assert_eq!(
+            ns.insert_at(svc, &over, NodeKind::Object, Protection::default()),
+            Err(NsError::NotFound(NsPath::root()))
+        );
+        assert_eq!(ns.len(), 5);
     }
 
     #[test]

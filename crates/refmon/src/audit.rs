@@ -29,6 +29,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
+// A record holds the whole text of the path it names: any path the
+// monitor can be asked about fits one persisted audit entry.
+const _: () = assert!(NsPath::MAX_LEN == extsec_auditlog::MAX_PATH_LEN);
+
 /// One audited access decision.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AuditEvent {

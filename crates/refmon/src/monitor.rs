@@ -1354,6 +1354,16 @@ impl MonitorView<'_> {
         f(&self.state.lattice)
     }
 
+    /// This snapshot's name space (TCB inspection; not access-checked).
+    pub(crate) fn namespace(&self) -> &NameSpace {
+        &self.state.namespace
+    }
+
+    /// The policy generation this snapshot was published under.
+    pub(crate) fn generation(&self) -> Generation {
+        self.state.generation
+    }
+
     /// The protection record of the node at `path` in this snapshot (TCB
     /// inspection; not access-checked).
     pub fn protection_of(&self, path: &NsPath) -> Result<Protection, MonitorError> {

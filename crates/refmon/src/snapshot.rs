@@ -51,13 +51,13 @@ pub struct PolicySnapshot {
 }
 
 impl ReferenceMonitor {
-    /// Captures the current policy state.
+    /// Captures the current policy state: every part from one pinned
+    /// view, so the capture is one published state, never a mix of two.
     pub fn snapshot(&self) -> PolicySnapshot {
-        let lattice = self.lattice(Clone::clone);
-        let directory = self.directory(Clone::clone);
-        let config = self.config();
-        let nodes = self.inspect(|ns| {
-            ns.walk()
+        self.pinned(|view| {
+            let ns = view.namespace();
+            let nodes = ns
+                .walk()
                 .into_iter()
                 .filter_map(|(id, path)| {
                     let node = ns.node(id).ok()?;
@@ -68,15 +68,15 @@ impl ReferenceMonitor {
                         extensible: node.extensible(),
                     })
                 })
-                .collect()
-        });
-        PolicySnapshot {
-            lattice,
-            directory,
-            config,
-            generation: Generation::from_raw(self.policy_generation()),
-            nodes,
-        }
+                .collect();
+            PolicySnapshot {
+                lattice: view.lattice(Clone::clone),
+                directory: view.directory(Clone::clone),
+                config: view.config(),
+                generation: view.generation(),
+                nodes,
+            }
+        })
     }
 
     /// Reconstructs a monitor from a snapshot.
@@ -122,6 +122,8 @@ mod tests {
     use crate::subject::Subject;
     use extsec_acl::{AccessMode, Acl, AclEntry, ModeSet};
     use extsec_mac::SecurityClass;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
 
     fn build_world() -> Arc<ReferenceMonitor> {
         let lattice = Lattice::build(["low", "high"], ["k1", "k2"]).unwrap();
@@ -201,6 +203,52 @@ mod tests {
         assert_eq!(back.nodes, snapshot.nodes);
         let restored = ReferenceMonitor::from_snapshot(back).unwrap();
         assert_eq!(restored.snapshot().nodes, snapshot.nodes);
+    }
+
+    /// Every part of a snapshot comes from one published state. A writer
+    /// publishes one generation at a time, toggling one node's ACL
+    /// between one entry and none, while this thread takes snapshots:
+    /// each snapshot's ACL length must match its generation's parity.
+    #[test]
+    fn snapshots_never_mix_two_publishes() {
+        let monitor = build_world();
+        let alice = monitor.directory(|d| d.principal_by_name("alice").unwrap());
+        let path: NsPath = "/svc/fs".parse().unwrap();
+        let id = monitor.inspect(|ns| ns.resolve(&path).unwrap());
+        let set_acl = |full: bool| {
+            let acl = if full {
+                Acl::from_entries([AclEntry::allow_principal(alice, AccessMode::Read)])
+            } else {
+                Acl::default()
+            };
+            monitor
+                .bootstrap(|ns| ns.update_protection(id, |prot| prot.acl = acl))
+                .unwrap();
+        };
+        set_acl(false);
+        let base = monitor.policy_generation();
+        let stop = AtomicBool::new(false);
+        let (taken, torn) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut full = false;
+                while !stop.load(Ordering::Relaxed) {
+                    full = !full;
+                    set_acl(full);
+                }
+            });
+            let started = Instant::now();
+            let (mut taken, mut torn) = (0u64, 0u64);
+            while started.elapsed() < Duration::from_millis(300) {
+                let snapshot = monitor.snapshot();
+                let node = snapshot.nodes.iter().find(|n| n.path == path).unwrap();
+                let odd = (snapshot.generation.raw() - base) % 2 == 1;
+                taken += 1;
+                torn += u64::from(node.protection.acl.len() != usize::from(odd));
+            }
+            stop.store(true, Ordering::Relaxed);
+            (taken, torn)
+        });
+        assert_eq!(torn, 0, "{torn} of {taken} snapshots mixed two publishes");
     }
 
     #[test]

@@ -28,13 +28,9 @@
 //! [`bundle_status`](Client::bundle_status) before retrying by hand.
 //! Server-sent `Error` responses are *answers*, not failures: they are
 //! returned (or surfaced as [`ClientError::Server`]) and never retried.
-//! Every retry, reconnect, and backoff sleep is counted in
-//! [`ClientStats`].
 
 use crate::conn::{BUF_CLAMP, READ_CHUNK};
-use crate::proto::{
-    self, ErrorCode, FrameScan, ProtoError, Request, Response, WireMessage, MAX_FRAME,
-};
+use crate::proto::{self, ErrorCode, FrameScan, ProtoError, Request, Response, MAX_FRAME};
 use extsec_acl::AccessMode;
 use extsec_namespace::NsPath;
 use extsec_refmon::{
@@ -125,28 +121,6 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// Counters for the client's resilience machinery: how often pipelines
-/// were retried, why, and how long was spent backing off. Cheap to copy;
-/// read them with [`Client::stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Pipelines that completed successfully.
-    pub pipelines: u64,
-    /// Requests sent across all successful pipelines.
-    pub requests: u64,
-    /// Responses consumed while the request side of the same pipeline
-    /// was still being written — the streaming overlap at work.
-    pub responses_streamed_early: u64,
-    /// Pipeline attempts retried after a transient transport error.
-    pub retries_io: u64,
-    /// Pipeline attempts retried after a server `Busy` shed.
-    pub retries_busy: u64,
-    /// Fresh connections dialed (the first connect counts).
-    pub reconnects: u64,
-    /// Total time slept in retry backoff, milliseconds.
-    pub backoff_ms: u64,
-}
-
 /// One live connection: the socket (non-blocking), the poller that
 /// waits on it with its event buffer, and the read-side reassembly
 /// buffer.
@@ -218,7 +192,6 @@ pub struct Client {
     addr: SocketAddr,
     config: ClientConfig,
     conn: Option<Transport>,
-    stats: ClientStats,
     /// The frames of the exchange in progress, encoded in place and kept
     /// for a retry; reused from call to call, clamped like the server's
     /// buffers.
@@ -236,21 +209,14 @@ impl Client {
             addr,
             config,
             conn: None,
-            stats: ClientStats::default(),
             sbuf: Vec::new(),
         };
         client.reconnect()?;
         Ok(client)
     }
 
-    /// The retry/backoff counters accumulated so far.
-    pub fn stats(&self) -> ClientStats {
-        self.stats
-    }
-
     fn reconnect(&mut self) -> io::Result<()> {
         self.conn = Some(Transport::open(self.addr)?);
-        self.stats.reconnects += 1;
         Ok(())
     }
 
@@ -296,19 +262,13 @@ impl Client {
         let mut attempt = 0;
         loop {
             let retry_floor = match self.try_exchange(count) {
-                Ok(responses) => {
-                    self.stats.pipelines += 1;
-                    self.stats.requests += count as u64;
-                    return Ok(responses);
-                }
+                Ok(responses) => return Ok(responses),
                 Err(ClientError::Io(e))
                     if attempt < self.config.retries && Self::transient(e.kind()) =>
                 {
-                    self.stats.retries_io += 1;
                     Duration::ZERO
                 }
                 Err(ClientError::Busy { retry_after_ms }) if attempt < self.config.retries => {
-                    self.stats.retries_busy += 1;
                     Duration::from_millis(retry_after_ms)
                 }
                 Err(other) => return Err(other),
@@ -323,7 +283,6 @@ impl Client {
             )
             .max(retry_floor);
             if !delay.is_zero() {
-                self.stats.backoff_ms += delay.as_millis() as u64;
                 std::thread::sleep(delay);
             }
         }
@@ -390,9 +349,6 @@ impl Client {
                             // it so the retry loop can back off for at
                             // least the server's hint.
                             return Err(ClientError::Busy { retry_after_ms });
-                        }
-                        if opos < out.len() {
-                            self.stats.responses_streamed_early += 1;
                         }
                         responses.push(response);
                         progressed = true;

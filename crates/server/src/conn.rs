@@ -29,9 +29,7 @@
 //! whatever the peer keeps sending is drained so the kernel does not
 //! destroy the in-flight reply with an RST.
 
-use crate::proto::{
-    self, ErrorCode, FrameScan, ProtoError, Request, Response, WireMessage, HEADER_LEN,
-};
+use crate::proto::{self, ErrorCode, FrameScan, ProtoError, Request, Response, HEADER_LEN};
 use crate::server::ServerConfig;
 use crate::telemetry::{ServerCounter, ServerTelemetry};
 use extsec_refmon::{
@@ -137,7 +135,7 @@ enum Parsed {
 
 /// One connection's entire state: socket, reassembly and reply buffers,
 /// request budget, phase, and the posture (interest + deadline) its
-/// shard mirrors into the poller and timer wheel.
+/// shard mirrors into the poller and its deadline set.
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     /// Reassembly buffer; unparsed bytes live at `rbuf[rpos..rend]`.
@@ -161,12 +159,9 @@ pub(crate) struct Conn {
     /// Interest actually registered with the poller (shard-maintained).
     pub(crate) reg_read: bool,
     pub(crate) reg_write: bool,
-    /// Armed deadline, if any. `timer_seq` bumps whenever it changes, so
-    /// stale wheel entries are recognized and skipped (lazy cancel).
+    /// The deadline, if any: the instant it falls due and its kind. The
+    /// shard keeps the instant in its deadline set.
     pub(crate) deadline: Option<(Instant, DeadlineKind)>,
-    pub(crate) timer_seq: u64,
-    /// The seq the shard last inserted into its wheel.
-    pub(crate) armed_seq: u64,
 }
 
 impl Conn {
@@ -187,8 +182,6 @@ impl Conn {
             reg_read: true,
             reg_write: false,
             deadline: None,
-            timer_seq: 0,
-            armed_seq: 0,
         }
     }
 
@@ -236,7 +229,7 @@ impl Conn {
         if finished && self.pending_write() == 0 {
             return Turn::Close;
         }
-        self.posture(read_any, wrote);
+        self.posture(read_any, wrote, ctx.config);
         Turn::Keep
     }
 
@@ -519,8 +512,9 @@ impl Conn {
     }
 
     /// Recompute the interest set and deadline for the turn that just
-    /// ended. The shard mirrors any change into its poller and wheel.
-    fn posture(&mut self, read_progress: bool, write_progress: bool) {
+    /// ended. The shard mirrors any change into its poller and deadline
+    /// set.
+    fn posture(&mut self, read_progress: bool, write_progress: bool, config: &ServerConfig) {
         self.want_write = self.pending_write() > 0;
         self.want_read = match self.phase {
             Phase::Serving => !self.eof && self.pending_write() < WRITE_HIGH_WATER,
@@ -546,24 +540,16 @@ impl Conn {
             None => false,
         };
         if desired != current || progressed {
-            self.set_deadline(desired);
+            // Each kind's horizon runs from now: the last progress.
+            self.deadline = desired.map(|kind| {
+                let after = match kind {
+                    DeadlineKind::Read => config.read_timeout,
+                    DeadlineKind::Write => config.write_timeout,
+                    DeadlineKind::Drain => DRAIN_TIMEOUT,
+                };
+                (Instant::now() + after, kind)
+            });
         }
-    }
-
-    /// The deadline horizon for `kind`, measured from now.
-    pub(crate) fn deadline_after(kind: DeadlineKind, config: &ServerConfig) -> Duration {
-        match kind {
-            DeadlineKind::Read => config.read_timeout,
-            DeadlineKind::Write => config.write_timeout,
-            DeadlineKind::Drain => DRAIN_TIMEOUT,
-        }
-    }
-
-    fn set_deadline(&mut self, kind: Option<DeadlineKind>) {
-        self.timer_seq += 1;
-        // The instant is filled by the shard (it owns "now" for the
-        // wheel); store the kind with a placeholder refreshed on arm.
-        self.deadline = kind.map(|k| (Instant::now(), k));
     }
 
     /// Best-effort final flush at server shutdown (never blocks).
@@ -735,6 +721,10 @@ fn validate_subject(view: &MonitorView<'_>, subject: &Subject) -> Option<Respons
     }
 }
 
-fn error(code: ErrorCode, message: String) -> Response {
+/// An error reply, its message cut to [`proto::MAX_STR`] bytes: a peer
+/// reads no longer one, and a refusal that names the refused text (a
+/// path, escaped) can run past it.
+fn error(code: ErrorCode, mut message: String) -> Response {
+    message.truncate(message.floor_char_boundary(proto::MAX_STR));
     Response::Error { code, message }
 }

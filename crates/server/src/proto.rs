@@ -13,19 +13,23 @@
 //! The request set mirrors the monitor's read API: single [`Check`],
 //! batched [`BatchCheck`] (the reason this protocol exists — one frame,
 //! one snapshot pin, many decisions), [`List`], [`Explain`], and a
-//! [`Telemetry`] pull. Version 2 adds the policy-bundle admin set:
+//! [`Telemetry`] pull. Version 2 added the policy-bundle admin set:
 //! [`LoadBundle`], [`Activate`], [`Shadow`], [`Rollback`], and
-//! [`BundleStatus`]. Version 3 adds the audit admin pair:
+//! [`BundleStatus`]. Version 3 added the audit admin pair:
 //! [`AuditQuery`] (a filtered, bounded scan of the persisted audit
 //! chain, answered with a binary page of records and declared gaps) and
 //! [`AuditVerify`] (a chain-integrity re-derivation, answered with a
-//! JSON report). Structured results (explanations, telemetry, bundle
-//! status, verify reports) ride as JSON documents so they stay
-//! debuggable with standard tooling; decisions and audit records, the
-//! bulk paths, stay binary.
+//! JSON report). Version 4 sends a path as its canonical text, one
+//! length and the bytes of [`NsPath::as_str`], bounded by
+//! [`NsPath::MAX_LEN`], where version 3 sent a component count and each
+//! component; a decoder accepts only the text a path gives back, so
+//! each path has exactly one encoding. Structured results (explanations,
+//! telemetry, bundle status, verify reports) ride as JSON documents so
+//! they stay debuggable with standard tooling; decisions and audit
+//! records, the bulk paths, stay binary.
 //!
-//! Both message enums implement [`WireMessage`]: one `opcode()` /
-//! `encode_payload()` / `decode_payload()` surface over a shared set of
+//! [`Request`] and [`Response`] each carry their codec as inherent
+//! `encode_into` / `encode` / `decode` methods over one shared set of
 //! ULEB128 and bounded-length combinators, so a new frame is a new match
 //! arm against the combinators, never a new hand-rolled byte layout.
 //!
@@ -53,9 +57,9 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// The protocol version carried in every frame header. Version 2 added
-/// the policy-bundle admin frames; version 3 added the audit
-/// query/verify pair.
-pub const VERSION: u8 = 3;
+/// the policy-bundle admin frames, version 3 the audit query/verify
+/// pair, and version 4 sends a path as its bounded canonical text.
+pub const VERSION: u8 = 4;
 
 /// Bytes in a frame header: version, opcode, and a `u32` payload length.
 pub const HEADER_LEN: usize = 6;
@@ -69,11 +73,9 @@ pub const MAX_FRAME: u32 = 1 << 20;
 /// (and by default do) enforce a lower operational limit.
 pub const MAX_BATCH: usize = 4096;
 
-/// Ceiling on one path component or error message on the wire.
+/// Ceiling on one error message, listed name or audited path on the
+/// wire. A path's own bound is [`NsPath::MAX_LEN`].
 pub const MAX_STR: usize = 4096;
-
-/// Ceiling on the number of components in one path.
-pub const MAX_COMPONENTS: usize = 64;
 
 /// Ceiling on the number of categories in one subject's class.
 pub const MAX_CATEGORIES: usize = 4096;
@@ -316,7 +318,7 @@ pub enum ProtoError {
     BadTag(u8),
     /// The payload has bytes left after its structure; carries the count.
     TrailingBytes(usize),
-    /// The components do not form a valid path.
+    /// The text is not a canonical path.
     BadPath(String),
     /// A count prefix exceeds its limit; carries the claimed count.
     TooMany(u64),
@@ -428,37 +430,6 @@ pub enum Request {
     AuditVerify,
 }
 
-/// The typed wire codec surface shared by [`Request`] and [`Response`]:
-/// an opcode byte plus a payload codec built from the module's shared
-/// ULEB128 and bounded-length combinators. `encode_into()` and `encode()`
-/// are provided — they frame the payload under the message's opcode — so
-/// a new message kind only ever supplies the three primitives.
-pub trait WireMessage: Sized {
-    /// The wire opcode byte this message is framed under.
-    fn opcode_byte(&self) -> u8;
-
-    /// Appends the payload bytes (no header) to `buf`.
-    fn encode_payload(&self, buf: &mut Vec<u8>);
-
-    /// Decodes a payload for `opcode`. Implementations must consume the
-    /// payload exactly and refuse unknown opcodes with
-    /// [`ProtoError::BadOpcode`] carrying the byte.
-    fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Self, ProtoError>;
-
-    /// Appends the complete frame to `out`, leaving what `out` already
-    /// holds alone: the payload is encoded in place behind the header.
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        framed(out, self.opcode_byte(), |buf| self.encode_payload(buf));
-    }
-
-    /// Encodes the complete frame: header plus payload.
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-}
-
 impl Request {
     /// This request's opcode.
     pub fn opcode(&self) -> Opcode {
@@ -481,7 +452,48 @@ impl Request {
 
     /// Encodes the complete frame: header plus payload.
     pub fn encode(&self) -> Vec<u8> {
-        WireMessage::encode(self)
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the complete frame to `out`, leaving what `out` already
+    /// holds alone: the payload is encoded in place behind the header.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        framed(out, self.opcode() as u8, |buf| {
+            let mut enc = Enc::new(buf);
+            match self {
+                Request::Ping
+                | Request::Telemetry
+                | Request::Rollback
+                | Request::BundleStatus
+                | Request::AuditVerify => {}
+                Request::Check {
+                    subject,
+                    path,
+                    mode,
+                }
+                | Request::Explain {
+                    subject,
+                    path,
+                    mode,
+                } => enc.check(subject, path, *mode),
+                Request::BatchCheck { subject, items } => {
+                    enc.batch(subject, items.iter().map(|item| (&item.path, item.mode)));
+                }
+                Request::List { subject, path } => {
+                    enc.subject(subject);
+                    enc.path(path);
+                }
+                Request::LoadBundle { source } => enc.str(source),
+                Request::Activate { bundle } => enc.uleb(bundle.raw()),
+                Request::Shadow { bundle, on } => {
+                    enc.uleb(bundle.raw());
+                    enc.u8(u8::from(*on));
+                }
+                Request::AuditQuery { query } => enc.audit_query(query),
+            }
+        });
     }
 
     /// Appends the frame a [`Check`](Request::Check) of these fields
@@ -511,53 +523,9 @@ impl Request {
         });
     }
 
-    /// Decodes a request payload for `opcode`.
+    /// Decodes a request payload for `opcode`, consuming it exactly; an
+    /// opcode that names no request is [`ProtoError::BadOpcode`].
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Request, ProtoError> {
-        Request::decode_payload(opcode, payload)
-    }
-}
-
-impl WireMessage for Request {
-    fn opcode_byte(&self) -> u8 {
-        self.opcode() as u8
-    }
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        let mut enc = Enc::new(buf);
-        match self {
-            Request::Ping
-            | Request::Telemetry
-            | Request::Rollback
-            | Request::BundleStatus
-            | Request::AuditVerify => {}
-            Request::Check {
-                subject,
-                path,
-                mode,
-            }
-            | Request::Explain {
-                subject,
-                path,
-                mode,
-            } => enc.check(subject, path, *mode),
-            Request::BatchCheck { subject, items } => {
-                enc.batch(subject, items.iter().map(|item| (&item.path, item.mode)));
-            }
-            Request::List { subject, path } => {
-                enc.subject(subject);
-                enc.path(path);
-            }
-            Request::LoadBundle { source } => enc.str(source),
-            Request::Activate { bundle } => enc.uleb(bundle.raw()),
-            Request::Shadow { bundle, on } => {
-                enc.uleb(bundle.raw());
-                enc.u8(u8::from(*on));
-            }
-            Request::AuditQuery { query } => enc.audit_query(query),
-        }
-    }
-
-    fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Request, ProtoError> {
         let op = Opcode::from_u8(opcode).ok_or(ProtoError::BadOpcode(opcode))?;
         let mut dec = Dec::new(payload);
         let req = match op {
@@ -695,56 +663,53 @@ impl Response {
 
     /// Encodes the complete frame: header plus payload.
     pub fn encode(&self) -> Vec<u8> {
-        WireMessage::encode(self)
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
     }
 
-    /// Decodes a response payload for `opcode`.
+    /// Appends the complete frame to `out`, leaving what `out` already
+    /// holds alone: the payload is encoded in place behind the header.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        framed(out, self.opcode(), |buf| {
+            let mut enc = Enc::new(buf);
+            match self {
+                Response::Pong => {}
+                Response::Decision(decision) => enc.decision(decision),
+                Response::Batch(decisions) => {
+                    enc.uleb(decisions.len() as u64);
+                    for decision in decisions {
+                        enc.decision(decision);
+                    }
+                }
+                Response::Listing(names) => {
+                    enc.uleb(names.len() as u64);
+                    for name in names {
+                        enc.str(name);
+                    }
+                }
+                Response::Explanation(json)
+                | Response::Telemetry(json)
+                | Response::BundleStatus(json)
+                | Response::AuditReport(json) => enc.str(json),
+                Response::AuditEvents(result) => enc.audit_result(result),
+                Response::Busy { retry_after_ms } => enc.uleb(*retry_after_ms),
+                Response::BundleStaged { bundle, base } => {
+                    enc.uleb(bundle.raw());
+                    enc.uleb(base.raw());
+                }
+                Response::BundleAck { generation } => enc.uleb(generation.raw()),
+                Response::Error { code, message } => {
+                    enc.u8(*code as u8);
+                    enc.str(message);
+                }
+            }
+        });
+    }
+
+    /// Decodes a response payload for `opcode`, consuming it exactly; an
+    /// opcode that names no response is [`ProtoError::BadOpcode`].
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Response, ProtoError> {
-        Response::decode_payload(opcode, payload)
-    }
-}
-
-impl WireMessage for Response {
-    fn opcode_byte(&self) -> u8 {
-        self.opcode()
-    }
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        let mut enc = Enc::new(buf);
-        match self {
-            Response::Pong => {}
-            Response::Decision(decision) => enc.decision(decision),
-            Response::Batch(decisions) => {
-                enc.uleb(decisions.len() as u64);
-                for decision in decisions {
-                    enc.decision(decision);
-                }
-            }
-            Response::Listing(names) => {
-                enc.uleb(names.len() as u64);
-                for name in names {
-                    enc.str(name);
-                }
-            }
-            Response::Explanation(json)
-            | Response::Telemetry(json)
-            | Response::BundleStatus(json)
-            | Response::AuditReport(json) => enc.str(json),
-            Response::AuditEvents(result) => enc.audit_result(result),
-            Response::Busy { retry_after_ms } => enc.uleb(*retry_after_ms),
-            Response::BundleStaged { bundle, base } => {
-                enc.uleb(bundle.raw());
-                enc.uleb(base.raw());
-            }
-            Response::BundleAck { generation } => enc.uleb(generation.raw()),
-            Response::Error { code, message } => {
-                enc.u8(*code as u8);
-                enc.str(message);
-            }
-        }
-    }
-
-    fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Response, ProtoError> {
         let mut dec = Dec::new(payload);
         let resp = match opcode {
             OP_PONG => Response::Pong,
@@ -794,40 +759,7 @@ impl WireMessage for Response {
 }
 
 // ---------------------------------------------------------------------
-// Payload codec: the shared combinators behind every WireMessage.
-
-/// Rewrites a copy of a non-root path's text (`/c1/…/cn`) into its wire
-/// components by replacing each `/` with the length of the component
-/// after it. Returns the component count, or `None` (leaving `text`
-/// partly rewritten) when a length or the count needs a second ULEB128
-/// byte.
-fn slashes_to_lengths(text: &mut [u8]) -> Option<u8> {
-    let mut count = 0u8;
-    let mut slash = 0;
-    while slash < text.len() {
-        let rest = &text[slash + 1..];
-        let len = rest.iter().position(|&b| b == b'/').unwrap_or(rest.len());
-        if len >= 0x80 || count == 0x7f {
-            return None;
-        }
-        text[slash] = len as u8;
-        count += 1;
-        slash += len + 1;
-    }
-    Some(count)
-}
-
-/// The inverse of [`slashes_to_lengths`] on a copy of a path's wire
-/// components, each length under 128: turns each length byte back into
-/// `/`.
-fn lengths_to_slashes(text: &mut [u8]) {
-    let mut slash = 0;
-    while slash < text.len() {
-        let len = usize::from(text[slash]);
-        text[slash] = b'/';
-        slash += len + 1;
-    }
-}
+// Payload codec: the shared combinators behind every message.
 
 /// Appends one frame to `out`: the header with a placeholder length,
 /// the payload `payload` writes behind it, then the length patched in.
@@ -907,28 +839,9 @@ impl<'a> Enc<'a> {
         }
     }
 
-    /// A path: its component count, then each component's length and
-    /// bytes. While every length and the count fit one ULEB128 byte
-    /// (under 128), that is the path's text, copied once, with each `/`
-    /// replaced by the length of the component after it; a loop that
-    /// copies component by component encodes a batch about half as
-    /// fast, so it serves only the longer cases.
+    /// A path: its canonical text.
     fn path(&mut self, path: &NsPath) {
-        let start = self.buf.len();
-        self.buf.push(0);
-        if path.is_root() {
-            return;
-        }
-        self.buf.extend_from_slice(path.as_str().as_bytes());
-        if let Some(count) = slashes_to_lengths(&mut self.buf[start + 1..]) {
-            self.buf[start] = count;
-            return;
-        }
-        self.buf.truncate(start);
-        self.uleb(path.depth() as u64);
-        for component in path.components() {
-            self.str(component);
-        }
+        self.str(path.as_str());
     }
 
     /// An optional unsigned integer: a presence flag, then the value.
@@ -1071,20 +984,14 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    /// A length-prefixed run of at most `max` bytes, borrowed from the
-    /// payload.
-    fn blob(&mut self, max: usize) -> Result<&'a [u8], ProtoError> {
+    /// A length-prefixed UTF-8 string of at most `max` bytes, borrowed
+    /// from the payload; the length is bounded before a byte is read.
+    fn str_ref(&mut self, max: usize) -> Result<&'a str, ProtoError> {
         let len = self.uleb()?;
         if len > max as u64 {
             return Err(ProtoError::Oversize(len));
         }
-        self.bytes(len as usize)
-    }
-
-    /// A length-prefixed UTF-8 string of at most `max` bytes, borrowed
-    /// from the payload.
-    fn str_ref(&mut self, max: usize) -> Result<&'a str, ProtoError> {
-        std::str::from_utf8(self.blob(max)?).map_err(|_| ProtoError::BadUtf8)
+        std::str::from_utf8(self.bytes(len as usize)?).map_err(|_| ProtoError::BadUtf8)
     }
 
     fn str(&mut self, max: usize) -> Result<String, ProtoError> {
@@ -1138,86 +1045,20 @@ impl<'a> Dec<'a> {
         ))
     }
 
-    /// A path: its component count, then each component. A path in
-    /// [`Enc::path`]'s one-copy form is taken as a whole; any other is
-    /// read component by component, which is also what refuses a
-    /// malformed one, each with the error it has always had.
+    /// A path: its canonical text, at most [`NsPath::MAX_LEN`] bytes.
+    /// Text the path would not give back from [`NsPath::as_str`], such
+    /// as a trailing `/`, is refused, so each path has one encoding.
     fn path(&mut self) -> Result<NsPath, ProtoError> {
-        let start = self.pos;
-        match self.path_in_one_copy() {
-            Some(path) => Ok(path),
-            None => {
-                self.pos = start;
-                self.path_by_components()
-            }
+        let text = self.str_ref(NsPath::MAX_LEN)?;
+        let path: NsPath = text
+            .parse()
+            .map_err(|e: PathError| ProtoError::BadPath(e.to_string()))?;
+        if path.as_str().len() != text.len() {
+            return Err(ProtoError::BadPath(
+                "a trailing `/` is not canonical".into(),
+            ));
         }
-    }
-
-    /// A path in [`Enc::path`]'s one-copy form: the count and every
-    /// length in one ULEB128 byte, and no component empty. Its bytes are copied once, each length byte turns
-    /// back into `/`, and the text is checked as a whole, UTF-8 first.
-    /// `None`, with the position wherever it stopped, for any path this
-    /// cannot take as it is: one with a longer length or a `/` inside a
-    /// component, a name the name space refuses, bad UTF-8, or too few
-    /// bytes.
-    fn path_in_one_copy(&mut self) -> Option<NsPath> {
-        // Under the limit, a count byte is a whole ULEB128.
-        const { assert!(MAX_COMPONENTS < 0x80) };
-        let count = usize::from(self.u8().ok()?);
-        if count > MAX_COMPONENTS {
-            return None;
-        }
-        if count == 0 {
-            return Some(NsPath::root());
-        }
-        let start = self.pos;
-        for _ in 0..count {
-            let len = self.u8().ok()?;
-            if len == 0 || len >= 0x80 {
-                return None;
-            }
-            self.bytes(usize::from(len)).ok()?;
-        }
-        let mut text = self.buf[start..self.pos].to_vec();
-        lengths_to_slashes(&mut text);
-        // One `/` per component; any other came from inside a name.
-        if text.iter().filter(|&&b| b == b'/').count() != count {
-            return None;
-        }
-        NsPath::try_from(String::from_utf8(text).ok()?).ok()
-    }
-
-    /// A path read component by component: the first pass reads and
-    /// judges every component, refusing a short or malformed payload as
-    /// such before a bad component; the second copies them into one
-    /// allocation of the text's exact size.
-    fn path_by_components(&mut self) -> Result<NsPath, ProtoError> {
-        let bad_path = |e: PathError| ProtoError::BadPath(e.to_string());
-        let count = self.count(MAX_COMPONENTS)?;
-        let start = self.pos;
-        let mut len = 0;
-        let mut bad = None;
-        for _ in 0..count {
-            let component = self.str_ref(MAX_STR)?;
-            if bad.is_none() && !NsPath::valid_component(component) {
-                bad = Some(component);
-            }
-            len += 1 + component.len();
-        }
-        if let Some(component) = bad {
-            return Err(bad_path(PathError::BadComponent(component.to_string())));
-        }
-        let mut again = Dec::new(&self.buf[start..self.pos]);
-        let mut text = Vec::with_capacity(len.max(1));
-        for _ in 0..count {
-            text.push(b'/');
-            text.extend_from_slice(again.blob(MAX_STR)?);
-        }
-        if text.is_empty() {
-            text.push(b'/');
-        }
-        let text = String::from_utf8(text).map_err(|_| ProtoError::BadUtf8)?;
-        NsPath::try_from(text).map_err(bad_path)
+        Ok(path)
     }
 
     /// An optional unsigned integer: a strict presence flag, then the

@@ -4,7 +4,7 @@
 //! event loop over its own level-triggered poller (see the vendored
 //! `polling` crate: raw epoll on Linux, poll(2) elsewhere). A shard owns
 //! every connection registered with it outright — slab slot, buffers,
-//! timer entries — so the hot path takes no locks and shares no state
+//! deadline — so the hot path takes no locks and shares no state
 //! except the monitor (already concurrent by design) and the telemetry
 //! counters (sharded atomics).
 //!
@@ -19,13 +19,14 @@
 //! - the per-shard inbox bound (`accept_queue`) — backpressure against
 //!   an accept burst outrunning registration.
 //!
-//! Timeouts come from a coarse single-level timer wheel per shard
-//! (16 ms ticks, 512 slots ≈ an 8 s horizon; farther deadlines re-insert
-//! when their slot comes around). Cancellation is lazy: each connection
-//! carries a sequence number bumped whenever its deadline changes, and a
-//! fired wheel entry is honored only if its sequence still matches. An
-//! idle shard with no armed timers blocks in the poller indefinitely —
-//! a quiescent server burns no CPU.
+//! Each shard keeps its connections' armed deadlines in one ordered set
+//! of `(instant, slot)` pairs, in step with the connections: after every
+//! turn the shard moves a connection's entry to the deadline the turn
+//! left it (or removes it), and the close funnel removes it. The poller
+//! waits until the first entry falls due, and each loop turn closes
+//! every connection whose entry is due, so a deadline fires at its
+//! instant. A shard with nothing armed blocks in the poller
+//! indefinitely — a quiescent server burns no CPU.
 //!
 //! Every way a connection can end — clean EOF, protocol refusal, I/O
 //! error, timeout, a panic caught mid-dispatch, server shutdown — funnels
@@ -40,7 +41,7 @@ use crate::server::ServerConfig;
 use crate::telemetry::{ServerCounter, ServerTelemetry};
 use extsec_refmon::ReferenceMonitor;
 use polling::{Event, Events, Poller};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -52,13 +53,9 @@ use std::time::{Duration, Instant};
 /// poller reserves `usize::MAX` for its own wakeup channel.
 pub(crate) const LISTENER_KEY: usize = usize::MAX - 1;
 
-/// Timer-wheel tick. Deadlines fire up to one tick late — fine for
-/// timeouts measured in hundreds of milliseconds.
-const WHEEL_TICK: Duration = Duration::from_millis(16);
-
-/// Timer-wheel slots; with 16 ms ticks the horizon is ≈ 8 s. Deadlines
-/// past the horizon re-insert when their slot is reached.
-const WHEEL_SLOTS: usize = 512;
+/// How long a shard sleeps after a failed poller wait, so the failure
+/// does not spin.
+const WAIT_BACKOFF: Duration = Duration::from_millis(16);
 
 /// State shared by every shard and the [`crate::server::Server`] handle.
 pub(crate) struct Shared {
@@ -101,7 +98,7 @@ impl ShardHandle {
     }
 }
 
-/// One event-loop thread: poller, connection slab, timer wheel.
+/// One event-loop thread: poller, connection slab, deadline set.
 pub(crate) struct Shard {
     index: usize,
     shared: Arc<Shared>,
@@ -112,7 +109,9 @@ pub(crate) struct Shard {
     listener: Option<TcpListener>,
     slab: Vec<Option<Conn>>,
     free: Vec<usize>,
-    wheel: TimerWheel,
+    /// `(due, slot)` for every connection with a deadline, and only
+    /// those: the instant is the connection's own `deadline`.
+    deadlines: BTreeSet<(Instant, usize)>,
     /// Round-robin cursor for accept handoff.
     next_shard: usize,
 }
@@ -133,7 +132,7 @@ impl Shard {
             listener,
             slab: Vec::new(),
             free: Vec::new(),
-            wheel: TimerWheel::new(Instant::now()),
+            deadlines: BTreeSet::new(),
             next_shard: index,
         }
     }
@@ -142,15 +141,13 @@ impl Shard {
     /// connection has been closed and accounted.
     pub(crate) fn run(mut self) {
         let mut events = Events::new();
-        let mut due: Vec<(usize, u64)> = Vec::new();
         loop {
-            let timeout = self.wheel.next_timeout();
-            match self.handle.poller.wait(&mut events, timeout) {
-                Ok(_) => {}
-                Err(_) => {
-                    // A failed wait would spin; back off a tick instead.
-                    std::thread::sleep(WHEEL_TICK);
-                }
+            let timeout = self
+                .deadlines
+                .first()
+                .map(|&(due, _)| due.saturating_duration_since(Instant::now()));
+            if self.handle.poller.wait(&mut events, timeout).is_err() {
+                std::thread::sleep(WAIT_BACKOFF);
             }
             self.shared.telemetry.count(ServerCounter::Polls);
             self.shared
@@ -160,9 +157,7 @@ impl Shard {
                 self.shutdown_all();
                 return;
             }
-            let now = Instant::now();
-            self.wheel.advance(now, &mut due);
-            self.fire_deadlines(&mut due, now);
+            self.fire_deadlines(Instant::now());
             self.drain_inbox();
             for event in events.iter() {
                 if event.key == LISTENER_KEY {
@@ -224,13 +219,25 @@ impl Shard {
         let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
+        let armed = conn.deadline;
         // A panic in decode or dispatch is contained to this turn: the
         // close funnel below still balances the slot accounting, and the
         // shard moves on to the next event.
         let turn =
             std::panic::catch_unwind(AssertUnwindSafe(|| conn.drive(readable, writable, &ctx)));
+        // Whatever the outcome, the set follows the deadline the turn
+        // left, so the close funnel finds the entry it removes.
+        let deadline = conn.deadline;
+        if deadline != armed {
+            if let Some((due, _)) = armed {
+                self.deadlines.remove(&(due, idx));
+            }
+            if let Some((due, _)) = deadline {
+                self.deadlines.insert((due, idx));
+            }
+        }
         match turn {
-            Ok(Turn::Keep) => self.commit_posture(idx),
+            Ok(Turn::Keep) => self.commit_interest(idx),
             Ok(Turn::Close) => self.close(idx),
             Err(_) => {
                 self.shared.telemetry.count(ServerCounter::WorkerPanics);
@@ -239,9 +246,9 @@ impl Shard {
         }
     }
 
-    /// Mirrors a connection's freshly computed posture (interest set and
-    /// deadline) into the poller and the timer wheel.
-    fn commit_posture(&mut self, idx: usize) {
+    /// Mirrors a connection's freshly computed interest set into the
+    /// poller.
+    fn commit_interest(&mut self, idx: usize) {
         let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
@@ -254,45 +261,33 @@ impl Shard {
                 conn.reg_write = conn.want_write;
             }
         }
-        if let Some((at, kind)) = &mut conn.deadline {
-            if conn.timer_seq != conn.armed_seq {
-                // The state machine stamps a placeholder instant; the
-                // shard owns wheel time, so the real horizon is fixed
-                // here, at arm time.
-                *at = Instant::now() + Conn::deadline_after(*kind, &self.shared.config);
-                let deadline = *at;
-                conn.armed_seq = conn.timer_seq;
-                self.wheel.insert(idx, conn.timer_seq, deadline);
-            }
-        }
     }
 
-    /// Applies fired wheel entries, skipping lazily cancelled ones.
-    fn fire_deadlines(&mut self, due: &mut Vec<(usize, u64)>, now: Instant) {
-        for (idx, seq) in due.drain(..) {
-            let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
-                continue;
-            };
-            if conn.timer_seq != seq {
-                continue;
+    /// Closes every connection whose deadline is due at `now`.
+    fn fire_deadlines(&mut self, now: Instant) {
+        while let Some(&(due, idx)) = self.deadlines.first() {
+            if due > now {
+                return;
             }
-            let Some((at, kind)) = conn.deadline else {
-                continue;
-            };
-            if at > now {
-                continue;
-            }
-            if kind.is_timeout() {
+            self.deadlines.remove(&(due, idx));
+            let conn = self.slab.get(idx).and_then(Option::as_ref);
+            if conn
+                .and_then(|c| c.deadline)
+                .is_some_and(|(_, kind)| kind.is_timeout())
+            {
                 self.shared.telemetry.count(ServerCounter::Timeouts);
             }
             self.close(idx);
         }
     }
 
-    /// The single close funnel: deregister, free the slot, balance the
-    /// global count and the accepted/closed accounting.
+    /// The single close funnel: drop the deadline, deregister, free the
+    /// slot, balance the global count and the accepted/closed accounting.
     fn close(&mut self, idx: usize) {
         if let Some(conn) = self.slab.get_mut(idx).and_then(Option::take) {
+            if let Some((due, _)) = conn.deadline {
+                self.deadlines.remove(&(due, idx));
+            }
             let _ = self.handle.poller.delete(&conn.stream);
             self.free.push(idx);
             self.shared.conns.fetch_sub(1, Ordering::AcqRel);
@@ -381,129 +376,5 @@ pub(crate) fn shed(mut stream: TcpStream, config: &ServerConfig) {
     };
     if proto::write_frame(&mut stream, &busy.encode()).is_ok() {
         let _ = stream.shutdown(std::net::Shutdown::Write);
-    }
-}
-
-/// Hashed timer wheel, single level. Entries are `(slot index, seq)`
-/// pairs; validity is checked against the connection at fire time, so
-/// cancellation and refresh are free (bump the seq and forget).
-struct TimerWheel {
-    slots: Vec<Vec<WheelEntry>>,
-    /// The instant the cursor slot began.
-    base: Instant,
-    cursor: usize,
-    /// Entries currently parked in slots (drives `next_timeout`).
-    armed: usize,
-}
-
-struct WheelEntry {
-    idx: usize,
-    seq: u64,
-    at: Instant,
-}
-
-impl TimerWheel {
-    fn new(now: Instant) -> TimerWheel {
-        TimerWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            base: now,
-            cursor: 0,
-            armed: 0,
-        }
-    }
-
-    /// How long the poller may block: forever when nothing is armed
-    /// (an idle shard is fully quiescent), else one tick.
-    fn next_timeout(&self) -> Option<Duration> {
-        if self.armed == 0 {
-            None
-        } else {
-            Some(WHEEL_TICK)
-        }
-    }
-
-    fn insert(&mut self, idx: usize, seq: u64, at: Instant) {
-        let delta = at.saturating_duration_since(self.base);
-        let ticks = (delta.as_millis() / WHEEL_TICK.as_millis()) as usize + 1;
-        // Beyond-horizon deadlines park in the farthest slot and
-        // re-insert when it comes around.
-        let ticks = ticks.clamp(1, WHEEL_SLOTS - 1);
-        let slot = (self.cursor + ticks) % WHEEL_SLOTS;
-        self.slots[slot].push(WheelEntry { idx, seq, at });
-        self.armed += 1;
-    }
-
-    /// Walks the cursor up to `now`, collecting due entries into `due`
-    /// and re-parking the beyond-horizon ones.
-    fn advance(&mut self, now: Instant, due: &mut Vec<(usize, u64)>) {
-        if self.armed == 0 {
-            // Nothing parked: re-anchor so the next insert measures its
-            // delta from the present, not from before an unbounded wait.
-            self.base = now;
-            return;
-        }
-        while now.saturating_duration_since(self.base) >= WHEEL_TICK {
-            self.base += WHEEL_TICK;
-            self.cursor = (self.cursor + 1) % WHEEL_SLOTS;
-            let entries = std::mem::take(&mut self.slots[self.cursor]);
-            for entry in entries {
-                self.armed -= 1;
-                if entry.at <= now {
-                    due.push((entry.idx, entry.seq));
-                } else {
-                    self.insert(entry.idx, entry.seq, entry.at);
-                }
-            }
-            if self.armed == 0 {
-                self.base = now;
-                return;
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wheel_fires_due_entries_and_reparks_far_ones() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        assert_eq!(wheel.next_timeout(), None);
-        // One near deadline (2 ticks out) and one far beyond the horizon.
-        wheel.insert(1, 10, start + WHEEL_TICK * 2);
-        wheel.insert(2, 20, start + WHEEL_TICK * (WHEEL_SLOTS as u32 * 2));
-        assert_eq!(wheel.next_timeout(), Some(WHEEL_TICK));
-
-        let mut due = Vec::new();
-        wheel.advance(start + WHEEL_TICK * 3, &mut due);
-        assert_eq!(due, vec![(1, 10)]);
-
-        // The far entry survives a full revolution without firing.
-        due.clear();
-        wheel.advance(start + WHEEL_TICK * (WHEEL_SLOTS as u32 + 10), &mut due);
-        assert!(due.is_empty());
-        assert_eq!(wheel.next_timeout(), Some(WHEEL_TICK));
-
-        // …and fires once its real instant passes.
-        wheel.advance(start + WHEEL_TICK * (WHEEL_SLOTS as u32 * 2 + 2), &mut due);
-        assert_eq!(due, vec![(2, 20)]);
-        assert_eq!(wheel.next_timeout(), None);
-    }
-
-    #[test]
-    fn wheel_rebases_when_idle() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        // A long idle stretch with nothing armed must not age the base.
-        let later = start + Duration::from_secs(60);
-        let mut due = Vec::new();
-        wheel.advance(later, &mut due);
-        wheel.insert(7, 1, later + WHEEL_TICK * 3);
-        wheel.advance(later + WHEEL_TICK, &mut due);
-        assert!(due.is_empty(), "re-anchored deadline must not fire early");
-        wheel.advance(later + WHEEL_TICK * 4, &mut due);
-        assert_eq!(due, vec![(7, 1)]);
     }
 }

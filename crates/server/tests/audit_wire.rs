@@ -1,15 +1,22 @@
 //! The audit pipeline over the wire: query/verify round trips, typed
-//! refusal without a pipeline, tamper detection through the wire API,
-//! and a churn regime — sustained checks, concurrent query/verify, and
-//! pipeline restarts — with the server's slot accounting intact.
+//! refusal without a pipeline, tamper detection through the wire API, a
+//! path too long for an audit record refused before it can reach the
+//! log, and a churn regime — sustained checks, concurrent query/verify,
+//! and pipeline restarts — with the server's slot accounting intact.
 
 use extsec_acl::{AccessMode, Acl, AclEntry, ModeSet};
 use extsec_mac::{Lattice, SecurityClass};
-use extsec_namespace::{NodeKind, NsPath, Protection};
+use extsec_namespace::{NodeKind, NsPath, PathError, Protection};
 use extsec_refmon::{
     AuditPipeline, AuditQuery, MonitorBuilder, Outcome, PipelineConfig, ReferenceMonitor, Subject,
 };
-use extsec_server::{Client, ClientConfig, ClientError, ErrorCode, Server, ServerConfig};
+use extsec_server::proto::read_frame;
+use extsec_server::{
+    Client, ClientConfig, ClientError, ErrorCode, Opcode, Response, Server, ServerConfig,
+    MAX_FRAME, VERSION,
+};
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -205,6 +212,101 @@ fn query_verify_and_tamper_detection_over_the_wire() {
     let stats = server.shutdown();
     assert_eq!(stats.accepted, stats.closed);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn uleb(mut value: u64, out: &mut Vec<u8>) {
+    loop {
+        let byte = (value & 0x7f) as u8;
+        value >>= 7;
+        if value == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// The frame of a `Check` by `subject` for `Execute` whose path field is
+/// `path_field` as it stands: a peer frames whatever bytes it likes.
+fn check_frame(subject: &Subject, path_field: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    uleb(u64::from(subject.principal.raw()), &mut payload);
+    uleb(subject.thread.raw(), &mut payload);
+    uleb(u64::from(subject.class.level().rank()), &mut payload);
+    let categories = subject.class.categories();
+    uleb(categories.len() as u64, &mut payload);
+    for category in categories.iter() {
+        uleb(u64::from(category.index()), &mut payload);
+    }
+    payload.extend_from_slice(path_field);
+    payload.push(AccessMode::Execute as u8);
+    let mut frame = vec![VERSION, Opcode::Check as u8];
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+/// A path longer than an audit record holds never reaches the log. No
+/// `NsPath` names one, so the `Check` is framed by hand, its path once as
+/// its text (the protocol's form) and once as the component list
+/// protocol version 3 sent; each is refused as malformed, and the chain
+/// verifies and keeps every record, the one after the refusals
+/// included.
+#[test]
+fn a_path_longer_than_a_record_holds_is_refused_and_the_log_stays_whole() {
+    let (monitor, alice, _) = fixture();
+    monitor.attach_audit_pipeline(Arc::new(
+        AuditPipeline::in_memory(PipelineConfig::default()),
+    ));
+    let server =
+        Server::spawn(Arc::clone(&monitor), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ClientConfig::default()).unwrap();
+    let op = p("/svc/x/op");
+    assert!(client
+        .check(&alice, &op, AccessMode::Execute)
+        .unwrap()
+        .allowed());
+
+    let (a, b) = ("a".repeat(2600), "b".repeat(2600));
+    let text = format!("/{a}/{b}");
+    assert_eq!(text.parse::<NsPath>(), Err(PathError::TooLong(text.len())));
+    let mut as_text = Vec::new();
+    uleb(text.len() as u64, &mut as_text);
+    as_text.extend_from_slice(text.as_bytes());
+    let mut as_components = vec![2];
+    for name in [&a, &b] {
+        uleb(name.len() as u64, &mut as_components);
+        as_components.extend_from_slice(name.as_bytes());
+    }
+    for field in [as_text, as_components] {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(&check_frame(&alice, &field)).unwrap();
+        let frame = read_frame(&mut stream, MAX_FRAME).unwrap();
+        match Response::decode(frame.opcode, &frame.payload).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+            other => panic!(
+                "a {}-byte path was answered with opcode {:#04x}",
+                text.len(),
+                other.opcode()
+            ),
+        }
+    }
+
+    assert!(client
+        .check(&alice, &op, AccessMode::Execute)
+        .unwrap()
+        .allowed());
+    let report = client.audit_verify().unwrap();
+    assert!(report.ok, "the chain failed verify: {report:?}");
+    let (seqs, gaps) = drain_query(&mut client, AuditQuery::default());
+    assert!(gaps.is_empty(), "nothing was shed, yet gaps: {gaps:?}");
+    assert_eq!(seqs, [0, 1], "every check is recorded, and only those");
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!(stats.accepted, stats.closed);
 }
 
 /// The churn regime: client threads hammer checks while another client

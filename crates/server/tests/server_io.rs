@@ -329,6 +329,20 @@ fn adversarial_frames_get_typed_errors_and_leak_nothing() {
     assert_eq!(error_code(&reply), Some(ErrorCode::Protocol));
     assert!(closed);
 
+    // A path text whose refusal quotes it, each byte escaped to six: the
+    // typed error is cut to the message length a peer reads. The
+    // subject is principal 0 on thread 0 at rank 0 with no categories;
+    // `A0 1F` is the ULEB128 of the text's 4 000 bytes.
+    let mut payload = vec![0, 0, 0, 0, 0xA0, 0x1F];
+    payload.extend_from_slice(&[1u8; 4000]);
+    payload.push(AccessMode::Read as u8);
+    let mut unrooted = vec![VERSION, Opcode::Check as u8];
+    unrooted.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    unrooted.extend_from_slice(&payload);
+    let (reply, closed) = send_raw(&server, &unrooted);
+    assert_eq!(error_code(&reply), Some(ErrorCode::Protocol));
+    assert!(closed);
+
     // The server survived all of it: a fresh, well-behaved client works.
     let mut ok_client = client(&server);
     ok_client.ping().unwrap();
@@ -342,7 +356,7 @@ fn adversarial_frames_get_typed_errors_and_leak_nothing() {
     wait_for_balanced_accounting(&server);
     let stats = server.shutdown();
     assert_eq!(stats.accepted, stats.closed);
-    assert!(stats.protocol_errors >= 5);
+    assert!(stats.protocol_errors >= 6);
     assert!(stats.oversize >= 1);
 }
 
@@ -480,4 +494,144 @@ fn pipelined_burst_then_half_close_gets_every_reply_and_eof() {
     );
     wait_for_balanced_accounting(&server);
     server.shutdown();
+}
+
+/// Read and write timeouts of 200 ms, so a deadline fires quickly.
+fn short_timeouts() -> ServerConfig {
+    ServerConfig {
+        read_timeout: Duration::from_millis(200),
+        write_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    }
+}
+
+/// Waits until the server has closed its `n`th connection, returning
+/// how long after `since` that was seen (polled every 5 ms).
+fn closed_after(server: &Server, n: u64, since: Instant) -> Duration {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        if server.telemetry().snapshot().closed >= n {
+            return since.elapsed();
+        }
+        assert!(Instant::now() < deadline, "the connection was never closed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn a_mid_frame_stall_times_out_after_the_read_timeout() {
+    let (monitor, _, _) = fixture();
+    let server = spawn(&monitor, short_timeouts());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    // A header promising 32 payload bytes, then 3 of them, then silence.
+    let mut partial = vec![VERSION, Opcode::Check as u8];
+    partial.extend_from_slice(&32u32.to_le_bytes());
+    partial.extend_from_slice(&[1, 2, 3]);
+    let sent = Instant::now();
+    stream.write_all(&partial).unwrap();
+    let mut probe = [0u8; 64];
+    assert!(
+        matches!(stream.read(&mut probe), Ok(0)),
+        "closed without a reply"
+    );
+    let waited = sent.elapsed();
+    assert!(
+        waited >= Duration::from_millis(200) && waited < Duration::from_secs(2),
+        "closed {waited:?} after the last byte"
+    );
+    closed_after(&server, 1, sent);
+    let stats = server.shutdown();
+    assert_eq!(stats.timeouts, 1);
+    assert_eq!(stats.accepted, stats.closed);
+}
+
+#[test]
+fn an_unread_reply_times_out_after_the_write_timeout() {
+    let (monitor, _, _) = fixture();
+    // Enabled telemetry makes each reply a document of many histograms.
+    monitor.telemetry().set_enabled(true);
+    let server = spawn(&monitor, short_timeouts());
+    let reply = client(&server)
+        .pipeline(&[Request::Telemetry])
+        .unwrap()
+        .remove(0)
+        .encode();
+    assert!(reply.len() > 2048, "a {}-byte reply", reply.len());
+    wait_for_balanced_accounting(&server);
+    // Replies far beyond what the socket buffers between the two ends
+    // hold; the peer reads none of them.
+    let requests = (32 << 20) / reply.len() + 1;
+    assert!(requests < 16_384);
+    let burst = Request::Telemetry.encode().repeat(requests);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let sent = Instant::now();
+    stream.write_all(&burst).unwrap();
+    // The deadline is armed no sooner than the first reply and moves
+    // with every write the peer's buffers take.
+    let waited = closed_after(&server, 2, sent);
+    assert!(
+        waited >= Duration::from_millis(200) && waited < Duration::from_secs(2),
+        "closed {waited:?} after the burst"
+    );
+    drop(stream);
+    let stats = server.shutdown();
+    assert_eq!(stats.timeouts, 1);
+    assert_eq!(stats.accepted, stats.closed);
+}
+
+#[test]
+fn a_refused_peer_is_closed_when_the_drain_window_ends() {
+    let (monitor, _, _) = fixture();
+    let server = spawn(&monitor, short_timeouts());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let sent = Instant::now();
+    stream.write_all(&[9, 0, 0, 0, 0, 0]).unwrap();
+    // The refusal, then the server's half-close; the peer sends nothing
+    // more and keeps its own side open.
+    let frame = proto::read_frame(&mut stream, MAX_FRAME).unwrap();
+    assert_eq!(
+        error_code(&Some(
+            Response::decode(frame.opcode, &frame.payload).unwrap()
+        )),
+        Some(ErrorCode::Version)
+    );
+    let mut probe = [0u8; 1];
+    assert!(
+        matches!(stream.read(&mut probe), Ok(0)),
+        "EOF after the reply"
+    );
+    let waited = closed_after(&server, 1, sent);
+    assert!(
+        waited >= Duration::from_millis(200) && waited < Duration::from_secs(2),
+        "closed {waited:?} after the refused frame"
+    );
+    drop(stream);
+    let stats = server.shutdown();
+    assert_eq!(stats.timeouts, 0, "the drain window is not a timeout");
+    assert_eq!(stats.accepted, stats.closed);
+}
+
+#[test]
+fn an_idle_connection_outlives_many_read_timeouts() {
+    let (monitor, alice, _) = fixture();
+    let server = spawn(&monitor, short_timeouts());
+    let mut client = client(&server);
+    client.ping().unwrap();
+    std::thread::sleep(Duration::from_millis(1_000));
+    assert!(client
+        .check(&alice, &p("/svc/fs/read"), AccessMode::Read)
+        .unwrap()
+        .allowed());
+    assert_eq!(server.telemetry().snapshot().accepted, 1, "no reconnect");
+    drop(client);
+    closed_after(&server, 1, Instant::now());
+    let stats = server.shutdown();
+    assert_eq!(stats.timeouts, 0);
+    assert_eq!(stats.accepted, stats.closed);
 }

@@ -2,8 +2,9 @@
 //! identity on every frame type, every proper prefix of a frame scans as
 //! partial (never as a frame, never a panic), the frame scan and
 //! decoders are total on garbage and corruption, and the path decoder
-//! agrees with a plain reference decoder on hostile component lists.
-//! One printed row times a 64-item batch's encode and decode.
+//! agrees with a plain reference decoder on arbitrary path-field bytes,
+//! accepting exactly the canonical texts within the bound. One printed
+//! row times a 64-item batch's encode and decode.
 
 use extsec_acl::{AccessMode, PrincipalId};
 use extsec_mac::{CategoryId, CategorySet, SecurityClass, TrustLevel};
@@ -12,9 +13,7 @@ use extsec_refmon::{
     AuditQuery, AuditRecord, BundleId, Decision, DenyReason, GapRange, Generation, Outcome,
     QueryResult, Subject, ThreadId,
 };
-use extsec_server::proto::{
-    scan_frame, FrameScan, ProtoError, WireMessage, MAX_COMPONENTS, MAX_STR,
-};
+use extsec_server::proto::{scan_frame, FrameScan, ProtoError};
 use extsec_server::{BatchItem, ErrorCode, Opcode, Request, Response, MAX_FRAME};
 use proptest::prelude::*;
 use std::hint::black_box;
@@ -332,8 +331,8 @@ fn path(s: &str) -> NsPath {
 }
 
 /// Encoded `Check` and `BatchCheck` frames, byte for byte. A path goes
-/// on the wire as its component count, then each component's length and
-/// UTF-8 bytes, whatever form the path takes in memory.
+/// on the wire as its canonical text: a ULEB128 length, then the UTF-8
+/// bytes of `NsPath::as_str`.
 #[test]
 fn check_and_batch_frames_are_byte_stable() {
     let check = Request::Check {
@@ -341,11 +340,12 @@ fn check_and_batch_frames_are_byte_stable() {
         path: path("/svc/fs.read/x-1"),
         mode: AccessMode::Write,
     };
-    let mut want = vec![3, 1, 26, 0, 0, 0];
+    let mut want = vec![4, 1, 26, 0, 0, 0];
     want.extend_from_slice(GOLDEN_SUBJECT);
-    want.extend_from_slice(b"\x03\x03svc\x07fs.read\x03x-1\x01");
+    want.extend_from_slice(b"\x10/svc/fs.read/x-1\x01");
     assert_eq!(check.encode(), want);
 
+    // The last path is longer than one length byte holds.
     let long = "x".repeat(130);
     let batch = Request::BatchCheck {
         subject: golden_subject(),
@@ -368,29 +368,15 @@ fn check_and_batch_frames_are_byte_stable() {
             },
         ],
     };
-    let mut want = vec![3, 2, 173, 0, 0, 0];
+    let mut want = vec![4, 2, 174, 0, 0, 0];
     want.extend_from_slice(GOLDEN_SUBJECT);
-    want.extend_from_slice(b"\x04\x00\x00");
-    want.extend_from_slice(b"\x03\x03a b\x02!x\x02\xc3\xa9\x07");
-    want.extend_from_slice(b"\x03\x03svc\x06\xe6\x97\xa5\xe6\x9c\xac\x02-.\x03");
-    want.extend_from_slice(b"\x01\x82\x01");
+    want.extend_from_slice(b"\x04\x01/\x00");
+    want.extend_from_slice(b"\x0a/a b/!x/\xc3\xa9\x07");
+    want.extend_from_slice(b"\x0e/svc/\xe6\x97\xa5\xe6\x9c\xac/-.\x03");
+    want.extend_from_slice(b"\x83\x01/");
     want.extend_from_slice(long.as_bytes());
     want.push(0);
     assert_eq!(batch.encode(), want);
-
-    // More components than one count byte holds (only the decoder caps
-    // the count).
-    let deep = Request::Check {
-        subject: golden_subject(),
-        path: NsPath::from_components(["a"; 130]).expect("valid"),
-        mode: AccessMode::Read,
-    };
-    let mut want = vec![3, 1, 15, 1, 0, 0];
-    want.extend_from_slice(GOLDEN_SUBJECT);
-    want.extend_from_slice(b"\x82\x01");
-    want.extend_from_slice(&b"\x01a".repeat(130));
-    want.push(0);
-    assert_eq!(deep.encode(), want);
 
     // In place, behind bytes already held: those stay, and exactly the
     // frame follows. The client encodes its borrowed arguments, the
@@ -402,7 +388,7 @@ fn check_and_batch_frames_are_byte_stable() {
         assert_eq!(&out[..held.len()], held);
         out.split_off(held.len())
     };
-    for request in [&check, &batch, &deep] {
+    for request in [&check, &batch] {
         assert_eq!(
             after_held(&|out| request.encode_into(out)),
             request.encode()
@@ -510,91 +496,91 @@ fn uleb(mut value: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// A `Check` payload for principal 1 at rank 0 whose path is `count`
-/// as the component count followed by `components`, then mode `Read`.
-fn check_payload(count: usize, components: &[&[u8]]) -> Vec<u8> {
+/// A `Check` payload for principal 1 at rank 0 whose path field is
+/// `len` as its length followed by `text`, then mode `Read`.
+fn check_payload(len: usize, text: &[u8]) -> Vec<u8> {
     let mut payload = vec![1, 0, 0, 0];
-    uleb(count as u64, &mut payload);
-    for component in components {
-        uleb(component.len() as u64, &mut payload);
-        payload.extend_from_slice(component);
-    }
+    uleb(len as u64, &mut payload);
+    payload.extend_from_slice(text);
     payload.push(0);
     payload
 }
 
-/// Wire paths the name space cannot hold are refused, each with the
-/// error it has always had: a component check comes only after every
-/// component has been read, so a short payload is `Truncated` even
-/// when an earlier component is bad.
+/// Wire paths the name space cannot hold, and texts it would not give
+/// back, are refused, each with a typed error; a path exactly at the
+/// bound is not.
 #[test]
 fn malformed_wire_paths_are_refused() {
-    let bad = |c: &str| ProtoError::BadPath(PathError::BadComponent(c.to_string()).to_string());
-    let decode = |payload: Vec<u8>| Request::decode(Opcode::Check as u8, &payload);
-    for (components, want) in [
-        (&[&b"a"[..], b""][..], bad("")),
-        (&[b"."], bad(".")),
-        (&[b"a", b".."], bad("..")),
-        (&[b"a/b"], bad("a/b")),
-        (&[b"ok", b"x/", b"."], bad("x/")),
-        (&[b"a", b"\xff"], ProtoError::BadUtf8),
-        (&[b"\xc3"], ProtoError::BadUtf8),
+    let decode =
+        |text: &[u8]| Request::decode(Opcode::Check as u8, &check_payload(text.len(), text));
+    let bad = |e: PathError| Err(ProtoError::BadPath(e.to_string()));
+    let name = |c: &str| bad(PathError::BadComponent(c.to_string()));
+    for (text, want) in [
+        (&b"/a//b"[..], name("")),
+        (b"/.", name(".")),
+        (b"/a/..", name("..")),
+        (b"", bad(PathError::NotAbsolute(String::new()))),
+        (b"a/b", bad(PathError::NotAbsolute("a/b".to_string()))),
+        (b"/a/\xff", Err(ProtoError::BadUtf8)),
+        (b"\xc3", Err(ProtoError::BadUtf8)),
     ] {
-        assert_eq!(
-            decode(check_payload(components.len(), components)),
-            Err(want),
-            "{components:?}"
+        assert_eq!(decode(text), want, "{text:?}");
+    }
+    // Text `NsPath::as_str` would not give back: one encoding per path.
+    for text in [&b"/a/"[..], b"/svc/fs/"] {
+        assert!(
+            matches!(decode(text), Err(ProtoError::BadPath(_))),
+            "{text:?}"
         );
     }
-    // A bad component followed by a truncated one.
+    // A length the payload does not hold.
+    let short = Request::decode(Opcode::Check as u8, &check_payload(10, b"/abc"));
+    assert_eq!(short, Err(ProtoError::Truncated));
+    // Over the bound: refused on the length, before its bytes are read.
+    let over = NsPath::MAX_LEN as u64 + 1;
+    let claimed = Request::decode(Opcode::Check as u8, &check_payload(over as usize, b""));
+    assert_eq!(claimed, Err(ProtoError::Oversize(over)));
+    let mut text = vec![b'a'; NsPath::MAX_LEN + 1];
+    text[0] = b'/';
+    assert_eq!(decode(&text), Err(ProtoError::Oversize(over)));
+    text.pop();
+    let widest = std::str::from_utf8(&text)
+        .unwrap()
+        .parse::<NsPath>()
+        .unwrap();
     assert_eq!(
-        decode(check_payload(2, &[b""])[..6].to_vec()),
-        Err(ProtoError::Truncated)
+        decode(&text),
+        Ok(Request::Check {
+            subject: payload_subject(),
+            path: widest,
+            mode: AccessMode::Read,
+        })
     );
-    // A non-UTF-8 component followed by a truncated one: each component
-    // is checked as it is read.
-    assert_eq!(
-        decode(check_payload(2, &[b"\xff", b"abc"])[..9].to_vec()),
-        Err(ProtoError::BadUtf8)
-    );
-    let many: Vec<&[u8]> = vec![b"a"; MAX_COMPONENTS + 1];
-    assert_eq!(
-        decode(check_payload(many.len(), &many)),
-        Err(ProtoError::TooMany(MAX_COMPONENTS as u64 + 1))
-    );
-    let most: Vec<&[u8]> = vec![b"a"; MAX_COMPONENTS];
-    assert!(decode(check_payload(most.len(), &most)).is_ok());
-    let huge = vec![b'a'; MAX_STR + 1];
-    assert_eq!(
-        decode(check_payload(1, &[&huge])),
-        Err(ProtoError::Oversize(MAX_STR as u64 + 1))
-    );
-    let widest = vec![b'a'; MAX_STR];
-    assert!(decode(check_payload(1, &[&widest])).is_ok());
 }
 
-/// A valid name, now and then long enough that its length takes two
-/// ULEB128 bytes.
-fn arb_wire_name() -> impl Strategy<Value = Vec<u8>> {
+/// Path-field bytes: mostly a path's text, with now and then a name the
+/// name space refuses, a trailing `/` or no leading one; else
+/// arbitrary bytes, or text on either side of the bound.
+fn arb_path_field() -> impl Strategy<Value = Vec<u8>> {
+    let name = prop_oneof![
+        12 => "[a-z0-9._-]{1,12}",
+        1 => Just("日本".to_string()),
+        1 => Just(".".to_string()),
+        1 => Just("..".to_string()),
+        1 => Just(String::new()),
+    ];
+    let text =
+        proptest::collection::vec(name, 0..6).prop_map(|names| format!("/{}", names.join("/")));
     prop_oneof![
-        10 => "[a-z0-9._-]{1,12}".prop_map(String::into_bytes),
-        1 => Just("日本".as_bytes().to_vec()),
-        2 => (100usize..=200).prop_map(|len| vec![b'n'; len]),
-    ]
-}
-
-/// A wire path component: mostly a valid name, else one of the kinds
-/// the decoder must refuse — `/`-bearing, `.`, `..`, empty, or (nearly
-/// always) non-UTF-8 bytes.
-fn arb_wire_component() -> impl Strategy<Value = Vec<u8>> {
-    prop_oneof![
-        16 => arb_wire_name(),
-        1 => "[a-z]{0,3}/[a-z]{0,3}".prop_map(String::into_bytes),
-        1 => Just(b".".to_vec()),
-        1 => Just(b"..".to_vec()),
-        1 => Just(Vec::new()),
-        1 => Just(b"\xc3".to_vec()),
-        1 => proptest::collection::vec(any::<u8>(), 1..6),
+        8 => text.prop_map(String::into_bytes),
+        1 => "[a-z/]{0,8}/".prop_map(String::into_bytes),
+        1 => "[a-z][a-z/]{0,8}".prop_map(String::into_bytes),
+        3 => proptest::collection::vec(any::<u8>(), 0..16),
+        1 => (NsPath::MAX_LEN - 2..=NsPath::MAX_LEN + 2).prop_map(|len| {
+            let mut text = vec![b'n'; len];
+            text[0] = b'/';
+            text
+        }),
     ]
 }
 
@@ -635,69 +621,57 @@ impl<'a> Cursor<'a> {
 }
 
 /// A reference decoder for `check_payload`'s frames, stating the path
-/// rules plainly: per component a ULEB128 length, the bounds check, the
-/// bytes and `str::from_utf8`, stopping at the first framing or UTF-8
-/// error; once every component is read, the first name
-/// `NsPath::valid_component` refuses; then the mode.
+/// rules plainly: the length, bounded before any byte is read; the
+/// bytes; UTF-8; then the text must be `/`, or `/` followed by valid
+/// names joined by `/` (any other is `BadPath`, whatever its message);
+/// then the mode.
 fn reference_check_decode(payload: &[u8]) -> Result<Request, ProtoError> {
     let mut at = Cursor(payload);
     // Principal 1, thread 0, rank 0, no categories: one byte each.
     at.take(4)?;
-    let count = at.uleb()?;
-    if count > MAX_COMPONENTS as u64 {
-        return Err(ProtoError::TooMany(count));
+    let len = at.uleb()?;
+    if len > NsPath::MAX_LEN as u64 {
+        return Err(ProtoError::Oversize(len));
     }
-    let mut names = Vec::new();
-    for _ in 0..count {
-        let len = at.uleb()?;
-        if len > MAX_STR as u64 {
-            return Err(ProtoError::Oversize(len));
-        }
-        let name = std::str::from_utf8(at.take(len as usize)?).map_err(|_| ProtoError::BadUtf8)?;
-        names.push(name);
-    }
-    if let Some(bad) = names.iter().find(|name| !NsPath::valid_component(name)) {
-        let refusal = PathError::BadComponent(bad.to_string());
-        return Err(ProtoError::BadPath(refusal.to_string()));
-    }
+    let text = std::str::from_utf8(at.take(len as usize)?).map_err(|_| ProtoError::BadUtf8)?;
+    let names: Option<Vec<&str>> = match text {
+        "/" => Some(Vec::new()),
+        _ => text
+            .strip_prefix('/')
+            .map(|rest| rest.split('/').collect::<Vec<_>>())
+            .filter(|names| names.iter().all(|name| NsPath::valid_component(name))),
+    };
+    let names = names.ok_or(ProtoError::BadPath(String::new()))?;
     let path = NsPath::from_components(&names).expect("every name is valid");
-    let mode = at.take(1)?[0];
-    let mode = *AccessMode::ALL
-        .get(usize::from(mode))
-        .ok_or(ProtoError::BadTag(mode))?;
-    if !at.0.is_empty() {
-        return Err(ProtoError::TrailingBytes(at.0.len()));
-    }
+    at.take(1)?;
     Ok(Request::Check {
         subject: payload_subject(),
         path,
-        mode,
+        mode: AccessMode::Read,
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// On component lists with every kind of bad name, lengths on both
-    /// sides of the one-byte boundary and counts past the limit, whole
-    /// or cut short, the decoder's path, or its refusal, is the
-    /// reference decoder's.
+    /// On arbitrary bytes in a `Check`'s path field, whole or cut short,
+    /// the decoder's path, or its refusal, is the reference decoder's:
+    /// it accepts exactly the canonical texts of at most
+    /// `NsPath::MAX_LEN` UTF-8 bytes, returns the path each names, and
+    /// refuses every other input with a typed error.
     #[test]
     fn path_decoding_matches_the_reference_decoder(
-        names in prop_oneof![
-            proptest::collection::vec(arb_wire_name(), 0..=MAX_COMPONENTS + 1),
-            proptest::collection::vec(arb_wire_component(), 0..=MAX_COMPONENTS + 1),
-        ],
+        text in arb_path_field(),
         cut in prop_oneof![3 => Just(None), 1 => any::<usize>().prop_map(Some)],
     ) {
-        let names: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
-        let mut payload = check_payload(names.len(), &names);
+        let mut payload = check_payload(text.len(), &text);
         if let Some(cut) = cut {
             payload.truncate(cut % payload.len());
         }
-        prop_assert_eq!(
-            Request::decode(Opcode::Check as u8, &payload),
-            reference_check_decode(&payload)
-        );
+        let decoded = match Request::decode(Opcode::Check as u8, &payload) {
+            Err(ProtoError::BadPath(_)) => Err(ProtoError::BadPath(String::new())),
+            other => other,
+        };
+        prop_assert_eq!(decoded, reference_check_decode(&payload));
     }
 }

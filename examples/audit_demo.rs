@@ -1,6 +1,6 @@
 //! The tamper-evident audit pipeline, end to end over the wire: checks
 //! recorded off the hot path, drained into hash-chained on-disk
-//! segments, queried and verified through the v3 wire API — then a
+//! segments, queried and verified through the wire API — then a
 //! byte is flipped on disk and the verifier names the damaged segment.
 //!
 //! Run with `cargo run --example audit_demo`.

@@ -2,7 +2,9 @@
 //! in-memory view after wraparound, a check path that allocates nothing
 //! and a batch that allocates only its result once the ring has wrapped,
 //! and writers that wait for a live drainer rather than overwrite what
-//! it has not read, also while an admin verifies the log.
+//! it has not read, also while an admin verifies the log. An extension
+//! cannot have a path longer than a record holds checked, so it cannot
+//! damage the persisted log.
 //!
 //! A counting global allocator counts, per thread, only while that
 //! thread's `WATCHED` flag is set, so the pipeline's drainer (which
@@ -10,9 +12,9 @@
 //! parallel do not count.
 
 use extsec_core::{
-    AccessMode, Acl, AclEntry, AuditPipeline, AuditQuery, AuditRecord, Decision, GapRange, Lattice,
-    ModeSet, MonitorBuilder, NodeKind, NsPath, Outcome, PipelineConfig, Protection,
-    ReferenceMonitor, SecurityClass, Subject,
+    AccessMode, Acl, AclEntry, AuditPipeline, AuditQuery, AuditRecord, Decision, ExtError,
+    GapRange, Lattice, ModeSet, MonitorBuilder, NodeKind, NsPath, Outcome, PipelineConfig,
+    Protection, ReferenceMonitor, SecurityClass, ServiceError, Subject, SystemBuilder, Value,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -153,6 +155,47 @@ fn attach_switches_rings_and_declares_the_earlier_numbers() {
     assert_eq!(persisted.records[0].path, "/svc/fs/read");
     let stats = pipeline.stats();
     assert_eq!((stats.shed, stats.enqueued), (0, 2));
+}
+
+/// A call of `/svc/fs/read` whose path argument would make a node path
+/// longer than an audit record holds fails with a service error before
+/// any check is made, so the persisted log keeps verifying and holds
+/// the calls on either side of it.
+#[test]
+fn a_path_argument_longer_than_a_record_holds_fails_before_the_log() {
+    let mut builder = SystemBuilder::new(Lattice::build(["low"], ["c0"]).unwrap());
+    builder.principal("caller").unwrap();
+    let system = builder.build().unwrap();
+    let pipeline = attach(&system.monitor, 64);
+    let caller = system.subject("caller", "low").unwrap();
+    let read = p("/svc/fs/read");
+    let call = |arg: &str| {
+        system
+            .runtime
+            .call(&caller, &read, &[Value::Str(arg.into())])
+    };
+    assert!(call("notes").is_err(), "no such file");
+    let long = "a".repeat(5000);
+    assert!(
+        matches!(
+            call(&long),
+            Err(ExtError::Service(ServiceError::BadArgs(_)))
+        ),
+        "a path argument of {} bytes is a bad argument",
+        long.len()
+    );
+    assert!(call("notes").is_err());
+    let report = system.monitor.audit_verify().unwrap();
+    assert!(report.ok, "{report:?}");
+    let persisted = system.monitor.audit_query(&AuditQuery::default()).unwrap();
+    assert!(persisted.gaps.is_empty(), "{:?}", persisted.gaps);
+    assert!(persisted.records.iter().all(|r| r.path.len() < 64));
+    let reads = persisted
+        .records
+        .iter()
+        .filter(|r| r.path == "/obj/fs/notes");
+    assert_eq!(reads.count(), 2, "{:?}", persisted.records);
+    drop(pipeline);
 }
 
 /// After the pipeline's ring has wrapped several times, the in-memory
